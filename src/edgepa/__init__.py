@@ -54,9 +54,7 @@ from .observables import (
     count_vertex_paths,
     count_vertices,
     degree_histogram,
-    diameter_auto,
     diameter_bounds,
-    diameter_exact,
     isolated_chains,
     isolated_paths,
     max_degree,

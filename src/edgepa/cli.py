@@ -10,7 +10,8 @@ Subcommands::
 
 Flags mirror config-file keys (flat ``key=value`` lines, ``#`` comments);
 flags override the file.  Exit status: 0 on success, 1 when a verify
-criterion fails, 2 on usage errors.
+criterion fails or a generate/couple/sweep record holds an error, 2 on
+usage errors (including specs that fail validation).
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-clique", action="store_true", help="skip clique measurement")
             p.add_argument("--no-paths", action="store_true", help="skip chain/path measurement")
             p.add_argument("--clique-exact", action="store_true", help="also run exact clique search")
-            p.add_argument("--exact-diameter-cap", type=int, help="all-pairs cap (default 20000)")
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", choices=("csv", "json"), help="record format (default csv)")
 
@@ -83,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_obs = sub.add_parser("observe", help="measure a dumped graph file")
     common(p_obs, families=False)
     p_obs.add_argument("graph", help="path to a graph dump")
-    p_obs.add_argument("--exact-diameter-cap", type=int, default=20000)
 
     p_cpl = sub.add_parser("couple", help="collapse two families from shared trees")
     common(p_cpl)
@@ -141,7 +140,6 @@ def _spec_from_args(args: argparse.Namespace, coupled: bool) -> experiments.Expe
         clique=not _merged(args, "no_clique", bool, False),
         paths=not _merged(args, "no_paths", bool, False),
         clique_exact=_merged(args, "clique_exact", bool, False),
-        exact_diameter_cap=_merged(args, "exact_diameter_cap", int, 20000),
         out=_merged(args, "out", str),
         fmt=_merged(args, "format", str, "csv"),
         jobs=_merged(args, "jobs", int, 1),
@@ -153,12 +151,17 @@ def _spec_from_args(args: argparse.Namespace, coupled: bool) -> experiments.Expe
     return spec
 
 
-def _emit(rows: list[dict], spec: experiments.ExperimentSpec) -> None:
+def _emit(rows: list[dict], spec: experiments.ExperimentSpec) -> int:
+    """Persist or print the records; the exit status is 1 if any errored."""
     if spec.out:
         print(f"wrote {len(rows)} records to {spec.out}")
     else:
         json.dump(rows, sys.stdout, indent=1)
         print()
+    failed = [r for r in rows if r["error"]]
+    for r in failed:
+        print(f"error: {r['family']} t={r['t']} rep={r['rep']}: {r['error']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_generate(args) -> int:
@@ -178,14 +181,13 @@ def _cmd_generate(args) -> int:
                     path = os.path.join(dump_dir, f"{tag}_t{t}_r{rep}.graph")
                     with open(path, "w") as fh:
                         dump_graph(g, fh)
-    _emit(rows, spec)
-    return 0
+    return _emit(rows, spec)
 
 
 def _cmd_observe(args) -> int:
     with open(args.graph) as fh:
         g = load_graph(fh)
-    report = measure_graph(g, exact_diameter_cap=args.exact_diameter_cap)
+    report = measure_graph(g)
     overlay = experiments._overlay(g.family, g.t) if g.family else {}
     record = experiments._report_to_record(
         "observe", g.family or "-", g.t, 0, g.seed if g.seed is not None else "", report, overlay
@@ -205,15 +207,13 @@ def _cmd_observe(args) -> int:
 def _cmd_couple(args) -> int:
     spec = _spec_from_args(args, coupled=True)
     rows = experiments.run(spec)
-    _emit(rows, spec)
-    return 0
+    return _emit(rows, spec)
 
 
 def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args, coupled=False)
     rows = experiments.sweep(spec)
-    _emit(rows, spec)
-    return 0
+    return _emit(rows, spec)
 
 
 def _cmd_verify(args) -> int:

@@ -24,7 +24,7 @@ from . import coupling, observables, rng as _rng, theory
 from .edgestep import make_family
 from .graphs import evolve
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 RECORD_FIELDS = [
     "schema",
@@ -80,8 +80,6 @@ class ExperimentSpec:
     clique: bool = True
     paths: bool = True
     clique_exact: bool = False
-    exact_diameter_cap: int = 20000
-    sweeps: int = 16
     refine_budget: int = 256
     out: Optional[str] = None
     fmt: str = "csv"
@@ -90,14 +88,19 @@ class ExperimentSpec:
     def validate(self) -> None:
         if not self.families:
             raise ValueError("empty family grid")
-        for d in self.families:
-            make_family(d)
-        if self.family2 is not None:
-            make_family(self.family2)
         if not self.horizons:
             raise ValueError("at least one horizon is required")
         if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             raise ValueError("horizons must be strictly increasing")
+        if self.horizons[0] < 1:
+            raise ValueError(f"horizons must be >= 1, got {self.horizons[0]}")
+        for d in self.families + ([self.family2] if self.family2 is not None else []):
+            f = make_family(d)
+            if f.family == "tabulated" and self.horizons[-1] > len(f.params["values"]) + 1:
+                raise ValueError(
+                    f"{d} covers t in [2, {len(f.params['values']) + 1}], "
+                    f"got horizon {self.horizons[-1]}"
+                )
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.fmt not in ("csv", "json"):
@@ -116,8 +119,6 @@ class ExperimentSpec:
             "clique": self.clique,
             "paths": self.paths,
             "clique_exact": self.clique_exact,
-            "exact_diameter_cap": self.exact_diameter_cap,
-            "sweeps": self.sweeps,
             "refine_budget": self.refine_budget,
         }
         blob = json.dumps(identity, sort_keys=True).encode()
@@ -198,8 +199,6 @@ def _measure_kwargs(spec_dict: dict) -> dict:
         diameter=spec_dict["diameter"],
         clique=spec_dict["clique"],
         paths=spec_dict["paths"],
-        exact_diameter_cap=spec_dict["exact_diameter_cap"],
-        sweeps=spec_dict["sweeps"],
         refine_budget=spec_dict["refine_budget"],
         want_clique_exact=spec_dict["clique_exact"],
     )

@@ -39,25 +39,25 @@ class SimpleView:
 
 
 def simple_view(g: MultiGraph) -> SimpleView:
-    """Drop loops, deduplicate parallel edges, keep the vertex set unchanged."""
+    """Drop loops, deduplicate parallel edges, keep the vertex set unchanged.
+
+    Each non-loop edge gives the arc keys ``a * n + b`` and ``b * n + a``;
+    one sort of them, with repeats dropped, lists the CSR rows in order
+    (numpy's ``np.unique`` hashes, which is far slower here).
+    """
     n = g.n_vertices
     pairs = g.endpoints.reshape(-1, 2) - 1
-    a = pairs.min(axis=1)
-    b = pairs.max(axis=1)
+    a, b = pairs[:, 0], pairs[:, 1]
     off_loop = a != b
     a, b = a[off_loop], b[off_loop]
-    if a.size:
-        keys = np.unique(a * n + b)
-        a, b = keys // n, keys % n
-    edges = np.column_stack([a, b]).astype(np.int64)
-
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    order = np.lexsort((dst, src))
-    indices = dst[order]
+    arcs = np.sort(np.concatenate([a * n + b, b * n + a]))
+    arcs = arcs[np.diff(arcs, prepend=-1) != 0]
+    src, dst = np.divmod(arcs, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return SimpleView(n=n, edges=edges, indptr=indptr, indices=indices.astype(np.int64))
+    forward = src < dst
+    edges = np.column_stack([src[forward], dst[forward]])
+    return SimpleView(n=n, edges=edges, indptr=indptr, indices=dst)
 
 
 # -- tallies -----------------------------------------------------------------
@@ -73,7 +73,8 @@ def max_degree(g: MultiGraph) -> int:
 
 def degree_histogram(g: MultiGraph) -> dict[int, int]:
     counts = np.bincount(g.degrees())
-    return {int(d): int(c) for d, c in enumerate(counts) if c > 0}
+    present = np.flatnonzero(counts)
+    return dict(zip(present.tolist(), counts[present].tolist()))
 
 
 # -- breadth-first distances ---------------------------------------------------
@@ -84,6 +85,9 @@ def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
     dist = np.full(view.n, -1, dtype=np.int64)
     dist[src] = 0
     frontier = np.array([src], dtype=np.int64)
+    # owner[v] is the last position of v in the current level's reach list;
+    # keeping only that position dedupes the frontier without sorting
+    owner = np.empty(view.n, dtype=np.int64)
     d = 0
     indptr, indices = view.indptr, view.indices
     while frontier.size:
@@ -99,149 +103,81 @@ def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
             break
         d += 1
         dist[nbrs] = d
-        frontier = np.unique(nbrs)
+        slots = np.arange(nbrs.size)
+        owner[nbrs] = slots
+        frontier = nbrs[owner[nbrs] == slots]
     return dist
 
 
-def _eccentricity(view: SimpleView, src: int) -> tuple[int, np.ndarray]:
-    dist = bfs_distances(view, src)
-    if dist.min() < 0:
-        raise ValueError("graph is disconnected")
-    return int(dist.max()), dist
+def diameter_bounds(view: SimpleView, refine_budget: int = 256) -> tuple[int, int]:
+    """Certified diameter bracket ``(lb, ub)``, with ``lb == ub`` unless the
+    budget of fringe searches ran out.
 
-
-def diameter_exact(view: SimpleView, cap: int = 20000) -> int:
-    """Exact diameter via breadth-first search from every vertex.
-
-    Quadratic; refuses graphs above ``cap`` vertices (use
-    :func:`diameter_bounds` there).  Raises on disconnected input, which
-    generated graphs never are.
-    """
-    if view.n > cap:
-        raise ValueError(f"graph has {view.n} vertices, above the exact cap {cap}")
-    if view.n == 1:
-        return 0
-    best = 0
-    for src in range(view.n):
-        ecc, _ = _eccentricity(view, src)
-        best = max(best, ecc)
-    return best
-
-
-def diameter_bounds(
-    view: SimpleView,
-    sweeps: int = 16,
-    refine_budget: int = 256,
-    target_gap: int = 1,
-) -> tuple[int, int]:
-    """Diameter interval from double sweeps, tightened by fringe refinement.
-
-    Trees resolve exactly with one double sweep.  Otherwise each sweep
-    starts at a fresh high-degree seed; the far endpoint of a
-    breadth-first search gives the lower bound and twice any eccentricity
-    gives an upper bound (sweeping again from a midpoint of the found long
-    path approximates the radius).  When the gap still exceeds one, fringe
-    vertices of the best (smallest-eccentricity) root are searched from
-    the outermost level inward, which closes the interval exactly unless
-    the budget runs out first.
+    A double sweep from the highest-degree vertex ``r`` gives the lower
+    bound ``lb``, the largest eccentricity seen; on a tree it is exact.
+    Otherwise the breadth-first levels of ``r`` are searched from the
+    outermost inward (iFUB: Crescenzi, Grossi, Habib, Lanzi & Marino, TCS
+    2013).  Once every vertex above level ``i`` has eccentricity at most
+    ``lb``, a longer path would have both ends within ``i`` of ``r``, so
+    ``D <= max(lb, 2 i)``.  A vertex ``w`` is searched only when its upper
+    bound ``min_v ecc(v) + d(v, w)`` over the searched ``v`` exceeds ``lb``
+    (Takes & Kosters, 2011).  When ``refine_budget`` searches have run and
+    another is needed at level ``i``, the bracket is ``(lb, max(lb, 2 i))``.
+    Raises on disconnected input, which generated graphs never are.
     """
     n = view.n
     if n == 1:
         return (0, 0)
+    lb = 0
+    ecc_ub = np.full(n, 2 * n, dtype=np.int64)
 
-    deg_order = np.argsort(-view.degrees(), kind="stable")
-    lb, ub = 0, 2 * (n - 1)
-    best_ecc, best_dist = None, None
-
-    def probe(v: int) -> np.ndarray:
-        nonlocal lb, ub, best_ecc, best_dist
-        ecc, dist = _eccentricity(view, v)
+    def probe(v: int) -> tuple[int, np.ndarray]:
+        nonlocal lb
+        dist = bfs_distances(view, v)
+        if dist.min() < 0:
+            raise ValueError("graph is disconnected")
+        ecc = int(dist.max())
         lb = max(lb, ecc)
-        ub = min(ub, 2 * ecc)
-        if best_ecc is None or ecc < best_ecc:
-            best_ecc, best_dist = ecc, dist
-        return dist
+        np.minimum(ecc_ub, dist + ecc, out=ecc_ub)
+        return ecc, dist
 
+    root_ecc, levels = probe(int(np.argmax(view.degrees())))
+    probe(int(np.argmax(levels)))
     if view.n_edges == n - 1:
-        # connected with n-1 edges = tree: the far end of any search is a
-        # diametral endpoint, so its eccentricity is the diameter
-        dist_root = probe(int(deg_order[0]))
-        dist_far = bfs_distances(view, int(np.argmax(dist_root)))
-        d = int(dist_far.max())
-        return (d, d)
+        # connected with n - 1 edges is a tree: the far end of any search
+        # is a diametral endpoint, so its eccentricity is the diameter
+        return (lb, lb)
 
-    seen_far: set[int] = set()
-    for k in range(max(1, sweeps)):
-        if k >= len(deg_order):
-            break
-        dist_root = probe(int(deg_order[k]))
-        u = int(np.argmax(dist_root))
-        if u not in seen_far:
-            seen_far.add(u)
-            dist_u = probe(u)
-            ecc_u = int(dist_u.max())
-            w = int(np.argmax(dist_u))
-            dist_w = probe(w)
-            # a midpoint of the found long path approximates a center
-            mids = np.flatnonzero((dist_u + dist_w == ecc_u) & (dist_u == ecc_u // 2))
-            if mids.size:
-                probe(int(mids[0]))
-        if ub - lb <= target_gap:
-            return (lb, ub)
-
-    if ub - lb <= target_gap or refine_budget <= 0:
-        return (lb, ub)
-
-    # Fringe refinement: sweep the outermost levels of the best root inward.
-    # Once every vertex at level > i-1 has been searched, any remaining pair
-    # lies within 2(i-1) of the root, so lb >= 2(i-1) certifies lb exactly.
-    levels = best_dist
     used = 0
-    for i in range(int(levels.max()), 0, -1):
+    for i in range(root_ecc, 0, -1):
         if lb >= 2 * i:
-            return (lb, lb)
+            break
         fringe = np.flatnonzero(levels == i)
-        fringe = fringe[np.argsort(-view.degrees()[fringe], kind="stable")]
-        for v in fringe:
+        fringe = fringe[ecc_ub[fringe] > lb]
+        for w in fringe[np.argsort(-ecc_ub[fringe], kind="stable")]:
+            if lb >= 2 * i:
+                return (lb, lb)
+            if ecc_ub[w] <= lb:
+                continue
             if used >= refine_budget:
-                return (lb, min(ub, max(lb, 2 * i)))
-            ecc, _ = _eccentricity(view, int(v))
-            lb = max(lb, ecc)
+                return (lb, max(lb, 2 * i))
+            probe(int(w))
             used += 1
-        if lb >= 2 * (i - 1):
-            return (lb, lb)
     return (lb, lb)
-
-
-def diameter_auto(
-    view: SimpleView,
-    exact_cap: int = 512,
-    refine_budget: int = 1 << 20,
-) -> int:
-    """Exact diameter by the cheapest available route (small: all-pairs;
-    large: sweeps plus fringe refinement driven to gap zero, which always
-    terminates with the exact value given enough budget)."""
-    if view.n <= exact_cap:
-        return diameter_exact(view, cap=exact_cap)
-    lb, ub = diameter_bounds(view, sweeps=4, refine_budget=refine_budget, target_gap=0)
-    if lb != ub:
-        return diameter_exact(view, cap=view.n)
-    return lb
 
 
 # -- cliques -------------------------------------------------------------------
 
 
-def _bitset_adjacency(view: SimpleView, keep: np.ndarray) -> list[int]:
-    """Adjacency bitmasks of the induced subgraph on ``keep`` (local indexing)."""
-    local = {int(v): i for i, v in enumerate(keep)}
-    masks = [0] * len(keep)
-    for i, v in enumerate(keep):
-        for u in view.neighbors(int(v)):
-            j = local.get(int(u))
-            if j is not None and j != i:
-                masks[i] |= 1 << j
-    return masks
+def _bitset_adjacency(view: SimpleView, k: int) -> list[int]:
+    """Adjacency bitmasks of the subgraph induced on vertices ``0 .. k-1``."""
+    src = np.repeat(np.arange(k), np.diff(view.indptr[: k + 1]))
+    dst = view.indices[: view.indptr[k]]
+    inside = dst < k
+    bits = np.zeros((k, k), dtype=bool)
+    bits[src[inside], dst[inside]] = True
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 class _SearchBudget(Exception):
@@ -303,8 +239,7 @@ def clique_exact(
     budget was exhausted.
     """
     restricted = view.n > cap
-    keep = np.arange(min(view.n, cap), dtype=np.int64)
-    masks = _bitset_adjacency(view, keep)
+    masks = _bitset_adjacency(view, min(view.n, cap))
     try:
         size = _max_clique_masks(masks, node_budget)
     except _SearchBudget:
@@ -326,15 +261,21 @@ def clique_greedy(g: MultiGraph, view: Optional[SimpleView] = None) -> int:
         return 1
 
     def greedy(order: np.ndarray) -> list[int]:
-        ok = np.ones(n, dtype=bool)
-        members: list[int] = []
-        for v in order:
-            v = int(v)
-            if ok[v]:
-                members.append(v)
-                mask = np.zeros(n, dtype=bool)
-                mask[view.neighbors(v)] = True
-                ok &= mask
+        # the first vertex in order always joins; after it only its
+        # neighbours can, so walk those in order, keeping each one that is
+        # adjacent to every member so far
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        members = [int(order[0])]
+        alive = view.neighbors(members[0])
+        alive = alive[np.argsort(rank[alive], kind="stable")]
+        adjacent = np.zeros(n, dtype=bool)
+        while alive.size:
+            v = int(alive[0])
+            members.append(v)
+            adjacent[view.neighbors(v)] = True
+            alive = alive[adjacent[alive]]
+            adjacent[view.neighbors(v)] = False
         return members
 
     by_birth = np.arange(n)
@@ -382,8 +323,23 @@ def isolated_chains(g: MultiGraph) -> list[list[int]]:
 
 
 def isolated_paths(g: MultiGraph) -> Counter:
-    """Multiset of maximal isolated-chain lengths (vertex counts)."""
-    return Counter(len(c) for c in isolated_chains(g))
+    """Multiset of maximal isolated-chain lengths (vertex counts).
+
+    The lengths of :func:`isolated_chains` by pointer jumping: each vertex
+    links to its parent when the parent is not the root and has degree 2,
+    and a tip's chain length is the number of vertices on its link path.
+    """
+    deg = np.concatenate([[0], g.degrees()])
+    par = np.concatenate([[0], g.parent]).astype(np.int64)
+    ptr = np.where((par > 1) & (deg[par] == 2), par, 0)
+    length = np.ones(len(par), dtype=np.int64)
+    length[0] = 0  # entry 0 is the null link
+    while ptr.any():
+        length = length + length[ptr]
+        ptr = ptr[ptr]
+    counts = np.bincount(length[deg == 1])
+    present = np.flatnonzero(counts)
+    return Counter(dict(zip(present.tolist(), counts[present].tolist())))
 
 
 def count_isolated_in_window(g: MultiGraph, l: int, xi: float) -> int:
@@ -483,8 +439,6 @@ def measure_graph(
     diameter: bool = True,
     clique: bool = True,
     paths: bool = True,
-    exact_diameter_cap: int = 20000,
-    sweeps: int = 16,
     refine_budget: int = 256,
     want_clique_exact: bool = False,
     clique_exact_cap: int = 500,
@@ -499,14 +453,9 @@ def measure_graph(
         simple_edge_count=view.n_edges,
     )
     if diameter:
-        if view.n <= exact_diameter_cap:
-            d = diameter_exact(view, cap=exact_diameter_cap)
-            report.diameter_lower = report.diameter_upper = d
-            report.diameter_method = "exact"
-        else:
-            lo, hi = diameter_bounds(view, sweeps=sweeps, refine_budget=refine_budget)
-            report.diameter_lower, report.diameter_upper = lo, hi
-            report.diameter_method = "bounds"
+        lo, hi = diameter_bounds(view, refine_budget=refine_budget)
+        report.diameter_lower, report.diameter_upper = lo, hi
+        report.diameter_method = "exact" if lo == hi else "bounds"
     if clique:
         report.clique_greedy = clique_greedy(g, view)
         if want_clique_exact:

@@ -8,7 +8,7 @@ from edgepa import coupling as cp
 from edgepa import edgestep as es
 from edgepa import rng as _rng
 from edgepa.graphs import canonical_key
-from edgepa.observables import diameter_auto, simple_view
+from edgepa.observables import diameter_bounds, simple_view
 
 
 def test_grow_tree_tiny():
@@ -83,7 +83,10 @@ def test_monotone_observables_samplewise():
         gf, gh = cp.coupled_run(tree, [f, h])
         assert gf.n_vertices <= gh.n_vertices
         assert gf.degrees().max() >= gh.degrees().max()
-        assert diameter_auto(simple_view(gf)) <= diameter_auto(simple_view(gh))
+        lo_f, hi_f = diameter_bounds(simple_view(gf))
+        lo_h, hi_h = diameter_bounds(simple_view(gh))
+        assert lo_f == hi_f and lo_h == hi_h
+        assert lo_f <= lo_h
 
 
 def test_tv_upper_bound_values():

@@ -13,7 +13,6 @@ def _spec(**overrides):
         horizons=[200],
         reps=2,
         seed=7,
-        exact_diameter_cap=5000,
     )
     base.update(overrides)
     return ex.ExperimentSpec(**base)
@@ -39,6 +38,13 @@ def test_spec_validation():
         _spec(fmt="xml").validate()
     with pytest.raises(ValueError):
         _spec(families=["nope:1"]).validate()
+    with pytest.raises(ValueError, match=">= 1"):
+        _spec(horizons=[0]).validate()
+    with pytest.raises(ValueError, match="covers t in"):
+        _spec(families=["tab:1,0.5"], horizons=[2, 10]).validate()
+    with pytest.raises(ValueError, match="covers t in"):
+        _spec(family2="tab:1,0.5", horizons=[4]).validate()
+    _spec(families=["tab:1,0.5"], horizons=[1, 3]).validate()
 
 
 def test_run_smoke_and_determinism():
@@ -139,6 +145,30 @@ def test_cli_usage_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just-a-line\n")
     assert main(["generate", "--config", str(cfg)]) == 2
+
+
+def test_cli_rejects_bad_horizons():
+    assert main(["generate", "--family", "const:0.5", "--t", "0", "--seed", "7"]) == 2
+    assert main(["generate", "--family", "tab:1,0.5", "--t", "10", "--seed", "7"]) == 2
+    assert main(["sweep", "--family", "tab:1,0.5", "--t", "4", "--seed", "7"]) == 2
+    assert (
+        main(["couple", "--family", "const:0.5", "--family2", "tab:1", "--t", "3", "--seed", "7"])
+        == 2
+    )
+
+
+def test_cli_exits_1_on_record_errors(tmp_path, monkeypatch, capsys):
+    def fail(g, **kwargs):
+        raise RuntimeError("measurement failed")
+
+    base = ["--family", "const:0.5", "--t", "50", "--seed", "7", "--out", str(tmp_path / "r.csv")]
+    assert main(["generate", *base]) == 0
+    monkeypatch.setattr(ex.observables, "measure_graph", fail)
+    assert main(["generate", *base]) == 1
+    assert main(["sweep", *base]) == 1
+    assert main(["couple", *base, "--family2", "const:0.7"]) == 1
+    assert "RuntimeError: measurement failed" in capsys.readouterr().err
+    assert ex.read_records(str(tmp_path / "r.csv"))[0]["error"]
 
 
 def test_cli_config_and_override(tmp_path):

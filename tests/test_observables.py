@@ -6,7 +6,12 @@ import pytest
 from edgepa import edgestep as es
 from edgepa import graphs as gr
 from edgepa import observables as ob
-from edgepa.verify import _random_view, exhaustive_clique_upto, floyd_warshall_diameter
+from edgepa.verify import (
+    _random_view,
+    all_pairs_diameter,
+    exhaustive_clique_upto,
+    floyd_warshall_diameter,
+)
 
 from conftest import forced_path, forced_star
 
@@ -24,6 +29,68 @@ def test_simple_view_dedup_and_loops():
     v = ob.simple_view(tripled)
     assert v.n_edges == 1 and list(v.edges[0]) == [0, 1]
     assert list(v.neighbors(0)) == [1]
+
+
+def _reference_view(g):
+    """Simple view from Python sets: distinct non-loop pairs, sorted rows."""
+    pairs = sorted(
+        {(min(a, b) - 1, max(a, b) - 1) for a, b in g.endpoints.reshape(-1, 2).tolist() if a != b}
+    )
+    rows = [[] for _ in range(g.n_vertices)]
+    for a, b in pairs:
+        rows[a].append(b)
+        rows[b].append(a)
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return pairs, indptr, [v for r in rows for v in sorted(r)]
+
+
+def test_simple_view_matches_reference():
+    # edge-steps bring loops and parallel edges; f == 0 gives only loops
+    loops = parallel = 0
+    for desc, t, seed in [("const:0.3", 400, 1), ("log:1", 800, 2), ("rv:0.5", 600, 3),
+                          ("const:0", 20, 4), ("ba", 50, 5), ("const:0.5", 2, 6)]:
+        g = gr.evolve(es.make_family(desc), t, seed)
+        view = ob.simple_view(g)
+        pairs, indptr, indices = _reference_view(g)
+        ends = g.endpoints.reshape(-1, 2)
+        loops += int(np.count_nonzero(ends[:, 0] == ends[:, 1]))
+        parallel += int(np.count_nonzero(ends[:, 0] != ends[:, 1])) - len(pairs)
+        assert view.edges.dtype == view.indptr.dtype == view.indices.dtype == np.int64
+        assert view.edges.reshape(-1, 2).tolist() == [list(p) for p in pairs]
+        assert view.indptr.tolist() == indptr.tolist()
+        assert view.indices.tolist() == indices
+    assert loops > 0 and parallel > 0
+
+
+def _two_edges():
+    """Two disjoint edges: a disconnected simple view."""
+    return ob.SimpleView(
+        n=4,
+        edges=np.array([[0, 1], [2, 3]]),
+        indptr=np.array([0, 1, 2, 3, 4]),
+        indices=np.array([1, 0, 3, 2]),
+    )
+
+
+def _plain_bfs(view, src):
+    dist = [-1] * view.n
+    dist[src] = 0
+    queue = [src]
+    for u in queue:
+        for v in view.neighbors(u).tolist():
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def test_bfs_distances_match_plain_bfs():
+    for desc, t in [("const:0.5", 2000), ("log:1", 3000), ("rv:0.5", 3000), ("ba", 1000)]:
+        view = ob.simple_view(gr.evolve(es.make_family(desc), t, 8))
+        for src in (0, int(np.argmax(view.degrees())), view.n - 1):
+            assert ob.bfs_distances(view, src).tolist() == _plain_bfs(view, src)
+    disconnected = _two_edges()
+    assert ob.bfs_distances(disconnected, 0).tolist() == [0, 1, -1, -1]
 
 
 def test_tallies():
@@ -47,35 +114,39 @@ def test_max_degree_grows_for_decaying_schedules():
 
 
 def test_diameter_examples():
-    assert ob.diameter_exact(ob.simple_view(forced_path(5))) == 4
+    assert all_pairs_diameter(ob.simple_view(forced_path(5))) == 4
     assert ob.diameter_bounds(ob.simple_view(forced_path(5))) == (4, 4)
     assert ob.diameter_bounds(ob.simple_view(forced_star(9))) == (2, 2)
-    assert ob.diameter_exact(ob.simple_view(gr.new_initial())) == 0
+    assert ob.diameter_bounds(ob.simple_view(gr.new_initial())) == (0, 0)
+    assert all_pairs_diameter(ob.simple_view(gr.new_initial())) == 0
 
 
 def test_diameter_cross_checks(rng):
     for _ in range(25):
         n = int(rng.integers(2, 120))
         view = _random_view(rng, n, int(rng.integers(0, 2 * n)))
-        exact = ob.diameter_exact(view)
+        exact = all_pairs_diameter(view)
         assert exact == floyd_warshall_diameter(view)
-        lo, hi = ob.diameter_bounds(view)
+        assert ob.diameter_bounds(view) == (exact, exact)
+        lo, hi = ob.diameter_bounds(view, refine_budget=0)
         assert lo <= exact <= hi
-        assert ob.diameter_auto(view) == exact
+
+
+def test_diameter_on_generated_graphs():
+    # graphs with hubs, chains and parallel edges, against the all-pairs oracle
+    for desc in ("const:0.5", "log:1", "rv:0.5", "const:0.9", "osc:base=10"):
+        for seed in range(2):
+            view = ob.simple_view(gr.evolve(es.make_family(desc), 800, seed))
+            exact = all_pairs_diameter(view)
+            assert ob.diameter_bounds(view) == (exact, exact)
 
 
 def test_diameter_exact_guards():
-    view = ob.simple_view(forced_path(30))
-    with pytest.raises(ValueError, match="cap"):
-        ob.diameter_exact(view, cap=10)
-    disconnected = ob.SimpleView(
-        n=4,
-        edges=np.array([[0, 1], [2, 3]]),
-        indptr=np.array([0, 1, 2, 3, 4]),
-        indices=np.array([1, 0, 3, 2]),
-    )
+    disconnected = _two_edges()
     with pytest.raises(ValueError, match="disconnected"):
-        ob.diameter_exact(disconnected)
+        all_pairs_diameter(disconnected)
+    with pytest.raises(ValueError, match="disconnected"):
+        ob.diameter_bounds(disconnected)
 
 
 def _k5_multigraph():
@@ -120,6 +191,33 @@ def test_clique_cross_check(rng):
             assert got == want
         else:
             assert got >= 6
+
+
+def _walk_greedy(view, order):
+    """Greedy clique by walking every vertex of ``order``."""
+    adj = [set(view.neighbors(v).tolist()) for v in range(view.n)]
+    members = []
+    for v in order.tolist():
+        if all(v in adj[u] for u in members):
+            members.append(v)
+    return members
+
+
+def test_clique_greedy_and_bitsets_match_references():
+    for desc, t in [("const:0.3", 600), ("log:1", 1500), ("rv:0.5", 2000), ("ba", 300)]:
+        for seed in range(3):
+            g = gr.evolve(es.make_family(desc), t, seed)
+            view = ob.simple_view(g)
+            orders = (np.arange(view.n), np.argsort(-g.degrees(), kind="stable"))
+            want = max(len(_walk_greedy(view, order)) for order in orders)
+            assert ob.clique_greedy(g, view) == want
+            k = min(view.n, 120)
+            masks = [0] * k
+            for a, b in view.edges.tolist():
+                if b < k:
+                    masks[a] |= 1 << b
+                    masks[b] |= 1 << a
+            assert ob._bitset_adjacency(view, k) == masks
 
 
 def test_clique_greedy_never_beats_exact():
@@ -183,6 +281,13 @@ def _adjacency_chain_scan(g):
     return Counter(lengths)
 
 
+def test_isolated_paths_match_chain_walk():
+    for desc in ("const:0.5", "const:0.9", "log:1", "rv:0.5", "ba", "const:0"):
+        for seed in range(4):
+            g = gr.evolve(es.make_family(desc), 3000, seed)
+            assert ob.isolated_paths(g) == Counter(len(c) for c in ob.isolated_chains(g))
+
+
 def test_tree_chain_scan_agrees():
     # on pure trees every edge is a first connection, so the parent walk
     # and a direction-blind adjacency scan must find the same chains
@@ -225,6 +330,14 @@ def test_measure_graph_report():
     k = rep.clique_greedy
     assert k * (k - 1) // 2 <= rep.simple_edge_count
 
-    bounded = ob.measure_graph(g, exact_diameter_cap=10)
+    assert rep.diameter_lower == all_pairs_diameter(ob.simple_view(g))
+
+    # seed 13's double sweep leaves a gap (7 against 2 ecc = 8): with no
+    # fringe searches allowed the record keeps the bracket and says so
+    g = gr.evolve(es.constant(0.5), 500, seed=13)
+    assert ob.simple_view(g).n_edges > g.n_vertices - 1
+    exact = all_pairs_diameter(ob.simple_view(g))
+    bounded = ob.measure_graph(g, refine_budget=0)
     assert bounded.diameter_method == "bounds"
-    assert bounded.diameter_lower <= rep.diameter_lower <= bounded.diameter_upper
+    assert bounded.diameter_lower <= exact <= bounded.diameter_upper
+    assert bounded.diameter_lower < bounded.diameter_upper
