@@ -10,7 +10,6 @@ small-instance law oracle, and an experiment/verification harness.
 from .coupling import (
     DoublyLabeledTree,
     collapse,
-    coupled_run,
     dump_tree,
     empirical_disagreement,
     grow_tree,
@@ -52,7 +51,6 @@ from .observables import (
     clique_greedy,
     count_isolated_in_window,
     count_vertex_paths,
-    count_vertices,
     degree_histogram,
     diameter_bounds,
     isolated_chains,

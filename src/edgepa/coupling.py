@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as _rng
 from .edgestep import EdgeStepFunction
-from .graphs import MultiGraph, canonical_key
+from .graphs import MultiGraph, _draw_slots, _id_dtype, canonical_key, resolve_backward_links
 
 
 @dataclass
@@ -67,34 +67,23 @@ def grow_tree(t: int, seed: int) -> DoublyLabeledTree:
     """
     if t < 1:
         raise ValueError(f"tree size must be >= 1, got {t}")
-    u = np.concatenate([[0.0], _rng.stream(seed, _rng.TREE_ULABELS).random(t)])
-    if t == 1:
-        zero = np.zeros(2, dtype=np.int64)
-        return DoublyLabeledTree(w=zero, ell=zero.copy(), u=u, seed=seed)
-    raw = _rng.stream(seed, _rng.TREE_SLOTS).random((t - 1, 2))
-    js = np.arange(2, t + 1, dtype=np.int64)
-    width = 2 * (js - 1)
-    w_slot = np.minimum((raw[:, 0] * width).astype(np.int64), width - 1)
-    l_slot = np.minimum((raw[:, 1] * width).astype(np.int64), width - 1)
+    u = np.zeros(t + 1)
+    _rng.stream(seed, _rng.TREE_ULABELS).random(out=u[1:])
+    w_slot, l_slot = _draw_slots(_rng.stream(seed, _rng.TREE_SLOTS), t)
 
-    # Slot-link resolution as in the direct generator; every step is a
-    # vertex-step here, so each odd slot terminates with its birth index.
-    n_slots = 2 * t
-    ptr = np.arange(n_slots, dtype=np.int64)
-    val = np.zeros(n_slots, dtype=np.int64)
-    val[0] = val[1] = 1
-    even = np.arange(2, n_slots, 2, dtype=np.int64)
-    ptr[even] = w_slot
-    val[even + 1] = js
-    while True:
-        nxt = ptr[ptr]
-        if np.array_equal(nxt, ptr):
-            break
-        ptr = nxt
-    slot_value = val[ptr]
+    # Every step is a vertex-step, so odd slot 2j-1 holds j and even slot
+    # 2j-2 holds w(j) (slot 0 holds the root).  A slot's value is thus a
+    # terminal or the attachment of an older vertex: links over vertices.
+    ptr = np.arange(t + 1, dtype=w_slot.dtype)
+    np.copyto(ptr[2:], (w_slot >> 1) + 1, where=(w_slot & 1) == 0)
+    val = np.ones(t + 1, dtype=w_slot.dtype)  # vertex 1 stands for slot 0
+    val[2:] = (w_slot + 1) >> 1
+    held = resolve_backward_links(ptr, val)  # held[j] = w(j) for j >= 2
 
-    w = np.concatenate([[0, 0], slot_value[even]])
-    ell = np.concatenate([[0, 0], slot_value[l_slot]])
+    w = held.astype(np.int64)
+    w[:2] = 0
+    ell = np.zeros(t + 1, dtype=np.int64)
+    ell[2:] = np.where(l_slot & 1, (l_slot + 1) >> 1, held.take((l_slot >> 1) + 1))
     return DoublyLabeledTree(w=w, ell=ell, u=u, seed=seed)
 
 
@@ -104,51 +93,34 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
     Vertex ``j`` survives iff ``U_j <= f(j)`` (the root always survives);
     a collapsed vertex is merged into the surviving representative reached
     by following ghost targets through collapsed vertices.  Ghost chains
-    strictly decrease the birth index, so the representative map is
-    computed by pointer doubling on the ghost array -- the same answer a
-    path-compressed union-find keyed by birth index would give.  Each tree
-    edge ``{w(j), j}`` is remapped to the representatives of its
-    endpoints; birth times and step types carry over so every observable
-    applies to the result.
+    strictly decrease the birth index, so :func:`resolve_backward_links`
+    maps every vertex to its representative's survivor rank in one pass
+    -- the same answer a path-compressed union-find keyed by birth index
+    would give.  Each tree edge ``{w(j), j}`` is remapped to the
+    representatives of its endpoints; birth times and step types carry
+    over so every observable applies to the result.
     """
     t = tree.t
     keep = np.ones(t + 1, dtype=bool)
-    if t >= 2:
-        js = np.arange(2, t + 1, dtype=np.int64)
-        keep[2:] = tree.u[2:] <= f.eval_array(js)
-
-    rep = np.arange(t + 1, dtype=np.int64)
-    rep[~keep] = tree.ell[~keep]
-    rep[0] = 0
-    while True:
-        nxt = rep[rep]
-        if np.array_equal(nxt, rep):
-            break
-        rep = nxt
-
-    survivors = np.flatnonzero(keep[1:]).astype(np.int64) + 1
-    rank = np.zeros(t + 1, dtype=np.int64)
-    rank[survivors] = np.arange(1, len(survivors) + 1)
+    keep[2:] = tree.u[2:] <= f.eval_array(np.arange(2, t + 1, dtype=np.int64))
+    dtype = _id_dtype(t)
+    rep = np.arange(t + 1, dtype=dtype)
+    np.copyto(rep, tree.ell, where=~keep, casting="unsafe")
+    rr = resolve_backward_links(rep, np.cumsum(keep, dtype=dtype) - 1)
 
     endpoints = np.empty(2 * t, dtype=np.int64)
-    endpoints[0] = endpoints[1] = 1
-    if t >= 2:
-        endpoints[2::2] = rank[rep[tree.w[2:]]]
-        endpoints[3::2] = rank[rep[js]]
-
+    endpoints[:2] = 1
+    endpoints[2::2] = rr[tree.w[2:]]
+    endpoints[3::2] = rr[2:]
+    survivors = np.flatnonzero(keep[1:]) + 1
     return MultiGraph(
         endpoints=endpoints,
         step_type=keep[1:].copy(),
         birth_time=survivors,
-        parent=np.concatenate([[0], rank[rep[tree.w[survivors[1:]]]]]),
+        parent=np.concatenate([[0], endpoints[2 * survivors[1:] - 2]]),
         family=f.name,
         seed=tree.seed,
     )
-
-
-def coupled_run(tree: DoublyLabeledTree, fs: list[EdgeStepFunction]) -> list[MultiGraph]:
-    """Collapse one tree under several functions; outputs share all randomness."""
-    return [collapse(tree, f) for f in fs]
 
 
 def tv_upper_bound(f: EdgeStepFunction, h: EdgeStepFunction, horizon: int) -> float:

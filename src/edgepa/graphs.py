@@ -61,9 +61,6 @@ class MultiGraph:
         """Degree of every vertex (loops count twice), indexed by id - 1."""
         return np.bincount(self.endpoints, minlength=self.n_vertices + 1)[1:]
 
-    def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.endpoints == v))
-
     def validate(self) -> None:
         """Raise ValueError if the stored arrays are mutually inconsistent."""
         t, n = self.t, self.n_vertices
@@ -135,25 +132,76 @@ def evolve_step(g: MultiGraph, coin: str, gen: np.random.Generator) -> MultiGrap
 
 # -- full-trajectory generation -------------------------------------------
 
+# Steps per chunk of slot draws, and entries per block of the link
+# resolver (int32 ids: 256 KB per local array, so a block stays in cache).
+_DRAW_CHUNK = 1 << 20
+_RESOLVE_BLOCK = 1 << 16
+
+
+def _id_dtype(t: int):
+    """Integer type of the slot and vertex ids of a horizon-``t`` run."""
+    return np.int32 if 2 * t < 2**31 else np.int64
+
+
+def _draw_slots(gen: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two slots per step ``s = 2..t``, each uniform over the ``2(s-1)`` filled ones.
+
+    The values of one ``gen.random((t - 1, 2))`` call, drawn in chunks of
+    steps (Philox is sequential) so no float temporary spans the run.
+    """
+    a = np.empty(t - 1, dtype=_id_dtype(t))
+    b = np.empty_like(a)
+    for lo in range(0, t - 1, _DRAW_CHUNK):
+        raw = gen.random((min(_DRAW_CHUNK, t - 1 - lo), 2))
+        width = 2.0 * np.arange(lo + 1, lo + 1 + len(raw))
+        for col, out in ((0, a), (1, b)):
+            x = raw[:, col] * width
+            # clamp, then truncate on assignment: floor commutes with min(., width - 1)
+            np.minimum(x, width - 1, out=x)
+            out[lo : lo + len(raw)] = x
+    return a, b
+
 
 def _presample(f: EdgeStepFunction, t: int, seed: int):
     """Coins and slot indices for steps 2..t, in the documented stream layout."""
     s = np.arange(2, t + 1, dtype=np.int64)
     z = _rng.stream(seed, _rng.COINS).random(t - 1) < f.eval_array(s)
-    raw = _rng.stream(seed, _rng.SLOTS).random((t - 1, 2))
-    width = 2 * (s - 1)
-    slot_a = np.minimum((raw[:, 0] * width).astype(np.int64), width - 1)
-    slot_b = np.minimum((raw[:, 1] * width).astype(np.int64), width - 1)
-    return z, slot_a, slot_b
+    return (z, *_draw_slots(_rng.stream(seed, _rng.SLOTS), t))
 
 
-def _finish(t, seed, family, z, endpoints, even_slots) -> MultiGraph:
-    s = np.arange(2, t + 1, dtype=np.int64)
+def resolve_backward_links(ptr: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """``out[i] = val[root(i)]`` for links with ``ptr[i] <= i``; ``ptr[i] == i``
+    marks a terminal.
+
+    Blocks of ``_RESOLVE_BLOCK`` entries are resolved in index order.  A
+    block's links into the resolved prefix take one gather; its in-block
+    links are resolved by pointer doubling on a local array that stays in
+    cache.  Gathers use ``take``, which indexes with int32 ids without
+    first converting them.
+    """
+    out = np.empty(len(ptr), dtype=val.dtype)
+    for lo in range(0, len(ptr), _RESOLVE_BLOCK):
+        hi = min(lo + _RESOLVE_BLOCK, len(ptr))
+        p = ptr[lo:hi]
+        out[lo:hi] = val[lo:hi]
+        got = out.take(p)  # final for terminals and for links into the prefix
+        link = np.where(p >= lo, p - lo, np.arange(hi - lo, dtype=p.dtype)) if lo else p
+        while True:
+            nxt = link.take(link)
+            if (nxt == link).all():
+                break
+            link = nxt
+        out[lo:hi] = got.take(link)
+    return out
+
+
+def _finish(seed, family, z, endpoints) -> MultiGraph:
+    born = np.flatnonzero(z) + 2
     return MultiGraph(
         endpoints=endpoints,
         step_type=np.concatenate([[True], z]),
-        birth_time=np.concatenate([[1], s[z]]),
-        parent=np.concatenate([[0], endpoints[even_slots[z]]]),
+        birth_time=np.concatenate([[1], born]),
+        parent=np.concatenate([[0], endpoints[2 * born - 2]]),
         family=family,
         seed=seed,
     )
@@ -162,43 +210,25 @@ def _finish(t, seed, family, z, endpoints, even_slots) -> MultiGraph:
 def evolve(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
     """Generate the graph at horizon ``t``; deterministic given ``(f, t, seed)``.
 
-    Slot choices are stored as links into earlier slots and resolved by
-    pointer doubling, so the whole trajectory costs a few vectorized
-    passes instead of ``t`` Python-level steps.
+    Each slot is stored as a link to the earlier slot it copies (or as a
+    terminal holding a new vertex id) and the links are resolved block by
+    block by :func:`resolve_backward_links`, so the whole trajectory costs
+    a few vectorized passes instead of ``t`` Python-level steps.
     """
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {t}")
-    if t == 1:
-        g = new_initial()
-        g.family, g.seed = f.name, seed
-        return g
     z, slot_a, slot_b = _presample(f, t, seed)
-
-    n_slots = 2 * t
-    ptr = np.arange(n_slots, dtype=np.int64)
-    val = np.zeros(n_slots, dtype=np.int64)
-    val[0] = val[1] = 1
-    even = np.arange(2, n_slots, 2, dtype=np.int64)
-    odd = even + 1
-    ids = 1 + np.cumsum(z)  # id minted if step s is a vertex-step
-    ptr[even] = slot_a
-    ptr[odd] = np.where(z, odd, slot_b)
-    val[odd] = np.where(z, ids, 0)
-
-    while True:
-        nxt = ptr[ptr]
-        if np.array_equal(nxt, ptr):
-            break
-        ptr = nxt
-    return _finish(t, seed, f.name, z, val[ptr], even)
+    ptr = np.arange(2 * t, dtype=slot_a.dtype)
+    ptr[2::2] = slot_a
+    np.copyto(ptr[3::2], slot_b, where=~z)
+    val = np.zeros(2 * t, dtype=np.int64)  # the endpoint type, so no copy follows
+    val[:2] = 1
+    val[3::2] = np.where(z, 1 + np.cumsum(z), 0)
+    return _finish(seed, f.name, z, resolve_backward_links(ptr, val))
 
 
 def _evolve_sequential(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
     """Reference generator: same presampled draws, naive per-step resolution."""
-    if t == 1:
-        g = new_initial()
-        g.family, g.seed = f.name, seed
-        return g
     z, slot_a, slot_b = _presample(f, t, seed)
     e = np.zeros(2 * t, dtype=np.int64)
     e[0] = e[1] = 1
@@ -212,7 +242,7 @@ def _evolve_sequential(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
         else:
             e[lo] = e[slot_a[i]]
             e[lo + 1] = e[slot_b[i]]
-    return _finish(t, seed, f.name, z, e, np.arange(2, 2 * t, 2, dtype=np.int64))
+    return _finish(seed, f.name, z, e)
 
 
 @dataclass
@@ -241,19 +271,7 @@ class BatchRun:
         return 1 + self.z.sum(axis=1)
 
     def extract(self, r: int, family: str = "") -> MultiGraph:
-        t = self.t
-        z = self.z[r]
-        endpoints = self.endpoints[r].astype(np.int64)
-        even = np.arange(2, 2 * t, 2)
-        s = np.arange(2, t + 1, dtype=np.int64)
-        return MultiGraph(
-            endpoints=endpoints,
-            step_type=np.concatenate([[True], z]),
-            birth_time=np.concatenate([[1], s[z]]),
-            parent=np.concatenate([[0], endpoints[even[z]]]),
-            family=family,
-            seed=self.seed,
-        )
+        return _finish(self.seed, family, self.z[r], self.endpoints[r].astype(np.int64))
 
 
 def evolve_batch(
@@ -263,37 +281,47 @@ def evolve_batch(
     seed: int,
     force_coin: Optional[dict[int, bool]] = None,
 ) -> BatchRun:
-    """Generate ``reps`` independent trajectories column by column.
+    """Generate ``reps`` independent trajectories, one step for all of them at a time.
 
-    ``force_coin`` pins the coin of selected steps (e.g. ``{10: True}``
-    conditions every replicate on a vertex birth at time 10); the
-    remaining coins keep their own draws, so forcing equals conditioning.
+    Endpoints are built slot-major, so each step writes two contiguous
+    rows, and transposed once at the end.  ``force_coin`` pins the coin
+    of selected steps (e.g. ``{10: True}`` conditions every replicate on
+    a vertex birth at time 10); the remaining coins keep their own draws,
+    so forcing equals conditioning.
     """
     if t < 1 or reps < 1:
         raise ValueError("need t >= 1 and reps >= 1")
     gen_c = _rng.stream(seed, _rng.COINS)
     gen_s = _rng.stream(seed, _rng.SLOTS)
-    dtype = np.int32 if t < 2**31 - 1 else np.int64
-    endpoints = np.zeros((reps, 2 * t), dtype=dtype)
-    endpoints[:, :2] = 1
-    z = np.zeros((reps, max(t - 1, 0)), dtype=bool)
-    rows = np.arange(reps)
+    dtype = _id_dtype(t)
+    fs = f.eval_array(np.arange(2, t + 1, dtype=np.int64))
+    ends = np.zeros((2 * t, reps), dtype=dtype)
+    ends[:2] = 1
+    flat = ends.reshape(-1)
+    z = np.zeros((t - 1, reps), dtype=bool)
+    cols = np.arange(reps)
     top_id = np.ones(reps, dtype=dtype)
     for s in range(2, t + 1):
         width = 2 * (s - 1)
-        zs = gen_c.random(reps) < f.eval(s)
+        zs = z[s - 2]
+        np.less(gen_c.random(reps), fs[s - 2], out=zs)
         if force_coin and s in force_coin:
             zs[:] = force_coin[s]
-        raw = gen_s.random((reps, 2))
-        slot_a = np.minimum((raw[:, 0] * width).astype(np.int64), width - 1)
-        slot_b = np.minimum((raw[:, 1] * width).astype(np.int64), width - 1)
-        ua = endpoints[rows, slot_a]
-        ub = endpoints[rows, slot_b]
+        slots = np.minimum((gen_s.random((reps, 2)) * width).astype(np.int64), width - 1)
+        at = slots * reps + cols[:, None]  # flat positions of the drawn slots
         top_id += zs
-        endpoints[:, width] = ua
-        endpoints[:, width + 1] = np.where(zs, top_id, ub)
-        z[:, s - 2] = zs
-    return BatchRun(endpoints=endpoints, z=z, seed=seed)
+        ends[width] = flat[at[:, 0]]
+        ends[width + 1] = np.where(zs, top_id, flat[at[:, 1]])
+    return BatchRun(endpoints=_transposed(ends), z=_transposed(z), seed=seed)
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """``a.T`` as a C-contiguous array, copied in 256 x 256 tiles that stay in cache."""
+    out = np.empty(a.shape[::-1], dtype=a.dtype)
+    for i in range(0, a.shape[0], 256):
+        for j in range(0, a.shape[1], 256):
+            out[j : j + 256, i : i + 256] = a[i : i + 256, j : j + 256].T
+    return out
 
 
 # -- canonical forms --------------------------------------------------------
@@ -367,17 +395,9 @@ def load_graph(fh) -> MultiGraph:
         endpoints[2 * i + 1] = v
         step_type[i] = bool(z)
 
-    born = np.flatnonzero(step_type) + 1
-    birth_time = born.astype(np.int64)
-    parent = np.concatenate([[0], endpoints[2 * born[1:] - 2]])
-    g = MultiGraph(
-        endpoints=endpoints,
-        step_type=step_type,
-        birth_time=birth_time,
-        parent=parent.astype(np.int64),
-        family=family,
-        seed=seed,
-    )
+    if t and not step_type[0]:
+        raise ValueError("graph dump line 2: step 1 must be the seed vertex")
+    g = _finish(seed, family, step_type[1:], endpoints)
     if g.n_vertices != n:
         raise ValueError(f"graph dump header claims {n} vertices, lines imply {g.n_vertices}")
     g.validate()

@@ -63,10 +63,6 @@ def simple_view(g: MultiGraph) -> SimpleView:
 # -- tallies -----------------------------------------------------------------
 
 
-def count_vertices(g: MultiGraph) -> int:
-    return g.n_vertices
-
-
 def max_degree(g: MultiGraph) -> int:
     return int(g.degrees().max())
 
@@ -322,17 +318,23 @@ def isolated_chains(g: MultiGraph) -> list[list[int]]:
     return chains
 
 
+def _chain_links(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees and chain links by vertex id: the parent when it is not the
+    root and has degree 2 (the climb of :func:`isolated_chains`), else 0."""
+    deg = np.concatenate([[0], g.degrees()])
+    par = np.concatenate([[0], g.parent]).astype(np.int64)
+    return deg, np.where((par > 1) & (deg[par] == 2), par, 0)
+
+
 def isolated_paths(g: MultiGraph) -> Counter:
     """Multiset of maximal isolated-chain lengths (vertex counts).
 
-    The lengths of :func:`isolated_chains` by pointer jumping: each vertex
-    links to its parent when the parent is not the root and has degree 2,
-    and a tip's chain length is the number of vertices on its link path.
+    The lengths of :func:`isolated_chains` by pointer jumping over the
+    chain links: a tip's chain length is the number of vertices on its
+    link path.
     """
-    deg = np.concatenate([[0], g.degrees()])
-    par = np.concatenate([[0], g.parent]).astype(np.int64)
-    ptr = np.where((par > 1) & (deg[par] == 2), par, 0)
-    length = np.ones(len(par), dtype=np.int64)
+    deg, ptr = _chain_links(g)
+    length = np.ones(len(ptr), dtype=np.int64)
     length[0] = 0  # entry 0 is the null link
     while ptr.any():
         length = length + length[ptr]
@@ -348,15 +350,21 @@ def count_isolated_in_window(g: MultiGraph, l: int, xi: float) -> int:
     Counts, per maximal chain, the single size-``l`` sub-chain ending at
     the degree-1 tip, provided all ``l`` of its vertices were born in the
     window; only tails qualify because interior vertices have degree 2.
+    Pointer jumping finds the tail's oldest vertex ``l - 1`` chain links
+    above the tip (null if the chain is shorter); its birth decides.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
-    cutoff = xi * g.t
-    hits = 0
-    for chain in isolated_chains(g):
-        if len(chain) >= l and g.birth_time[chain[-l] - 1] >= cutoff:
-            hits += 1
-    return hits
+    deg, ptr = _chain_links(g)
+    head = np.flatnonzero(deg == 1)
+    steps = l - 1
+    while steps and head.any():
+        if steps & 1:
+            head = ptr[head]
+        ptr = ptr[ptr]
+        steps >>= 1
+    born = np.concatenate([[0], g.birth_time])
+    return int(np.count_nonzero((head > 0) & (born[head] >= xi * g.t)))
 
 
 # -- vertex paths ---------------------------------------------------------------

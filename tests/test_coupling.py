@@ -70,9 +70,9 @@ def test_collapse_hand_trace():
 def test_coupled_run_shares_randomness():
     tree = cp.grow_tree(150, seed=9)
     f = es.constant(0.4)
-    a, b = cp.coupled_run(tree, [f, f])
+    a, b = [cp.collapse(tree, g) for g in (f, f)]
     assert canonical_key(a) == canonical_key(b)
-    tree_graph, loops = cp.coupled_run(tree, [es.ba(), es.constant(0.0)])
+    tree_graph, loops = [cp.collapse(tree, g) for g in (es.ba(), es.constant(0.0))]
     assert tree_graph.n_vertices == 150 and loops.n_vertices == 1
 
 
@@ -80,13 +80,67 @@ def test_monotone_observables_samplewise():
     f, h = es.constant(0.3), es.constant(0.7)
     for r in range(200):
         tree = cp.grow_tree(500, seed=_rng.child_seed(1000, r))
-        gf, gh = cp.coupled_run(tree, [f, h])
+        gf, gh = [cp.collapse(tree, g) for g in (f, h)]
         assert gf.n_vertices <= gh.n_vertices
         assert gf.degrees().max() >= gh.degrees().max()
         lo_f, hi_f = diameter_bounds(simple_view(gf))
         lo_h, hi_h = diameter_bounds(simple_view(gh))
         assert lo_f == hi_f and lo_h == hi_h
         assert lo_f <= lo_h
+
+
+def _tree_by_loop(t, seed):
+    raw = _rng.stream(seed, _rng.TREE_SLOTS).random((max(t - 1, 0), 2))
+    slots, w, ell = [1, 1], [0, 0], [0, 0]
+    for j in range(2, t + 1):
+        width = 2 * (j - 1)
+        a, b = (min(int(x * width), width - 1) for x in raw[j - 2])
+        w.append(slots[a])
+        ell.append(slots[b])
+        slots += [slots[a], j]
+    return w, ell
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 17, 300])
+def test_grow_tree_matches_per_vertex_reference(t):
+    for seed in range(3):
+        tree = cp.grow_tree(t, seed)
+        w, ell = _tree_by_loop(t, seed)
+        assert tree.w.dtype == tree.ell.dtype == np.int64
+        assert tree.w.tolist() == w[: t + 1] and tree.ell.tolist() == ell[: t + 1]
+        assert np.array_equal(tree.u[1:], _rng.stream(seed, _rng.TREE_ULABELS).random(t))
+
+
+def _collapse_by_loop(tree, f):
+    t = tree.t
+    rep, rank, kept = [0, 1], [0, 1], 1
+    for j in range(2, t + 1):
+        if tree.u[j] <= f.eval(j):
+            kept += 1
+            rep.append(j)
+            rank.append(kept)
+        else:
+            rep.append(rep[tree.ell[j]])
+            rank.append(0)
+    ends = [1, 1]
+    for j in range(2, t + 1):
+        ends += [rank[rep[tree.w[j]]], rank[rep[j]]]
+    born = [j for j in range(1, t + 1) if rep[j] == j]
+    return ends, born, [0] + [rank[rep[tree.w[j]]] for j in born[1:]]
+
+
+@pytest.mark.parametrize("fam", ["const:0.3", "const:0.7", "log:1", "ba", "const:0"])
+def test_collapse_matches_per_vertex_reference(fam):
+    f = es.make_family(fam)
+    for t, seed in ((2, 0), (40, 1), (300, 2), (300, 3)):
+        tree = cp.grow_tree(t, seed)
+        g = cp.collapse(tree, f)
+        ends, born, parent = _collapse_by_loop(tree, f)
+        assert g.endpoints.dtype == g.birth_time.dtype == g.parent.dtype == np.int64
+        assert g.endpoints.tolist() == ends
+        assert g.birth_time.tolist() == born
+        assert g.parent.tolist() == parent
+        g.validate()
 
 
 def test_tv_upper_bound_values():

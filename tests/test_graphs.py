@@ -1,5 +1,6 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -126,6 +127,64 @@ def test_fast_matches_sequential_reference(t, seed, fam):
     assert np.array_equal(fast.parent, slow.parent)
 
 
+def _resolve_by_loop(ptr, val):
+    out = np.empty_like(val)
+    for i in range(len(ptr)):
+        out[i] = val[i] if ptr[i] == i else out[ptr[i]]
+    return out
+
+
+@given(
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    terminal=st.floats(0.0, 1.0),
+    reach=st.integers(1, 400),
+    block=st.sampled_from([1, 2, 3, 7, 64, 1 << 16]),
+    dtype=st.sampled_from([np.int32, np.int64]),
+)
+@settings(max_examples=120, deadline=None)
+def test_resolve_backward_links_matches_loop(n, seed, terminal, reach, block, dtype):
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n)
+    ptr = np.maximum(idx - rng.integers(1, reach + 1, n), 0)  # links up to ``reach`` back
+    ptr = np.where(rng.random(n) < terminal, idx, ptr).astype(dtype)
+    ptr[0] = 0
+    val = rng.integers(-5, 10**6, n).astype(dtype)
+    with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+        out = gr.resolve_backward_links(ptr, val)
+    assert out.dtype == val.dtype
+    assert np.array_equal(out, _resolve_by_loop(ptr, val))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_resolve_backward_links_edge_cases(dtype):
+    n = 3 * gr._RESOLVE_BLOCK + 5
+    idx = np.arange(n, dtype=dtype)
+    val = (7 * idx + 3).astype(dtype)
+    assert np.array_equal(gr.resolve_backward_links(idx, val), val)  # all terminal
+    chain = np.maximum(idx - 1, 0).astype(dtype)  # one chain through every block
+    assert np.array_equal(gr.resolve_backward_links(chain, val), np.full(n, val[0]))
+    # chains that jump back across block boundaries, to one of four terminals
+    hop = np.maximum(idx - 4 * (gr._RESOLVE_BLOCK // 8 + 1), idx % 4).astype(dtype)
+    assert np.array_equal(gr.resolve_backward_links(hop, val), val[idx % 4])
+    assert gr.resolve_backward_links(idx[:0], val[:0]).size == 0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_presample_keeps_the_stream_layout(chunk):
+    # one coin per step, then one (t-1, 2) block of slot uniforms scaled to 2(s-1)
+    f, t, seed = es.make_family("log:1"), 300, 21
+    s = np.arange(2, t + 1)
+    z = _rng.stream(seed, _rng.COINS).random(t - 1) < f.eval_array(s)
+    raw = _rng.stream(seed, _rng.SLOTS).random((t - 1, 2))
+    width = 2 * (s - 1)
+    slots = np.minimum((raw * width[:, None]).astype(np.int64), (width - 1)[:, None])
+    with mock.patch.object(gr, "_DRAW_CHUNK", chunk):
+        got_z, got_a, got_b = gr._presample(f, t, seed)
+    assert np.array_equal(got_z, z)
+    assert np.array_equal(got_a, slots[:, 0]) and np.array_equal(got_b, slots[:, 1])
+
+
 def test_evolve_connected():
     for seed in range(5):
         g = gr.evolve(es.constant(0.5), 300, seed=seed)
@@ -158,6 +217,32 @@ def test_evolve_batch_force_coin():
     assert not np.any(batch.z[:, 9])
 
 
+@pytest.mark.parametrize("force", [None, {3: False, 10: True, 11: False}])
+def test_evolve_batch_rows_match_per_step_loop(force):
+    f, t, reps, seed = es.make_family("rv:0.5"), 90, 7, 23
+    gen_c, gen_s = _rng.stream(seed, _rng.COINS), _rng.stream(seed, _rng.SLOTS)
+    ends = [[1, 1] for _ in range(reps)]
+    zs = [[] for _ in range(reps)]
+    for s in range(2, t + 1):
+        coins = gen_c.random(reps) < f.eval(s)
+        raw = gen_s.random((reps, 2))
+        width = 2 * (s - 1)
+        for r in range(reps):
+            vertex = force[s] if force and s in force else bool(coins[r])
+            a, b = (min(int(x * width), width - 1) for x in raw[r])
+            e = ends[r]
+            e += [e[a], max(e) + 1 if vertex else e[b]]
+            zs[r].append(vertex)
+    batch = gr.evolve_batch(f, t, reps, seed, force_coin=force)
+    assert batch.endpoints.dtype == np.int32 and batch.endpoints.flags.c_contiguous
+    assert np.array_equal(batch.endpoints, np.array(ends))
+    assert np.array_equal(batch.z, np.array(zs))
+    for r in (0, reps - 1):
+        g = batch.extract(r, f.name)
+        g.validate()
+        assert g.endpoints.dtype == np.int64 and g.family == f.name
+
+
 def test_dump_round_trip_bit_exact():
     g = gr.evolve(es.make_family("const:0.5"), 200, seed=31)
     text = gr.dumps_graph(g)
@@ -176,6 +261,10 @@ def test_load_rejects_corrupt_dump():
         gr.load_graph(io.StringIO("\n".join(lines) + "\n"))
     with pytest.raises(ValueError):
         gr.load_graph(io.StringIO("1 1\n"))
+    lines = gr.dumps_graph(g).splitlines()
+    lines[1] = lines[1][:-1] + "0"  # step 1 not a vertex-step
+    with pytest.raises(ValueError, match="step 1"):
+        gr.load_graph(io.StringIO("\n".join(lines) + "\n"))
 
 
 def test_canonical_key_matches_canonical_form():

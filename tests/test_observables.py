@@ -95,7 +95,7 @@ def test_bfs_distances_match_plain_bfs():
 
 def test_tallies():
     g = gr.new_initial()
-    assert ob.count_vertices(g) == 1
+    assert g.n_vertices == 1
     assert ob.max_degree(g) == 2
     assert ob.degree_histogram(g) == {2: 1}
     tree = gr.evolve(es.ba(), 100, seed=1)
@@ -302,6 +302,22 @@ def test_count_isolated_in_window():
     assert ob.count_isolated_in_window(p5, 4, 0.2) == 1
     assert ob.count_isolated_in_window(p5, 4, 0.5) == 0  # chain[-4] born at 2 < 2.5
     assert ob.count_isolated_in_window(p5, 5, 0.2) == 0  # no size-5 chain
+
+
+def test_count_isolated_in_window_matches_chain_walk():
+    cases = [(1, 0.0), (1, 0.9), (2, 0.5), (3, 0.3), (4, 0.7), (5, 0.1), (9, 0.0), (40, 0.0)]
+    hits = 0
+    for desc in ("const:0.5", "const:0.9", "log:1", "rv:0.5", "ba", "const:0"):
+        for seed in range(4):
+            g = gr.evolve(es.make_family(desc), 3000, seed)
+            chains = ob.isolated_chains(g)
+            for l, xi in cases:
+                want = sum(
+                    1 for c in chains if len(c) >= l and g.birth_time[c[-l] - 1] >= xi * g.t
+                )
+                assert ob.count_isolated_in_window(g, l, xi) == want
+                hits += want > 0 and l > 2
+    assert hits > 0  # some longer tails were present and counted
 
 
 def test_vertex_paths():
