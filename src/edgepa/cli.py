@@ -19,12 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import experiments, verify
-from .edgestep import make_family
-from .graphs import dump_graph, evolve, load_graph
+from .graphs import load_graph
 from .observables import measure_graph
-from .rng import child_seed
 
 USAGE_ERROR = 2
 
@@ -97,6 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"one of: {', '.join(sorted(verify.SUITES))}",
     )
     p_ver.add_argument("--seed", type=int, help=f"suite seed (default {verify.DEFAULT_SEED})")
+    p_ver.add_argument("--json", action="store_true", help="print the results as one JSON array")
     return parser
 
 
@@ -166,22 +166,8 @@ def _emit(rows: list[dict], spec: experiments.ExperimentSpec) -> int:
 
 def _cmd_generate(args) -> int:
     spec = _spec_from_args(args, coupled=False)
-    rows = experiments.run(spec)
-    dump_dir = _merged(args, "dump_graphs", str)
-    if dump_dir:
-        import os
-
-        os.makedirs(dump_dir, exist_ok=True)
-        for desc in spec.families:
-            f = make_family(desc)
-            tag = desc.replace(":", "_").replace(",", "_").replace("=", "")
-            for t in spec.horizons:
-                for rep in range(spec.reps):
-                    g = evolve(f, t, child_seed(spec.seed, rep))
-                    path = os.path.join(dump_dir, f"{tag}_t{t}_r{rep}.graph")
-                    with open(path, "w") as fh:
-                        dump_graph(g, fh)
-    return _emit(rows, spec)
+    spec.dump_dir = _merged(args, "dump_graphs", str)
+    return _emit(experiments.run(spec), spec)
 
 
 def _cmd_observe(args) -> int:
@@ -212,8 +198,7 @@ def _cmd_couple(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args, coupled=False)
-    rows = experiments.sweep(spec)
-    return _emit(rows, spec)
+    return _emit(experiments.run(spec), spec)
 
 
 def _cmd_verify(args) -> int:
@@ -225,10 +210,14 @@ def _cmd_verify(args) -> int:
         results = verify.run_suite(suite, seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    for res in results:
-        print(res.line(), flush=True)
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    if _merged(args, "json", bool, False):
+        json.dump([asdict(r) for r in results], sys.stdout, indent=1)
+        print()
+    else:
+        for res in results:
+            print(res.line(), flush=True)
+        print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0
 
 

@@ -22,9 +22,9 @@ from typing import Optional
 
 from . import coupling, observables, rng as _rng, theory
 from .edgestep import make_family
-from .graphs import evolve
+from .graphs import dump_graph, evolve
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 RECORD_FIELDS = [
     "schema",
@@ -42,6 +42,7 @@ RECORD_FIELDS = [
     "clique_greedy",
     "clique_exact",
     "clique_exact_status",
+    "clique_nodes",
     "isolated_path_count",
     "isolated_path_max",
     "isolated_paths",
@@ -68,7 +69,9 @@ class ExperimentSpec:
 
     ``families`` is the family grid (a single entry for plain runs);
     ``family2`` switches to coupled mode, where every replicate grows one
-    doubly-labeled tree and collapses it under both families.
+    doubly-labeled tree and collapses it under both families.  Plain runs
+    dump each measured graph into ``dump_dir``, which, like ``out``, is not
+    part of the spec's identity.
     """
 
     families: list[str]
@@ -84,6 +87,7 @@ class ExperimentSpec:
     out: Optional[str] = None
     fmt: str = "csv"
     jobs: int = 1
+    dump_dir: Optional[str] = None
 
     def validate(self) -> None:
         if not self.families:
@@ -149,6 +153,7 @@ def _report_to_record(spec_hash, family, t, rep, rep_seed, report, overlay) -> d
         "clique_greedy": _blank(report.clique_greedy),
         "clique_exact": _blank(report.clique_exact),
         "clique_exact_status": report.clique_exact_status,
+        "clique_nodes": _blank(report.clique_nodes),
         "isolated_path_count": iso_count,
         "isolated_path_max": iso_max,
         "isolated_paths": iso,
@@ -217,6 +222,11 @@ def _run_task(args: tuple) -> list[dict]:
     try:
         if spec_dict["family2"] is None:
             g = evolve(make_family(family), t, rep_seed)
+            if spec_dict["dump_dir"]:
+                os.makedirs(spec_dict["dump_dir"], exist_ok=True)
+                tag = family.replace(":", "_").replace(",", "_").replace("=", "")
+                with open(os.path.join(spec_dict["dump_dir"], f"{tag}_t{t}_r{rep}.graph"), "w") as fh:
+                    dump_graph(g, fh)
             report = observables.measure_graph(g, **_measure_kwargs(spec_dict))
             rows.append(
                 _report_to_record(spec_hash, family, t, rep, rep_seed, report, _overlay(family, t))
@@ -269,13 +279,6 @@ def run(spec: ExperimentSpec) -> list[dict]:
     if spec.out:
         write_records(rows, spec.out, spec.fmt)
     return rows
-
-
-def sweep(spec: ExperimentSpec) -> list[dict]:
-    """Run the Cartesian grid of families x horizons (same engine as ``run``)."""
-    if not spec.families:
-        raise ValueError("empty family grid")
-    return run(spec)
 
 
 def write_records(rows: list[dict], path: str, fmt: str = "csv") -> None:

@@ -39,17 +39,21 @@ class SimpleView:
 
 
 def simple_view(g: MultiGraph) -> SimpleView:
-    """Drop loops, deduplicate parallel edges, keep the vertex set unchanged.
-
-    Each non-loop edge gives the arc keys ``a * n + b`` and ``b * n + a``;
-    one sort of them, with repeats dropped, lists the CSR rows in order
-    (numpy's ``np.unique`` hashes, which is far slower here).
-    """
-    n = g.n_vertices
+    """Drop loops, deduplicate parallel edges, keep the vertex set unchanged."""
     pairs = g.endpoints.reshape(-1, 2) - 1
     a, b = pairs[:, 0], pairs[:, 1]
     off_loop = a != b
-    a, b = a[off_loop], b[off_loop]
+    return _view_from_pairs(g.n_vertices, a[off_loop], b[off_loop])
+
+
+def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
+    """Simple view on vertices ``0 .. n-1`` with the edges ``a[i] -- b[i]``,
+    ``a != b``, repeats dropped.
+
+    Each edge gives the arc keys ``a * n + b`` and ``b * n + a``; one sort
+    of them, with repeats dropped, lists the CSR rows in order (numpy's
+    ``np.unique`` hashes, which is far slower here).
+    """
     arcs = np.sort(np.concatenate([a * n + b, b * n + a]))
     arcs = arcs[np.diff(arcs, prepend=-1) != 0]
     src, dst = np.divmod(arcs, n)
@@ -165,128 +169,156 @@ def diameter_bounds(view: SimpleView, refine_budget: int = 256) -> tuple[int, in
 # -- cliques -------------------------------------------------------------------
 
 
-def _bitset_adjacency(view: SimpleView, k: int) -> list[int]:
-    """Adjacency bitmasks of the subgraph induced on vertices ``0 .. k-1``."""
-    src = np.repeat(np.arange(k), np.diff(view.indptr[: k + 1]))
-    dst = view.indices[: view.indptr[k]]
-    inside = dst < k
-    bits = np.zeros((k, k), dtype=bool)
-    bits[src[inside], dst[inside]] = True
-    rows = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+def _greedy_clique(view: SimpleView, degrees: np.ndarray) -> list[int]:
+    """Larger of two verified greedy cliques (birth order / degree order).
+
+    A pass keeps each vertex of its order that is adjacent to every vertex
+    kept so far.  Its first vertex always joins and after it only that
+    vertex's neighbours can, so a pass walks just those: vertex 0's row as
+    stored, or the row of the first vertex of largest ``degrees`` by stable
+    descending degree.  The result is re-checked pairwise.
+    """
+    if view.n == 1:
+        return [0]
+    adjacent = np.zeros(view.n, dtype=bool)
+
+    def greedy(members: list[int], alive: np.ndarray) -> list[int]:
+        while alive.size:
+            members.append(int(alive[0]))
+            adjacent[view.neighbors(members[-1])] = True
+            alive = alive[adjacent[alive]]
+            adjacent[view.neighbors(members[-1])] = False
+        return members
+
+    hub = int(np.argmax(degrees))
+    around = view.neighbors(hub)
+    by_birth = greedy([0], view.neighbors(0))
+    by_degree = greedy([hub], around[np.argsort(-degrees[around], kind="stable")])
+    best = by_degree if len(by_degree) > len(by_birth) else by_birth
+    members = np.sort(best)
+    for v in best[:-1]:
+        # bisect the sorted row for every member; a position past the end
+        # wraps to entry 0, which is smaller than that member
+        row = view.neighbors(v)
+        found = row[np.searchsorted(row, members) % row.size] == members
+        if np.count_nonzero(found) < len(best) - 1:
+            raise AssertionError("greedy clique failed pairwise adjacency check")
+    return best
+
+
+def clique_greedy(g: MultiGraph, view: Optional[SimpleView] = None) -> int:
+    """Size of the larger of two verified greedy cliques, the by-degree
+    pass ordered by the multigraph's degrees."""
+    if view is None:
+        view = simple_view(g)
+    return len(_greedy_clique(view, g.degrees()))
+
+
+def _core(view: SimpleView, q: int) -> SimpleView:
+    """The ``q``-core: what is left after repeatedly dropping every vertex
+    with fewer than ``q`` surviving neighbours.
+
+    Each round relabels the survivors compactly and keeps only the edges
+    between them, so the edge list shrinks as the peel goes on.  The core
+    comes back labelled by descending degree (ties in the old order),
+    which keeps the colour bounds of the clique search tight.
+    """
+    a, b = view.edges[:, 0], view.edges[:, 1]
+    deg = view.degrees()
+    while not (keep := deg >= q).all():
+        label = np.cumsum(keep) - 1
+        inside = keep[a] & keep[b]
+        a, b = label[a[inside]], label[b[inside]]
+        k = label[-1] + 1
+        deg = np.bincount(a, minlength=k) + np.bincount(b, minlength=k)
+    rank = np.empty(deg.size, dtype=np.int64)
+    rank[np.argsort(-deg, kind="stable")] = np.arange(deg.size)
+    return _view_from_pairs(deg.size, rank[a], rank[b])
+
+
+# CSR rows packed into bitmasks at a time
+_MASK_ROWS = 256
+
+
+def _bitset_adjacency(view: SimpleView) -> list[int]:
+    """Adjacency bitmasks of every vertex, built ``_MASK_ROWS`` CSR rows at
+    a time so that no temporary grows as ``n * n``."""
+    n, indptr = view.n, view.indptr
+    masks: list[int] = []
+    for lo in range(0, n, _MASK_ROWS):
+        hi = min(lo + _MASK_ROWS, n)
+        bits = np.zeros((hi - lo, n), dtype=bool)
+        rows = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1]))
+        bits[rows, view.indices[indptr[lo] : indptr[hi]]] = True
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        masks += [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return masks
 
 
 class _SearchBudget(Exception):
     pass
 
 
-def _max_clique_masks(masks: list[int], node_budget: int) -> int:
-    """Branch-and-bound maximum clique with pivoting on bitmask adjacency."""
-    n = len(masks)
-    if n == 0:
-        return 0
-    best = 1
+# A core of k vertices takes k bitmasks of k bits; above this size (32 MB)
+# it is not searched.
+_MAX_CORE = 1 << 14
+
+
+def clique_exact(view: SimpleView, node_budget: int = 500_000) -> tuple[int, str, int]:
+    """Maximum clique size of the whole graph, its status and the number
+    of search nodes.
+
+    Returns ``(omega, "exact", nodes)``, or ``(size, "lower_bound",
+    nodes)`` with the largest clique found when the search needed more
+    than ``node_budget`` nodes or the core has more than ``_MAX_CORE``
+    vertices (left unsearched).  A verified greedy clique of size ``q`` is
+    the first bound.  Each member of a larger clique has ``q`` neighbours
+    inside it, so only the ``q``-core is searched (Eppstein, Löffler &
+    Strash, ISAAC 2010).  Each search node colours its candidates greedily
+    (Tomita & Seki, DMTCS 2003): a colour class is independent, so a
+    clique takes at most one vertex of each, and the candidates are
+    branched on from the highest colour down until ``size + colour <=
+    best``.
+    """
+    best = len(_greedy_clique(view, view.degrees()))
+    core = _core(view, best)
+    if core.n <= best:
+        return (best, "exact", 0)
+    if core.n > _MAX_CORE:
+        return (best, "lower_bound", 0)
+    masks = _bitset_adjacency(core)
     nodes = 0
 
     def expand(size: int, cand: int) -> None:
         nonlocal best, nodes
-        nodes += 1
-        if nodes > node_budget:
+        if nodes == node_budget:
             raise _SearchBudget
-        if cand == 0:
-            best = max(best, size)
-            return
-        if size + cand.bit_count() <= best:
-            return
-        # pivot on the candidate covering most of the candidate set
-        pivot, cover = -1, -1
-        probe = cand
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            c = (cand & masks[v]).bit_count()
-            if c > cover:
-                pivot, cover = v, c
-            probe &= probe - 1
-        ext = cand & ~masks[pivot]
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            bit = 1 << v
-            expand(size + 1, cand & masks[v])
-            cand &= ~bit
-            ext &= ~bit
-            if size + cand.bit_count() <= best:
+        nodes += 1
+        coloured = []  # (colour, vertex), colours ascending
+        uncoloured, c = cand, 0
+        while uncoloured:
+            c += 1
+            avail = uncoloured
+            while avail:
+                low = avail & -avail
+                coloured.append((c, low.bit_length() - 1))
+                avail &= ~(masks[coloured[-1][1]] | low)
+                uncoloured ^= low
+        for c, v in reversed(coloured):
+            if size + c <= best:
                 return
+            cand ^= 1 << v
+            sub = cand & masks[v]
+            if sub:
+                expand(size + 1, sub)
+            else:
+                best = max(best, size + 1)
 
-    expand(0, (1 << n) - 1)
-    return best
-
-
-def clique_exact(
-    view: SimpleView,
-    cap: int = 500,
-    node_budget: int = 500_000,
-) -> tuple[Optional[int], str]:
-    """Maximum clique size with an explicit status.
-
-    Returns ``(omega, "exact")`` when the whole graph was searched,
-    ``(size, "lower_bound")`` when the graph exceeded ``cap`` vertices and
-    the search ran on the ``cap`` oldest vertices only (early vertices are
-    where large cliques live), or ``(None, "unavailable")`` when the node
-    budget was exhausted.
-    """
-    restricted = view.n > cap
-    masks = _bitset_adjacency(view, min(view.n, cap))
     try:
-        size = _max_clique_masks(masks, node_budget)
+        expand(0, (1 << core.n) - 1)
     except _SearchBudget:
-        return (None, "unavailable")
-    return (size, "lower_bound" if restricted else "exact")
-
-
-def clique_greedy(g: MultiGraph, view: Optional[SimpleView] = None) -> int:
-    """Larger of two verified greedy cliques (birth order / degree order).
-
-    Each pass walks the candidate order and keeps a vertex iff it is
-    adjacent to every vertex kept so far; the returned set is re-checked
-    pairwise before reporting.
-    """
-    if view is None:
-        view = simple_view(g)
-    n = view.n
-    if n == 1:
-        return 1
-
-    def greedy(order: np.ndarray) -> list[int]:
-        # the first vertex in order always joins; after it only its
-        # neighbours can, so walk those in order, keeping each one that is
-        # adjacent to every member so far
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        members = [int(order[0])]
-        alive = view.neighbors(members[0])
-        alive = alive[np.argsort(rank[alive], kind="stable")]
-        adjacent = np.zeros(n, dtype=bool)
-        while alive.size:
-            v = int(alive[0])
-            members.append(v)
-            adjacent[view.neighbors(v)] = True
-            alive = alive[adjacent[alive]]
-            adjacent[view.neighbors(v)] = False
-        return members
-
-    by_birth = np.arange(n)
-    by_degree = np.argsort(-g.degrees(), kind="stable")
-    best: list[int] = []
-    for order in (by_birth, by_degree):
-        members = greedy(order)
-        if len(members) > len(best):
-            best = members
-    nbr_sets = {v: set(view.neighbors(v).tolist()) for v in best}
-    for i, v in enumerate(best):
-        for u in best[i + 1 :]:
-            if u not in nbr_sets[v]:
-                raise AssertionError("greedy clique failed pairwise adjacency check")
-    return len(best)
+        return (best, "lower_bound", nodes)
+    return (best, "exact", nodes)
 
 
 # -- isolated chains -----------------------------------------------------------
@@ -411,7 +443,14 @@ def count_vertex_paths(g: MultiGraph, t0: int, k: int) -> int:
 
 @dataclass
 class ObservableReport:
-    """Measurements of one graph, flat enough to serialize as a single row."""
+    """Measurements of one graph, flat enough to serialize as a single row.
+
+    With the exact clique on, ``clique_exact`` is the clique number of the
+    whole graph when ``clique_exact_status`` is ``"exact"``, or the largest
+    clique found when it is ``"lower_bound"``, and ``clique_nodes`` is the
+    number of search nodes it took; otherwise they stay ``None`` with
+    status ``"off"``.
+    """
 
     n_vertices: int
     max_degree: int
@@ -423,6 +462,7 @@ class ObservableReport:
     clique_greedy: Optional[int] = None
     clique_exact: Optional[int] = None
     clique_exact_status: str = "off"
+    clique_nodes: Optional[int] = None
     isolated_path_lengths: Optional[Counter] = None
     max_vertex_path: Optional[int] = None
     vertex_path_t0: Optional[int] = None
@@ -449,7 +489,6 @@ def measure_graph(
     paths: bool = True,
     refine_budget: int = 256,
     want_clique_exact: bool = False,
-    clique_exact_cap: int = 500,
     vertex_path_t0: Optional[int] = None,
 ) -> ObservableReport:
     """Measure the toggled observables of one graph into a report."""
@@ -467,9 +506,8 @@ def measure_graph(
     if clique:
         report.clique_greedy = clique_greedy(g, view)
         if want_clique_exact:
-            report.clique_exact, report.clique_exact_status = clique_exact(
-                view, cap=clique_exact_cap
-            )
+            exact = clique_exact(view)
+            report.clique_exact, report.clique_exact_status, report.clique_nodes = exact
     if paths:
         report.isolated_path_lengths = isolated_paths(g)
         t0 = vertex_path_t0 if vertex_path_t0 is not None else _default_t0(g.t)

@@ -510,7 +510,7 @@ def c14_observable_oracles(seed: int = DEFAULT_SEED) -> CriterionResult:
     for _ in range(50):
         n = int(gen.integers(5, 61))
         view = _random_view(gen, n, int(gen.integers(n, 3 * n)))
-        got, status = ob.clique_exact(view)
+        got, status, _ = ob.clique_exact(view)
         want = exhaustive_clique_upto(view, 6)
         if status != "exact" or (want < 6 and got != want) or (want == 6 and got < 6):
             clique_bad += 1

@@ -1,10 +1,14 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from edgepa import experiments as ex
 from edgepa.cli import main
+from edgepa.edgestep import make_family
+from edgepa.graphs import evolve, load_graph
+from edgepa.rng import child_seed
 
 
 def _spec(**overrides):
@@ -95,12 +99,12 @@ def test_sweep_grid(tmp_path):
         reps=1,
         out=str(out),
     )
-    rows = ex.sweep(spec)
+    rows = ex.run(spec)
     assert len(rows) == 3
     assert len({r["family"] for r in rows}) == 3
     read_back = ex.read_records(str(out))
     assert [r["family"] for r in read_back] == [r["family"] for r in rows]
-    single = ex.sweep(_spec(families=["log:1"], horizons=[100], reps=1))
+    single = ex.run(_spec(families=["log:1"], horizons=[100], reps=1))
     direct = ex.run(_spec(families=["log:1"], horizons=[100], reps=1))
     assert _strip_volatile(single) == _strip_volatile(direct)
 
@@ -135,6 +139,30 @@ def test_cli_generate_observe_round_trip(tmp_path):
     recorded = ex.read_records(str(out))[0]
     assert str(observed["n_vertices"]) == recorded["n_vertices"]
     assert str(observed["diameter_lower"]) == recorded["diameter_lower"]
+
+
+def test_dumped_graphs_are_the_measured_graphs(tmp_path):
+    dumps = tmp_path / "dumps"
+    base = ["--t", "40,90", "--reps", "2", "--seed", "5", "--out", str(tmp_path / "r.csv")]
+    assert main(["generate", "--family", "rv:0.5", "--family", "const:0.3", *base,
+                 "--dump-graphs", str(dumps)]) == 0
+    records = ex.read_records(str(tmp_path / "r.csv"))
+    assert len(list(dumps.iterdir())) == len(records) == 8
+    for rec in records:
+        tag = rec["family"].replace(":", "_")
+        with open(dumps / f"{tag}_t{rec['t']}_r{rec['rep']}.graph") as fh:
+            dumped = load_graph(fh)
+        t, rep_seed = int(rec["t"]), child_seed(5, int(rec["rep"]))
+        assert int(rec["rep_seed"]) == rep_seed
+        want = evolve(make_family(rec["family"]), t, rep_seed)
+        for name in ("endpoints", "step_type", "birth_time", "parent"):
+            assert np.array_equal(getattr(dumped, name), getattr(want, name))
+        assert (dumped.t, dumped.seed, dumped.family) == (want.t, want.seed, want.family)
+    # the dump directory is not part of the spec's identity
+    assert main(["generate", "--family", "rv:0.5", "--family", "const:0.3", *base]) == 0
+    assert {r["spec_hash"] for r in ex.read_records(str(tmp_path / "r.csv"))} == {
+        r["spec_hash"] for r in records
+    }
 
 
 def test_cli_usage_errors(tmp_path):
@@ -186,3 +214,16 @@ def test_cli_config_and_override(tmp_path):
 
 def test_cli_verify_exit_codes():
     assert main(["verify", "--suite", "observables"]) == 0
+
+
+def test_cli_verify_json(capsys, monkeypatch):
+    assert main(["verify", "--suite", "observables", "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)
+    assert [r["cid"] for r in results] == ["C14"]
+    assert results[0]["passed"] is True
+    assert set(results[0]) == {"cid", "name", "passed", "measured", "expected", "seconds"}
+    assert main(["verify", "--suite", "bogus", "--json"]) == 2
+    failing = ex.observables.clique_exact
+    monkeypatch.setattr(ex.observables, "clique_exact", lambda view: (failing(view)[0] + 1, "exact", 0))
+    assert main(["verify", "--suite", "observables", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)[0]["passed"] is False

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgepa import edgestep as es
 from edgepa import graphs as gr
@@ -169,28 +171,119 @@ def _k5_multigraph():
 def test_clique_examples():
     k5 = _k5_multigraph()
     assert ob.clique_greedy(k5) == 5
-    assert ob.clique_exact(ob.simple_view(k5)) == (5, "exact")
+    assert ob.clique_exact(ob.simple_view(k5)) == (5, "exact", 0)
     assert ob.clique_greedy(forced_path(6)) == 2
-    assert ob.clique_exact(ob.simple_view(forced_path(6))) == (2, "exact")
+    assert ob.clique_exact(ob.simple_view(forced_path(6))) == (2, "exact", 0)
 
 
-def test_clique_exact_statuses():
-    view = ob.simple_view(_k5_multigraph())
-    assert ob.clique_exact(view, cap=3)[1] == "lower_bound"
-    assert ob.clique_exact(view, node_budget=1) == (None, "unavailable")
+def test_clique_exact_statuses(monkeypatch):
+    # log:1 at t=3000, seed 5: the greedy clique (12) is below omega (13)
+    g = gr.evolve(es.make_family("log:1"), 3000, 5)
+    view = ob.simple_view(g)
+    omega, status, nodes = ob.clique_exact(view)
+    greedy = ob.clique_greedy(g, view)
+    assert status == "exact" and nodes > 1 and omega > greedy
+    size, status, spent = ob.clique_exact(view, node_budget=1)
+    assert status == "lower_bound" and spent == 1
+    assert greedy <= size <= omega
+    # a core too large for its bitmasks is left unsearched and flagged
+    monkeypatch.setattr(ob, "_MAX_CORE", 4)
+    assert ob.clique_exact(view) == (greedy, "lower_bound", 0)
 
 
 def test_clique_cross_check(rng):
     for _ in range(10):
         n = int(rng.integers(5, 45))
         view = _random_view(rng, n, int(rng.integers(n, 3 * n)))
-        got, status = ob.clique_exact(view)
+        got, status, _ = ob.clique_exact(view)
         want = exhaustive_clique_upto(view, 6)
         assert status == "exact"
         if want < 6:
             assert got == want
         else:
             assert got >= 6
+
+
+def _bron_kerbosch(view):
+    """Clique number by Bron-Kerbosch with pivoting on Python sets."""
+    adj = [set(view.neighbors(v).tolist()) for v in range(view.n)]
+    best = 0
+
+    def extend(r, p, x):
+        nonlocal best
+        if not p and not x:
+            best = max(best, r)
+            return
+        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+        for v in list(p - adj[pivot]):
+            extend(r + 1, p & adj[v], x & adj[v])
+            p.discard(v)
+            x.add(v)
+
+    extend(0, set(range(view.n)), set())
+    return best
+
+
+def test_clique_exact_matches_bron_kerbosch_on_generated_graphs():
+    # whole graphs far beyond the reach of exhaustive_clique_upto(6)
+    searched = 0
+    for desc, t in [("log:1", 3000), ("rv:0.5", 2000), ("rv:0.5", 20000), ("const:0.3", 2000),
+                    ("const:0.05", 2000), ("const:0.5", 10000), ("ba", 2000)]:
+        for seed in range(3):
+            view = ob.simple_view(gr.evolve(es.make_family(desc), t, seed))
+            omega, status, nodes = ob.clique_exact(view)
+            assert (omega, status) == (_bron_kerbosch(view), "exact")
+            searched += nodes > 0
+    assert searched >= 10
+
+
+def _view_from_pair_set(n, pairs):
+    """Simple view built from Python lists: sorted rows of the given pairs."""
+    rows = [[] for _ in range(n)]
+    for a, b in pairs:
+        rows[a].append(b)
+        rows[b].append(a)
+    return ob.SimpleView(
+        n=n,
+        edges=np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2),
+        indptr=np.cumsum([0] + [len(r) for r in rows]).astype(np.int64),
+        indices=np.array([v for r in rows for v in sorted(r)], dtype=np.int64),
+    )
+
+
+def _clique_number_all_subsets(n, pairs):
+    """Largest vertex subset whose pairs are all edges, over all 2**n subsets."""
+    adj = np.zeros(n, dtype=np.int64)
+    for a, b in pairs:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    subsets = np.arange(1 << n, dtype=np.int64)
+    size = np.zeros(1 << n, dtype=np.int64)
+    for v in range(n):
+        size += (subsets >> v) & 1
+    low = subsets & -subsets
+    rest = subsets ^ low
+    low_vertex = np.zeros(1 << n, dtype=np.int64)
+    low_vertex[1:] = np.log2(low[1:]).astype(np.int64)
+    clique = np.zeros(1 << n, dtype=bool)
+    clique[0] = True
+    for k in range(1, n + 1):
+        at = subsets[size == k]
+        clique[at] = clique[rest[at]] & ((adj[low_vertex[at]] & rest[at]) == rest[at])
+    return int(size[clique].max())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_clique_exact_matches_all_subsets(data):
+    n = data.draw(st.integers(1, 16))
+    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    density = data.draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(all_pairs), max_size=len(all_pairs)))
+    keep = data.draw(st.lists(st.floats(0, 1), min_size=len(all_pairs), max_size=len(all_pairs)))
+    pairs = [p for p, c, u in zip(all_pairs, chosen, keep) if c or u < density]
+    view = _view_from_pair_set(n, pairs)
+    assert ob.clique_exact(view)[:2] == (_clique_number_all_subsets(n, pairs), "exact")
 
 
 def _walk_greedy(view, order):
@@ -203,7 +296,7 @@ def _walk_greedy(view, order):
     return members
 
 
-def test_clique_greedy_and_bitsets_match_references():
+def test_clique_greedy_and_bitsets_match_references(monkeypatch):
     for desc, t in [("const:0.3", 600), ("log:1", 1500), ("rv:0.5", 2000), ("ba", 300)]:
         for seed in range(3):
             g = gr.evolve(es.make_family(desc), t, seed)
@@ -211,20 +304,50 @@ def test_clique_greedy_and_bitsets_match_references():
             orders = (np.arange(view.n), np.argsort(-g.degrees(), kind="stable"))
             want = max(len(_walk_greedy(view, order)) for order in orders)
             assert ob.clique_greedy(g, view) == want
-            k = min(view.n, 120)
-            masks = [0] * k
+            masks = [0] * view.n
             for a, b in view.edges.tolist():
-                if b < k:
-                    masks[a] |= 1 << b
-                    masks[b] |= 1 << a
-            assert ob._bitset_adjacency(view, k) == masks
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+            for rows in (1, 7, 256):
+                monkeypatch.setattr(ob, "_MASK_ROWS", rows)
+                assert ob._bitset_adjacency(view) == masks
+
+
+def _peel_by_queue(view, q):
+    """Vertices of the ``q``-core by removing one low-degree vertex at a time."""
+    adj = [set(view.neighbors(v).tolist()) for v in range(view.n)]
+    alive = set(range(view.n))
+    stack = [v for v in alive if len(adj[v]) < q]
+    while stack:
+        v = stack.pop()
+        if v not in alive:
+            continue
+        alive.discard(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+            if u in alive and len(adj[u]) < q:
+                stack.append(u)
+    return alive, {(a, b) for a in alive for b in adj[a] if a < b}
+
+
+def test_core_matches_queue_peel():
+    for desc, t, q in [("const:0.5", 3000, 3), ("log:1", 2000, 6), ("rv:0.5", 2000, 4),
+                       ("ba", 500, 2), ("const:0.3", 1000, 30)]:
+        view = ob.simple_view(gr.evolve(es.make_family(desc), t, 4))
+        core = ob._core(view, q)
+        alive, pairs = _peel_by_queue(view, q)
+        assert core.n == len(alive) and core.n_edges == len(pairs)
+        deg = core.degrees()
+        assert (deg >= q).all() and (np.diff(deg) <= 0).all()
+        want = sorted(sum(1 for p in pairs if v in p) for v in alive)
+        assert sorted(deg.tolist()) == want
 
 
 def test_clique_greedy_never_beats_exact():
     g = gr.evolve(es.constant(0.3), 600, seed=2)
     view = ob.simple_view(g)
     assert view.n <= 500
-    exact, status = ob.clique_exact(view)
+    exact, status, _ = ob.clique_exact(view)
     assert status == "exact"
     assert ob.clique_greedy(g, view) <= exact
 
@@ -339,6 +462,8 @@ def test_measure_graph_report():
     g = gr.evolve(es.constant(0.5), 500, seed=12)
     rep = ob.measure_graph(g, want_clique_exact=True)
     rep.check()
+    assert rep.clique_exact_status == "exact" and rep.clique_nodes >= 0
+    assert ob.measure_graph(g).clique_nodes is None
     assert sum(rep.degree_histogram.values()) == rep.n_vertices
     assert rep.diameter_method == "exact"
     assert rep.diameter_lower == rep.diameter_upper
