@@ -10,17 +10,13 @@ small-instance law oracle, and an experiment/verification harness.
 from .coupling import (
     DoublyLabeledTree,
     collapse,
-    dump_tree,
     empirical_disagreement,
     grow_tree,
-    load_tree,
     tv_upper_bound,
 )
 from .edgestep import (
-    ConditionReport,
     EdgeStepFunction,
     ba,
-    check_conditions,
     constant,
     exp_class,
     log_class,

@@ -2,16 +2,17 @@
 
 Subcommands::
 
-    generate  run the direct process and persist measurement records
+    generate  run the direct process over a family grid and persist records
     observe   measure a dumped graph file
-    couple    run two families against shared trees and persist records
-    sweep     run a grid of families
+    couple    collapse one tree per replicate under every family and persist records
     verify    execute a named verification suite
 
-Flags mirror config-file keys (flat ``key=value`` lines, ``#`` comments);
-flags override the file.  Exit status: 0 on success, 1 when a verify
-criterion fails or a generate/couple/sweep record holds an error, 2 on
-usage errors (including specs that fail validation).
+Both ``generate`` and ``couple`` build each replicate's graph once, at the
+largest horizon, and measure every horizon on a prefix of it.  Flags
+mirror config-file keys (flat ``key=value`` lines, ``#`` comments); flags
+override the file.  Exit status: 0 on success, 1 when a verify criterion
+fails or a generate/couple record holds an error, 2 on usage errors
+(including specs that fail validation).
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="family descriptor, e.g. const:0.5, rv:0.5, log:1, osc:base=30; "
                 "repeat for a grid",
             )
-            p.add_argument("--family2", help="second family for coupled runs")
             p.add_argument("--t", help="comma-separated horizons, e.g. 1000,10000")
-            p.add_argument("--reps", type=int, help="replicates per horizon (default 1)")
+            p.add_argument("--reps", type=int, help="replicates, one trajectory each (default 1)")
             p.add_argument("--seed", type=int, help="run seed (required: no silent nondeterminism)")
             p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
             p.add_argument("--no-diameter", action="store_true", help="skip diameter measurement")
@@ -83,11 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_obs, families=False)
     p_obs.add_argument("graph", help="path to a graph dump")
 
-    p_cpl = sub.add_parser("couple", help="collapse two families from shared trees")
+    p_cpl = sub.add_parser("couple", help="collapse shared trees under two or more families")
     common(p_cpl)
-
-    p_sweep = sub.add_parser("sweep", help="run a family grid")
-    common(p_sweep)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("--config", help="flat key=value config file; flags override it")
@@ -127,15 +124,12 @@ def _spec_from_args(args: argparse.Namespace, coupled: bool) -> experiments.Expe
     seed = _merged(args, "seed", int)
     if seed is None:
         raise UsageError("--seed is required")
-    family2 = _merged(args, "family2", str)
-    if coupled and not family2:
-        raise UsageError("couple requires --family2")
     spec = experiments.ExperimentSpec(
         families=list(families),
         horizons=_parse_int_list(str(horizons_raw)),
         reps=_merged(args, "reps", int, 1),
         seed=seed,
-        family2=family2 if coupled else None,
+        coupled=coupled,
         diameter=not _merged(args, "no_diameter", bool, False),
         clique=not _merged(args, "no_clique", bool, False),
         paths=not _merged(args, "no_paths", bool, False),
@@ -192,12 +186,6 @@ def _cmd_observe(args) -> int:
 
 def _cmd_couple(args) -> int:
     spec = _spec_from_args(args, coupled=True)
-    rows = experiments.run(spec)
-    return _emit(rows, spec)
-
-
-def _cmd_sweep(args) -> int:
-    spec = _spec_from_args(args, coupled=False)
     return _emit(experiments.run(spec), spec)
 
 
@@ -228,7 +216,6 @@ def main(argv=None) -> int:
         "generate": _cmd_generate,
         "observe": _cmd_observe,
         "couple": _cmd_couple,
-        "sweep": _cmd_sweep,
         "verify": _cmd_verify,
     }
     try:

@@ -157,35 +157,3 @@ def empirical_disagreement(
             differ += 1
     return differ / reps
 
-
-# -- text dumps --------------------------------------------------------------
-
-
-def dump_tree(tree: DoublyLabeledTree, fh) -> None:
-    """Write one line ``j w ell u`` per vertex; marks at full precision."""
-    for j in range(1, tree.t + 1):
-        fh.write(f"{j} {tree.w[j]} {tree.ell[j]} {float(tree.u[j])!r}\n")
-
-
-def load_tree(fh, seed: int = 0) -> DoublyLabeledTree:
-    """Read a tree dump back; the round trip is exact."""
-    w, ell, u = [0], [0], [0.0]
-    for expected, line in enumerate(fh, start=1):
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"tree dump line {expected}: expected 'j w ell u'")
-        if int(parts[0]) != expected:
-            raise ValueError(f"tree dump line {expected}: out-of-order vertex {parts[0]}")
-        w.append(int(parts[1]))
-        ell.append(int(parts[2]))
-        u.append(float(parts[3]))
-    if len(w) < 2:
-        raise ValueError("empty tree dump")
-    tree = DoublyLabeledTree(
-        w=np.array(w, dtype=np.int64),
-        ell=np.array(ell, dtype=np.int64),
-        u=np.array(u, dtype=float),
-        seed=seed,
-    )
-    tree.validate()
-    return tree

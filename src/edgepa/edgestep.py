@@ -18,8 +18,6 @@ cached since ``F(t) = 1 + sum_{s=2..t} f(s)`` is queried inside hot loops.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -255,85 +253,3 @@ def make_family(descriptor: str) -> EdgeStepFunction:
         raise ValueError(f"unknown parameters {sorted(named)} in descriptor {descriptor!r}")
     return out
 
-
-# -- condition diagnostics -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Numeric diagnostics for an edge-step function at a finite horizon.
-
-    All fields are flags or values, never exceptions.  The decay flag
-    ``is_d0`` and the summability flag ``is_s`` depend on the supplied
-    tolerance since limits cannot be observed at a finite horizon; the
-    kappa inequality is likewise checked at the horizon only, not for
-    every smaller time.
-    """
-
-    horizon: int
-    tolerance: float
-    kappa: float
-    is_d: bool            # non-increasing over [2, horizon]
-    is_d0: bool           # is_d and f(horizon) < tolerance
-    s_partial: float      # sum_{s=2..horizon} f(s)/s
-    s_tail: float         # the same sum restricted to s > horizon/2
-    is_s: bool            # s_tail < tolerance (summability proxy)
-    l_kappa_sum: float    # sum_{s=ceil(horizon^(1/13))..horizon} f(s)/s
-    l_kappa_bound: float  # (log horizon)**kappa
-    l_kappa_ok: bool
-    rv_gamma_estimate: float  # minus the log-log slope over the top decade
-    rv_residual: float        # rms residual of that fit; nan when undefined
-
-
-def check_conditions(
-    f: EdgeStepFunction,
-    horizon: int,
-    kappa: float = 0.5,
-    tolerance: float = 1e-2,
-) -> ConditionReport:
-    """Scan ``f`` up to ``horizon`` and report decay/summability/variation diagnostics."""
-    if horizon < 16:
-        raise ValueError(f"horizon must be >= 16, got {horizon}")
-    if not 0.0 < kappa < 1.0:
-        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-
-    ts = np.arange(2, horizon + 1, dtype=np.int64)
-    vals = f.eval_array(ts)
-
-    is_d = bool(np.all(np.diff(vals) <= 1e-12))
-    is_d0 = is_d and float(vals[-1]) < tolerance
-
-    ratios = vals / ts
-    s_partial = float(np.sum(ratios))
-    s_tail = float(np.sum(ratios[ts > horizon // 2]))
-    is_s = s_tail < tolerance
-
-    lo = max(2, math.ceil(horizon ** (1.0 / 13.0)))
-    l_sum = float(np.sum(ratios[ts >= lo]))
-    l_bound = math.log(horizon) ** kappa
-
-    window = (ts >= horizon / 10) & (vals > 0)
-    if int(window.sum()) >= 2:
-        x = np.log(ts[window].astype(float))
-        y = np.log(vals[window])
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-        gamma_est = float(-slope)
-    else:
-        gamma_est, resid = float("nan"), float("nan")
-
-    return ConditionReport(
-        horizon=horizon,
-        tolerance=tolerance,
-        kappa=kappa,
-        is_d=is_d,
-        is_d0=is_d0,
-        s_partial=s_partial,
-        s_tail=s_tail,
-        is_s=is_s,
-        l_kappa_sum=l_sum,
-        l_kappa_bound=l_bound,
-        l_kappa_ok=l_sum < l_bound,
-        rv_gamma_estimate=gamma_est,
-        rv_residual=resid,
-    )

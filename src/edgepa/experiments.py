@@ -1,11 +1,13 @@
 """Experiment orchestration: declarative specs, replicated runs, persistence.
 
-A run generates one graph per (family, horizon, replicate), measures the
-toggled observables, appends the matching theory overlays, and writes one
-flat record per graph to CSV (or a JSON mirror).  Replicate ``r`` draws
-its randomness from the stream keyed ``(seed, r)``, so records are
-reproducible one by one and replicates farmed to a worker pool coincide
-with serial execution up to row order.
+A run generates one trajectory per (family, replicate) at the largest
+horizon and measures every horizon on a prefix of it; a coupled run grows
+one doubly-labeled tree per replicate and collapses it under every family
+of the grid.  Each (family, horizon, replicate) gives one flat record of
+the toggled observables and the matching theory overlays, written to CSV
+(or a JSON mirror).  Replicate ``r`` draws its randomness from the stream
+keyed ``(seed, r)``, so records are reproducible one by one and replicates
+farmed to a worker pool coincide with serial execution up to row order.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import coupling, observables, rng as _rng, theory
 from .edgestep import make_family
 from .graphs import dump_graph, evolve
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 RECORD_FIELDS = [
     "schema",
@@ -53,10 +55,9 @@ RECORD_FIELDS = [
     "theory_diam_lower",
     "theory_diam_upper_a",
     "theory_diam_upper_b",
-    "theory_diam_upper_c",
     "theory_rv_lower",
     "theory_rv_upper",
-    "theory_clique_lower",
+    "theory_clique_exponent",
     "theory_clique_upper",
     "error",
     "wall_time",
@@ -67,18 +68,18 @@ RECORD_FIELDS = [
 class ExperimentSpec:
     """Declarative description of one experiment.
 
-    ``families`` is the family grid (a single entry for plain runs);
-    ``family2`` switches to coupled mode, where every replicate grows one
-    doubly-labeled tree and collapses it under both families.  Plain runs
-    dump each measured graph into ``dump_dir``, which, like ``out``, is not
-    part of the spec's identity.
+    ``families`` is the family grid.  ``coupled`` grows one doubly-labeled
+    tree per replicate and collapses it under every family, which needs at
+    least two; otherwise each family evolves its own trajectory.  A set
+    ``dump_dir`` receives each measured graph; like ``out``, it is not part
+    of the spec's identity.
     """
 
     families: list[str]
     horizons: list[int]
     reps: int
     seed: int
-    family2: Optional[str] = None
+    coupled: bool = False
     diameter: bool = True
     clique: bool = True
     paths: bool = True
@@ -98,7 +99,9 @@ class ExperimentSpec:
             raise ValueError("horizons must be strictly increasing")
         if self.horizons[0] < 1:
             raise ValueError(f"horizons must be >= 1, got {self.horizons[0]}")
-        for d in self.families + ([self.family2] if self.family2 is not None else []):
+        if self.coupled and len(self.families) < 2:
+            raise ValueError("a coupled run needs at least two families")
+        for d in self.families:
             f = make_family(d)
             if f.family == "tabulated" and self.horizons[-1] > len(f.params["values"]) + 1:
                 raise ValueError(
@@ -113,20 +116,14 @@ class ExperimentSpec:
             raise ValueError("jobs must be >= 1")
 
     def spec_hash(self) -> str:
-        identity = {
-            "families": self.families,
-            "family2": self.family2,
-            "horizons": self.horizons,
-            "reps": self.reps,
-            "seed": self.seed,
-            "diameter": self.diameter,
-            "clique": self.clique,
-            "paths": self.paths,
-            "clique_exact": self.clique_exact,
-            "refine_budget": self.refine_budget,
-        }
+        """Digest of the fields that determine the records' measurement columns."""
+        identity = {k: v for k, v in asdict(self).items() if k not in _NOT_IDENTITY}
         blob = json.dumps(identity, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# Where and how records are written, never what they hold.
+_NOT_IDENTITY = ("out", "fmt", "jobs", "dump_dir")
 
 
 def _report_to_record(spec_hash, family, t, rep, rep_seed, report, overlay) -> dict:
@@ -172,90 +169,96 @@ def _blank(x):
 
 def _overlay(family_descriptor: str, t: int) -> dict:
     f = make_family(family_descriptor)
-    gamma = f.params.get("gamma") if f.family == "rv_power" else None
-    out = {
-        "expected_vertices": f.partial_sum(t) if f.family != "tabulated" else "",
-        "theory_diam_lower": "",
-        "theory_diam_upper_a": "",
-        "theory_diam_upper_b": "",
-        "theory_diam_upper_c": "",
-        "theory_rv_lower": "",
-        "theory_rv_upper": "",
-        "theory_clique_lower": "",
-        "theory_clique_upper": "",
-    }
-    if t >= 16 and f.family != "tabulated":
+    out = dict.fromkeys(RECORD_FIELDS[RECORD_FIELDS.index("expected_vertices") : -2], "")
+    if f.family == "tabulated":
+        return out
+    out["expected_vertices"] = f.partial_sum(t)
+    if t >= 16:
+        gamma = f.params.get("gamma") if f.family == "rv_power" else None
         bs = theory.diameter_theory(f, t, gamma=gamma)
         out.update(
             theory_diam_lower=round(bs.diameter_lower, 6),
             theory_diam_upper_a=round(bs.diameter_upper_a, 6),
             theory_diam_upper_b="" if bs.diameter_upper_b is None else round(bs.diameter_upper_b, 6),
-            theory_diam_upper_c="" if bs.diameter_upper_c is None else round(bs.diameter_upper_c, 6),
-            theory_rv_lower="" if bs.rv_diameter_lower is None else bs.rv_diameter_lower,
-            theory_rv_upper="" if bs.rv_diameter_upper is None else bs.rv_diameter_upper,
-            theory_clique_lower="" if bs.clique_lower is None else round(bs.clique_lower, 6),
+            theory_rv_lower=_blank(bs.rv_diameter_lower),
+            theory_rv_upper=_blank(bs.rv_diameter_upper),
+            theory_clique_exponent=_blank(bs.clique_exponent),
             theory_clique_upper=round(bs.clique_upper, 6),
         )
     return out
 
 
-def _measure_kwargs(spec_dict: dict) -> dict:
-    return dict(
+def _run_task(args: tuple) -> list[dict]:
+    """One replicate: its rows for every family and horizon of the task.
+
+    A plain task ``(family, rep)`` evolves one trajectory at the largest
+    horizon; a coupled task (``family`` is None) grows one tree there and
+    collapses it under every family.  Each horizon is measured on a prefix
+    of the graph, and a row's ``wall_time`` is the seconds spent generating
+    its graph plus those spent measuring its prefix.  Module-level so a
+    process pool can ship it; failures are recorded in the ``error`` field
+    of the rows they touch and never abort the run.
+    """
+    spec_dict, spec_hash, family, rep = args
+    rep_seed = _rng.child_seed(spec_dict["seed"], rep)
+    horizons = spec_dict["horizons"]
+    rows: list[dict] = []
+    started = time.perf_counter()
+    # a failed generation is kept and re-raised into each row it leaves unmeasured
+    try:
+        tree = None if family else coupling.grow_tree(horizons[-1], rep_seed)
+    except Exception as exc:
+        tree = exc
+    tree_s = time.perf_counter() - started
+    for desc in [family] if family else spec_dict["families"]:
+        started = time.perf_counter()
+        try:
+            if isinstance(tree, Exception):
+                raise tree
+            f = make_family(desc)
+            g = evolve(f, horizons[-1], rep_seed) if tree is None else coupling.collapse(tree, f)
+        except Exception as exc:
+            g = exc
+        generate_s = tree_s + time.perf_counter() - started
+        for t in horizons:
+            started = time.perf_counter()
+            try:
+                if isinstance(g, Exception):
+                    raise g
+                row = _record(spec_dict, spec_hash, desc, rep, rep_seed, g.prefix(t))
+            except Exception as exc:  # per-record failures are data, not crashes
+                row = {
+                    **dict.fromkeys(RECORD_FIELDS, ""),
+                    "schema": SCHEMA_VERSION,
+                    "spec_hash": spec_hash,
+                    "family": desc,
+                    "t": t,
+                    "rep": rep,
+                    "rep_seed": rep_seed,
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
+            row["wall_time"] = round(generate_s + time.perf_counter() - started, 4)
+            rows.append(row)
+        del g  # before the next family's graph is built
+    return rows
+
+
+def _record(spec_dict, spec_hash, family, rep, rep_seed, g) -> dict:
+    """Measure ``g`` (and dump it into a set ``dump_dir``) into one record."""
+    if spec_dict["dump_dir"]:
+        os.makedirs(spec_dict["dump_dir"], exist_ok=True)
+        tag = family.replace(":", "_").replace(",", "_").replace("=", "")
+        with open(os.path.join(spec_dict["dump_dir"], f"{tag}_t{g.t}_r{rep}.graph"), "w") as fh:
+            dump_graph(g, fh)
+    report = observables.measure_graph(
+        g,
         diameter=spec_dict["diameter"],
         clique=spec_dict["clique"],
         paths=spec_dict["paths"],
         refine_budget=spec_dict["refine_budget"],
         want_clique_exact=spec_dict["clique_exact"],
     )
-
-
-def _run_task(args: tuple) -> list[dict]:
-    """One (family, horizon, replicate) unit; returns its record rows.
-
-    Module-level so a process pool can ship it; failures are recorded in
-    the row's ``error`` field and never abort the run.
-    """
-    spec_dict, spec_hash, family, t, rep = args
-    rep_seed = _rng.child_seed(spec_dict["seed"], rep)
-    rows: list[dict] = []
-    started = time.perf_counter()
-    try:
-        if spec_dict["family2"] is None:
-            g = evolve(make_family(family), t, rep_seed)
-            if spec_dict["dump_dir"]:
-                os.makedirs(spec_dict["dump_dir"], exist_ok=True)
-                tag = family.replace(":", "_").replace(",", "_").replace("=", "")
-                with open(os.path.join(spec_dict["dump_dir"], f"{tag}_t{t}_r{rep}.graph"), "w") as fh:
-                    dump_graph(g, fh)
-            report = observables.measure_graph(g, **_measure_kwargs(spec_dict))
-            rows.append(
-                _report_to_record(spec_hash, family, t, rep, rep_seed, report, _overlay(family, t))
-            )
-        else:
-            tree = coupling.grow_tree(t, rep_seed)
-            for desc in (family, spec_dict["family2"]):
-                g = coupling.collapse(tree, make_family(desc))
-                report = observables.measure_graph(g, **_measure_kwargs(spec_dict))
-                rows.append(
-                    _report_to_record(spec_hash, desc, t, rep, rep_seed, report, _overlay(desc, t))
-                )
-    except Exception as exc:  # per-replicate failures are data, not crashes
-        rows.append(
-            {
-                **{k: "" for k in RECORD_FIELDS},
-                "schema": SCHEMA_VERSION,
-                "spec_hash": spec_hash,
-                "family": family,
-                "t": t,
-                "rep": rep,
-                "rep_seed": rep_seed,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
-    wall = round(time.perf_counter() - started, 4)
-    for row in rows:
-        row["wall_time"] = wall
-    return rows
+    return _report_to_record(spec_hash, family, g.t, rep, rep_seed, report, _overlay(family, g.t))
 
 
 def run(spec: ExperimentSpec) -> list[dict]:
@@ -263,12 +266,8 @@ def run(spec: ExperimentSpec) -> list[dict]:
     spec.validate()
     spec_hash = spec.spec_hash()
     spec_dict = asdict(spec)
-    tasks = [
-        (spec_dict, spec_hash, family, t, rep)
-        for family in spec.families
-        for t in spec.horizons
-        for rep in range(spec.reps)
-    ]
+    families = [None] if spec.coupled else spec.families
+    tasks = [(spec_dict, spec_hash, family, rep) for family in families for rep in range(spec.reps)]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             chunks = list(pool.map(_run_task, tasks))

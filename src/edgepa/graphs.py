@@ -61,6 +61,23 @@ class MultiGraph:
         """Degree of every vertex (loops count twice), indexed by id - 1."""
         return np.bincount(self.endpoints, minlength=self.n_vertices + 1)[1:]
 
+    def prefix(self, t: int) -> MultiGraph:
+        """The same trajectory at time ``t <= self.t``: the first ``t`` edges
+        and the vertices born by then, as views of this graph's arrays."""
+        if t == self.t:
+            return self
+        if not 1 <= t < self.t:
+            raise ValueError(f"prefix time must lie in [1, {self.t}], got {t}")
+        n = int(np.searchsorted(self.birth_time, t, side="right"))
+        return MultiGraph(
+            endpoints=self.endpoints[: 2 * t],
+            step_type=self.step_type[:t],
+            birth_time=self.birth_time[:n],
+            parent=self.parent[:n],
+            family=self.family,
+            seed=self.seed,
+        )
+
     def validate(self) -> None:
         """Raise ValueError if the stored arrays are mutually inconsistent."""
         t, n = self.t, self.n_vertices

@@ -67,12 +67,12 @@ def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
 # -- tallies -----------------------------------------------------------------
 
 
-def max_degree(g: MultiGraph) -> int:
-    return int(g.degrees().max())
+def max_degree(degrees: np.ndarray) -> int:
+    return int(degrees.max())
 
 
-def degree_histogram(g: MultiGraph) -> dict[int, int]:
-    counts = np.bincount(g.degrees())
+def degree_histogram(degrees: np.ndarray) -> dict[int, int]:
+    counts = np.bincount(degrees)
     present = np.flatnonzero(counts)
     return dict(zip(present.tolist(), counts[present].tolist()))
 
@@ -206,12 +206,10 @@ def _greedy_clique(view: SimpleView, degrees: np.ndarray) -> list[int]:
     return best
 
 
-def clique_greedy(g: MultiGraph, view: Optional[SimpleView] = None) -> int:
+def clique_greedy(view: SimpleView, degrees: np.ndarray) -> int:
     """Size of the larger of two verified greedy cliques, the by-degree
-    pass ordered by the multigraph's degrees."""
-    if view is None:
-        view = simple_view(g)
-    return len(_greedy_clique(view, g.degrees()))
+    pass ordered by ``degrees`` (the multigraph's, see :func:`measure_graph`)."""
+    return len(_greedy_clique(view, degrees))
 
 
 def _core(view: SimpleView, q: int) -> SimpleView:
@@ -493,10 +491,11 @@ def measure_graph(
 ) -> ObservableReport:
     """Measure the toggled observables of one graph into a report."""
     view = simple_view(g)
+    degrees = g.degrees()
     report = ObservableReport(
         n_vertices=g.n_vertices,
-        max_degree=max_degree(g),
-        degree_histogram=degree_histogram(g),
+        max_degree=max_degree(degrees),
+        degree_histogram=degree_histogram(degrees),
         simple_edge_count=view.n_edges,
     )
     if diameter:
@@ -504,7 +503,7 @@ def measure_graph(
         report.diameter_lower, report.diameter_upper = lo, hi
         report.diameter_method = "exact" if lo == hi else "bounds"
     if clique:
-        report.clique_greedy = clique_greedy(g, view)
+        report.clique_greedy = clique_greedy(view, degrees)
         if want_clique_exact:
             exact = clique_exact(view)
             report.clique_exact, report.clique_exact_status, report.clique_nodes = exact

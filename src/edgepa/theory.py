@@ -132,15 +132,17 @@ def vertex_path_mean_ub(f: EdgeStepFunction, t0: int, t: int, k: int) -> float:
     return math.exp(log_val)
 
 
-def clique_theory(t: int, gamma: float, eps: float) -> tuple[float, float]:
-    """Clique-number band ``(t^((1-gamma)(1-eps)/2), 7 sqrt(t))`` for
-    regularly varying schedules with index ``-gamma``, ``gamma`` in ``[0, 1)``."""
+def clique_theory(t: int, gamma: float) -> tuple[float, float]:
+    """Clique-number predictions ``((1-gamma)/2, 7 sqrt(t))`` for regularly
+    varying schedules with index ``-gamma``, ``gamma`` in ``[0, 1)``.
+
+    The first entry is an exponent, not a value at ``t``: the lower bound
+    ``t^((1-gamma)(1-eps)/2)`` holds for each ``eps > 0`` only from some
+    ``t0(eps)`` on, and ``t0`` is not explicit, so it is asymptotic.
+    """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    lower = t ** ((1.0 - gamma) * (1.0 - eps) / 2.0)
-    return (lower, 7.0 * math.sqrt(t))
+    return ((1.0 - gamma) / 2.0, 7.0 * math.sqrt(t))
 
 
 def _pittel_gamma() -> float:
@@ -177,9 +179,9 @@ class BoundSet:
     ``O(log t)`` upper bound; the paper leaves its constant unspecified, so
     this is an order, not a bound with constant 1 (for ``f == 1`` the
     constant is :data:`TREE_DIAMETER_CONSTANT`).  It always applies;
-    ``_b`` needs the weighted tail sum below 1, ``_c`` needs a kappa, and
-    the constant ``rv_*`` band and the clique lower bound need a
-    regular-variation index.  Inapplicable entries are ``None`` and
+    ``_b`` needs the weighted tail sum below 1, and the constant ``rv_*``
+    band and the asymptotic clique exponent (see :func:`clique_theory`)
+    need a regular-variation index.  Inapplicable entries are ``None`` and
     flagged, never raised.
     """
 
@@ -187,10 +189,9 @@ class BoundSet:
     diameter_lower: float
     diameter_upper_a: float
     diameter_upper_b: Optional[float]
-    diameter_upper_c: Optional[float]
     rv_diameter_lower: Optional[float]
     rv_diameter_upper: Optional[float]
-    clique_lower: Optional[float]
+    clique_exponent: Optional[float]
     clique_upper: float
     flags: dict
 
@@ -198,9 +199,7 @@ class BoundSet:
 def diameter_theory(
     f: EdgeStepFunction,
     t: int,
-    kappa: Optional[float] = None,
     gamma: Optional[float] = None,
-    eps: float = 0.1,
 ) -> BoundSet:
     """Evaluate every applicable diameter/clique bound for ``f`` at horizon ``t``.
 
@@ -209,10 +208,9 @@ def diameter_theory(
     the ``log t`` scale of the unconditional ``O(log t)`` bound (constant
     unspecified, see :class:`BoundSet`), the tail-sum regime
     ``2 + 6 min(log t / -log W, log t / log log t)`` with
-    ``W = sum_{s=ceil(t^(1/13))}^{t} f(s)/(s-1)`` when ``W < 1``, and
-    ``2 + 6/(1-kappa) * log t / log log t`` when a kappa is supplied.
+    ``W = sum_{s=ceil(t^(1/13))}^{t} f(s)/(s-1)`` when ``W < 1``.
     A supplied ``gamma`` adds the constant band ``[1/(4 gamma),
-    100/gamma + 2]`` and the clique band at the given ``eps``.
+    100/gamma + 2]`` and, below 1, the clique exponent.
     """
     if t < 16:
         raise ValueError(f"need t >= 16, got {t}")
@@ -227,7 +225,7 @@ def diameter_theory(
         decay_branch = 0.0
     lower = (min(log_t / loglog_t, decay_branch)) / 3.0
 
-    flags = {"upper_b": False, "upper_c": False, "rv": False, "clique": False}
+    flags = {"upper_b": False, "rv": False, "clique": False}
 
     t13 = max(2, math.ceil(t ** (1.0 / 13.0)))
     tail = f.weighted_tail_sum(t13, t)
@@ -237,14 +235,7 @@ def diameter_theory(
         upper_b = 2.0 + 6.0 * min(tail_branch, log_t / loglog_t)
         flags["upper_b"] = True
 
-    upper_c = None
-    if kappa is not None:
-        if not 0.0 < kappa < 1.0:
-            raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-        upper_c = 2.0 + (6.0 / (1.0 - kappa)) * log_t / loglog_t
-        flags["upper_c"] = True
-
-    rv_lower = rv_upper = clique_lower = None
+    rv_lower = rv_upper = clique_exponent = None
     if gamma is not None:
         if gamma <= 0:
             raise ValueError(f"gamma must be > 0 for the constant band, got {gamma}")
@@ -252,7 +243,7 @@ def diameter_theory(
         rv_upper = 100.0 / gamma + 2.0
         flags["rv"] = True
         if gamma < 1.0:
-            clique_lower = clique_theory(t, gamma, eps)[0]
+            clique_exponent = clique_theory(t, gamma)[0]
             flags["clique"] = True
 
     return BoundSet(
@@ -260,10 +251,9 @@ def diameter_theory(
         diameter_lower=lower,
         diameter_upper_a=log_t,
         diameter_upper_b=upper_b,
-        diameter_upper_c=upper_c,
         rv_diameter_lower=rv_lower,
         rv_diameter_upper=rv_upper,
-        clique_lower=clique_lower,
+        clique_exponent=clique_exponent,
         clique_upper=7.0 * math.sqrt(t),
         flags=flags,
     )

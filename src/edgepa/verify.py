@@ -299,7 +299,7 @@ def c09_rv_bounded_diameter(seed: int = DEFAULT_SEED) -> CriterionResult:
             ds.append(d)
             if not lo_band <= d <= hi_band:
                 all_in_band = False
-            if not _clique_feasible(ob.clique_greedy(g, view), view.n_edges, t):
+            if not _clique_feasible(ob.clique_greedy(view, g.degrees()), view.n_edges, t):
                 feasible = False
         medians[t] = float(np.median(ds))
     drift_ok = medians[10**6] <= medians[10**4] + 1.0
@@ -320,7 +320,7 @@ def c10_clique_upper_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
             for r in range(3):
                 g = evolve(f, t, _rng.child_seed(base, 100 * i + 10 * j + r))
                 view = ob.simple_view(g)
-                k = ob.clique_greedy(g, view)
+                k = ob.clique_greedy(view, g.degrees())
                 checked += 1
                 if not _clique_feasible(k, view.n_edges, t):
                     violations += 1
@@ -343,7 +343,7 @@ def c11_clique_growth_slope(seed: int = DEFAULT_SEED) -> CriterionResult:
         for r in range(reps):
             g = evolve(f, t, _rng.child_seed(base, r))
             view = ob.simple_view(g)
-            k = ob.clique_greedy(g, view)
+            k = ob.clique_greedy(view, g.degrees())
             if not _clique_feasible(k, view.n_edges, t):
                 feasible = False
             xs.append(math.log(t))

@@ -30,6 +30,13 @@ def forced_star(n: int) -> MultiGraph:
     )
 
 
+def assert_same_graph(a: MultiGraph, b: MultiGraph) -> None:
+    """Equal arrays, horizon, vertex count, family and seed."""
+    for name in ("endpoints", "step_type", "birth_time", "parent"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.t, a.n_vertices, a.family, a.seed) == (b.t, b.n_vertices, b.family, b.seed)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1,14 +1,17 @@
-import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgepa import coupling as cp
 from edgepa import edgestep as es
 from edgepa import rng as _rng
 from edgepa.graphs import canonical_key
 from edgepa.observables import diameter_bounds, simple_view
+
+from conftest import assert_same_graph
 
 
 def test_grow_tree_tiny():
@@ -175,21 +178,19 @@ def test_empirical_disagreement_respects_l1_bound():
     assert frac <= tv + 3 * math.sqrt(tv * (1 - tv) / reps)
 
 
-def test_tree_dump_round_trip():
-    tree = cp.grow_tree(64, seed=11)
-    buf = io.StringIO()
-    cp.dump_tree(tree, buf)
-    back = cp.load_tree(io.StringIO(buf.getvalue()), seed=11)
-    assert np.array_equal(back.w, tree.w)
-    assert np.array_equal(back.ell, tree.ell)
-    assert np.array_equal(back.u, tree.u)
-
-
-def test_load_tree_rejects_corrupt():
-    with pytest.raises(ValueError):
-        cp.load_tree(io.StringIO("2 1 1 0.5\n"))
-    with pytest.raises(ValueError):
-        cp.load_tree(io.StringIO(""))
+@given(
+    horizon=st.integers(1, 3000),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    fam=st.sampled_from(["const:0.3", "const:0", "ba", "rv:0.5", "log:1", "osc:base=30"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_collapse_prefix_is_the_shorter_trees_collapse(horizon, data, seed, fam):
+    t = data.draw(st.integers(1, horizon), label="t")
+    f = es.make_family(fam)
+    prefix = cp.collapse(cp.grow_tree(horizon, seed), f).prefix(t)
+    prefix.validate()
+    assert_same_graph(prefix, cp.collapse(cp.grow_tree(t, seed), f))
 
 
 def test_tree_validate_rejects_future_targets():

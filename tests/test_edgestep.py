@@ -137,45 +137,8 @@ def test_tabulated_domain_is_bounded():
         f.partial_sum(10)
 
 
-def test_check_conditions_constant():
-    rep = es.check_conditions(es.constant(0.5), horizon=1000)
-    assert rep.is_d and not rep.is_d0
-    assert rep.s_partial == pytest.approx(0.5 * np.sum(1.0 / np.arange(2, 1001)))
-
-
-def test_check_conditions_rv_index():
-    rep = es.check_conditions(es.rv_power(0.5), horizon=10**5)
-    assert abs(rep.rv_gamma_estimate - 0.5) < 0.01
-    assert rep.is_d and rep.is_d0 and rep.is_s
-
-
-def test_check_conditions_ba_divergent():
-    rep = es.check_conditions(es.ba(), horizon=10**4)
-    harmonic = float(np.sum(1.0 / np.arange(2, 10**4 + 1)))
-    assert rep.s_partial == pytest.approx(harmonic)
-    assert rep.s_partial == pytest.approx(math.log(10**4), rel=0.05)
-    assert not rep.is_s and not rep.is_d0
-
-
-def test_check_conditions_oscillating_not_monotone():
-    rep = es.check_conditions(es.oscillating(10), horizon=500)
-    assert not rep.is_d and not rep.is_d0
-
-
 @pytest.mark.parametrize("f", FAMILIES[:8], ids=lambda f: f.name)
 def test_d0_implies_d_and_monotone_families_are_d(f):
-    rep = es.check_conditions(f, horizon=2000)
-    assert rep.is_d  # every non-oscillating built-in family is non-increasing
-    if rep.is_d0:
-        assert rep.is_d
-
-
-def test_s_partial_nondecreasing_in_horizon():
-    f = es.rv_power(0.7)
-    values = [es.check_conditions(f, horizon=h).s_partial for h in (16, 64, 256, 1024)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-def test_check_conditions_rejects_tiny_horizon():
-    with pytest.raises(ValueError):
-        es.check_conditions(es.ba(), horizon=8)
+    # condition D is a non-increasing schedule; D0 adds f(t) -> 0, so it implies D
+    vals = f.eval_array(np.arange(2, 2001, dtype=np.int64))
+    assert np.all(np.diff(vals) <= 1e-12)  # every non-oscillating built-in family is D

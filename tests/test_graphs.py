@@ -12,6 +12,8 @@ from edgepa import graphs as gr
 from edgepa import rng as _rng
 from edgepa.observables import bfs_distances, simple_view
 
+from conftest import assert_same_graph
+
 
 def test_new_initial():
     g = gr.new_initial()
@@ -109,6 +111,33 @@ def test_evolve_horizon_prefix_consistency():
     short = gr.evolve(f, 200, seed=7)
     long = gr.evolve(f, 400, seed=7)
     assert np.array_equal(long.endpoints[:400], short.endpoints)
+
+
+@given(
+    horizon=st.integers(1, 3000),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    fam=st.sampled_from(["const:0.5", "const:0", "ba", "rv:0.5", "log:1", "osc:base=30"]),
+    chunk=st.sampled_from([7, 64, 1 << 20]),
+)
+@settings(max_examples=80, deadline=None)
+def test_prefix_is_the_shorter_horizons_graph(horizon, data, seed, fam, chunk):
+    # small draw chunks and resolver blocks put their seams inside the prefix
+    t = data.draw(st.integers(1, horizon), label="t")
+    f = es.make_family(fam)
+    with mock.patch.object(gr, "_DRAW_CHUNK", chunk), mock.patch.object(gr, "_RESOLVE_BLOCK", chunk):
+        full = gr.evolve(f, horizon, seed)
+    prefix = full.prefix(t)
+    prefix.validate()
+    assert_same_graph(prefix, gr.evolve(f, t, seed))
+    assert full.prefix(horizon) is full
+
+
+def test_prefix_rejects_times_outside_the_run():
+    g = gr.evolve(es.constant(0.5), 50, seed=1)
+    for t in (0, 51):
+        with pytest.raises(ValueError, match="prefix time"):
+            g.prefix(t)
 
 
 @given(

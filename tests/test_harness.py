@@ -4,10 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from unittest import mock
+
+from edgepa import coupling
 from edgepa import experiments as ex
 from edgepa.cli import main
 from edgepa.edgestep import make_family
 from edgepa.graphs import evolve, load_graph
+from edgepa.observables import measure_graph
 from edgepa.rng import child_seed
 
 
@@ -47,7 +51,9 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="covers t in"):
         _spec(families=["tab:1,0.5"], horizons=[2, 10]).validate()
     with pytest.raises(ValueError, match="covers t in"):
-        _spec(family2="tab:1,0.5", horizons=[4]).validate()
+        _spec(families=["const:0.5", "tab:1,0.5"], coupled=True, horizons=[4]).validate()
+    with pytest.raises(ValueError, match="at least two families"):
+        _spec(coupled=True).validate()
     _spec(families=["tab:1,0.5"], horizons=[1, 3]).validate()
 
 
@@ -71,13 +77,79 @@ def test_run_emits_theory_overlays():
 
 
 def test_parallel_matches_serial():
-    serial = ex.run(_spec(reps=4, jobs=1))
-    parallel = ex.run(_spec(reps=4, jobs=2))
-    assert _strip_volatile(serial) == _strip_volatile(parallel)
+    for coupled in (False, True):
+        grid = dict(families=["const:0.5", "rv:0.5"], horizons=[60, 200], reps=4, coupled=coupled)
+        serial = ex.run(_spec(**grid, jobs=1))
+        parallel = ex.run(_spec(**grid, jobs=2))
+        assert len(serial) == 16
+        assert _strip_volatile(serial) == _strip_volatile(parallel)
+
+
+def _direct_record(spec, family, t, rep, g):
+    """The record of ``g`` measured on its own, as the run would write it."""
+    report = measure_graph(g, want_clique_exact=spec.clique_exact)
+    rec = ex._report_to_record(
+        spec.spec_hash(), family, t, rep, child_seed(spec.seed, rep), report, ex._overlay(family, t)
+    )
+    return {k: rec[k] for k in ex.RECORD_FIELDS if k != "wall_time"}
+
+
+def test_plain_rows_equal_direct_measurements():
+    spec = _spec(families=["log:1", "ba"], horizons=[1, 17, 300], reps=2, clique_exact=True)
+    rows = ex.run(spec)
+    assert [(r["family"], r["t"], r["rep"]) for r in rows] == [
+        (f, t, rep) for f in ("ba", "log:1") for t in (1, 17, 300) for rep in (0, 1)
+    ]
+    for row in rows:
+        g = evolve(make_family(row["family"]), row["t"], child_seed(spec.seed, row["rep"]))
+        assert _strip_volatile([row])[0] == _direct_record(spec, row["family"], row["t"], row["rep"], g)
+
+
+def test_coupled_grid_rows_equal_direct_collapses():
+    families = ["const:0.2", "const:0.6", "rv:0.5"]
+    spec = _spec(families=families, coupled=True, horizons=[50, 400], reps=3, clique_exact=True)
+    rows = ex.run(spec)
+    keys = [(r["family"], r["t"], r["rep"]) for r in rows]
+    assert sorted(keys) == [(f, t, rep) for f in families for t in (50, 400) for rep in range(3)]
+    for row in rows:
+        tree = coupling.grow_tree(row["t"], child_seed(spec.seed, row["rep"]))
+        g = coupling.collapse(tree, make_family(row["family"]))
+        assert _strip_volatile([row])[0] == _direct_record(spec, row["family"], row["t"], row["rep"], g)
+
+
+def test_one_generation_per_replicate(monkeypatch):
+    evolve_calls = mock.Mock(wraps=ex.evolve)
+    monkeypatch.setattr(ex, "evolve", evolve_calls)
+    rows = ex.run(_spec(families=["const:0.5", "log:1"], horizons=[30, 100, 300], reps=3))
+    assert len(rows) == 18
+    assert evolve_calls.call_count == 6
+    assert {c.args[1] for c in evolve_calls.call_args_list} == {300}
+    grow_calls = mock.Mock(wraps=coupling.grow_tree)
+    monkeypatch.setattr(ex.coupling, "grow_tree", grow_calls)
+    families = ["const:0.3", "const:0.5", "const:0.7"]
+    rows = ex.run(_spec(families=families, coupled=True, horizons=[30, 100, 300], reps=3))
+    assert len(rows) == 27
+    assert grow_calls.call_count == 3 and evolve_calls.call_count == 6
+    assert {c.args[0] for c in grow_calls.call_args_list} == {300}
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_generation_failure_fills_every_row(monkeypatch, coupled):
+    def fail(*args):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(ex, "evolve", fail)
+    monkeypatch.setattr(ex.coupling, "grow_tree", fail)
+    rows = ex.run(_spec(families=["const:0.3", "ba"], coupled=coupled, horizons=[20, 40], reps=2))
+    assert len(rows) == 8
+    assert {r["error"] for r in rows} == {"MemoryError: no room"}
+    assert {(r["family"], r["t"], r["rep"]) for r in rows} == {
+        (f, t, rep) for f in ("const:0.3", "ba") for t in (20, 40) for rep in (0, 1)
+    }
 
 
 def test_coupled_rows_share_tree_seed():
-    spec = _spec(family2="const:0.9", reps=2)
+    spec = _spec(families=["const:0.5", "const:0.9"], coupled=True, reps=2)
     rows = ex.run(spec)
     assert {r["family"] for r in rows} == {"const:0.5", "const:0.9"}
     by_rep = {}
@@ -178,11 +250,18 @@ def test_cli_usage_errors(tmp_path):
 def test_cli_rejects_bad_horizons():
     assert main(["generate", "--family", "const:0.5", "--t", "0", "--seed", "7"]) == 2
     assert main(["generate", "--family", "tab:1,0.5", "--t", "10", "--seed", "7"]) == 2
-    assert main(["sweep", "--family", "tab:1,0.5", "--t", "4", "--seed", "7"]) == 2
-    assert (
-        main(["couple", "--family", "const:0.5", "--family2", "tab:1", "--t", "3", "--seed", "7"])
-        == 2
-    )
+    grid = ["--family", "const:0.5", "--family", "tab:1,0.5"]
+    assert main(["generate", *grid, "--t", "4", "--seed", "7"]) == 2
+    assert main(["couple", "--family", "const:0.5", "--family", "tab:1", "--t", "3", "--seed", "7"]) == 2
+    # a coupled grid needs two families
+    assert main(["couple", "--family", "const:0.5", "--t", "3", "--seed", "7"]) == 2
+
+
+def test_cli_rejects_sweep():
+    # a family grid is a plain generate
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "const:0.5", "--t", "4", "--seed", "7"])
+    assert exc.value.code == 2
 
 
 def test_cli_exits_1_on_record_errors(tmp_path, monkeypatch, capsys):
@@ -193,8 +272,8 @@ def test_cli_exits_1_on_record_errors(tmp_path, monkeypatch, capsys):
     assert main(["generate", *base]) == 0
     monkeypatch.setattr(ex.observables, "measure_graph", fail)
     assert main(["generate", *base]) == 1
-    assert main(["sweep", *base]) == 1
-    assert main(["couple", *base, "--family2", "const:0.7"]) == 1
+    assert main(["generate", *base, "--family", "const:0.7"]) == 1
+    assert main(["couple", *base, "--family", "const:0.7"]) == 1
     assert "RuntimeError: measurement failed" in capsys.readouterr().err
     assert ex.read_records(str(tmp_path / "r.csv"))[0]["error"]
 

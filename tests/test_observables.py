@@ -98,10 +98,10 @@ def test_bfs_distances_match_plain_bfs():
 def test_tallies():
     g = gr.new_initial()
     assert g.n_vertices == 1
-    assert ob.max_degree(g) == 2
-    assert ob.degree_histogram(g) == {2: 1}
+    assert ob.max_degree(g.degrees()) == 2
+    assert ob.degree_histogram(g.degrees()) == {2: 1}
     tree = gr.evolve(es.ba(), 100, seed=1)
-    hist = ob.degree_histogram(tree)
+    hist = ob.degree_histogram(tree.degrees())
     assert sum(hist.values()) == 100
 
 
@@ -111,7 +111,7 @@ def test_max_degree_grows_for_decaying_schedules():
     t, hits = 10**5, 0
     for r in range(20):
         g = gr.evolve(es.rv_power(0.5), t, seed=3000 + r)
-        hits += ob.max_degree(g) >= t**0.8
+        hits += ob.max_degree(g.degrees()) >= t**0.8
     assert hits >= 19
 
 
@@ -169,11 +169,11 @@ def _k5_multigraph():
 
 
 def test_clique_examples():
-    k5 = _k5_multigraph()
-    assert ob.clique_greedy(k5) == 5
+    k5, path = _k5_multigraph(), forced_path(6)
+    assert ob.clique_greedy(ob.simple_view(k5), k5.degrees()) == 5
     assert ob.clique_exact(ob.simple_view(k5)) == (5, "exact", 0)
-    assert ob.clique_greedy(forced_path(6)) == 2
-    assert ob.clique_exact(ob.simple_view(forced_path(6))) == (2, "exact", 0)
+    assert ob.clique_greedy(ob.simple_view(path), path.degrees()) == 2
+    assert ob.clique_exact(ob.simple_view(path)) == (2, "exact", 0)
 
 
 def test_clique_exact_statuses(monkeypatch):
@@ -181,7 +181,7 @@ def test_clique_exact_statuses(monkeypatch):
     g = gr.evolve(es.make_family("log:1"), 3000, 5)
     view = ob.simple_view(g)
     omega, status, nodes = ob.clique_exact(view)
-    greedy = ob.clique_greedy(g, view)
+    greedy = ob.clique_greedy(view, g.degrees())
     assert status == "exact" and nodes > 1 and omega > greedy
     size, status, spent = ob.clique_exact(view, node_budget=1)
     assert status == "lower_bound" and spent == 1
@@ -303,7 +303,7 @@ def test_clique_greedy_and_bitsets_match_references(monkeypatch):
             view = ob.simple_view(g)
             orders = (np.arange(view.n), np.argsort(-g.degrees(), kind="stable"))
             want = max(len(_walk_greedy(view, order)) for order in orders)
-            assert ob.clique_greedy(g, view) == want
+            assert ob.clique_greedy(view, g.degrees()) == want
             masks = [0] * view.n
             for a, b in view.edges.tolist():
                 masks[a] |= 1 << b
@@ -349,7 +349,7 @@ def test_clique_greedy_never_beats_exact():
     assert view.n <= 500
     exact, status, _ = ob.clique_exact(view)
     assert status == "exact"
-    assert ob.clique_greedy(g, view) <= exact
+    assert ob.clique_greedy(view, g.degrees()) <= exact
 
 
 def _recheck_chain(g, chain):
@@ -472,6 +472,11 @@ def test_measure_graph_report():
     assert k * (k - 1) // 2 <= rep.simple_edge_count
 
     assert rep.diameter_lower == all_pairs_diameter(ob.simple_view(g))
+
+    # the by-degree greedy pass orders by the multigraph's degrees: on this
+    # graph the simple view's degrees would find a clique of 5, not 6
+    g = gr.evolve(es.constant(0.5), 400, seed=1)
+    assert ob.measure_graph(g, diameter=False, paths=False).clique_greedy == 6
 
     # seed 13's double sweep leaves a gap (7 against 2 ecc = 8): with no
     # fringe searches allowed the record keeps the bracket and says so

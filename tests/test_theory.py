@@ -126,13 +126,13 @@ def test_vertex_path_mean_ub_brute_pair_sum():
 
 
 def test_clique_theory():
-    lo, hi = th.clique_theory(10**4, 0.5, 0.5)
-    assert lo == pytest.approx(10**0.5)
+    exponent, hi = th.clique_theory(10**4, 0.5)
+    assert exponent == 0.25
     assert hi == 7.0 * 100.0
-    lo, _ = th.clique_theory(10**4, 0.0, 1e-12)
-    assert lo == pytest.approx(100.0)
+    assert th.clique_theory(10**6, 0.0) == (0.5, 7000.0)
+    assert th.clique_theory(10**4, 0.1)[0] == pytest.approx(0.45)
     with pytest.raises(ValueError):
-        th.clique_theory(10**4, 1.0, 0.5)
+        th.clique_theory(10**4, 1.0)
 
 
 def test_tree_diameter_constant():
@@ -148,19 +148,17 @@ def test_diameter_theory_tree_case():
     assert bs.diameter_lower == pytest.approx(math.log(1e5) / math.log(math.log(1e5)) / 3)
     assert bs.diameter_upper_a == pytest.approx(math.log(1e5))
     assert not bs.flags["upper_b"]  # tail sum diverges past 1
-    assert bs.diameter_upper_c is None
+    assert bs.clique_exponent is None and not bs.flags["clique"]
 
 
 def test_diameter_theory_rv_band():
-    bs = th.diameter_theory(es.rv_power(0.5), 10**4, kappa=0.5, gamma=0.5)
+    bs = th.diameter_theory(es.rv_power(0.5), 10**4, gamma=0.5)
     assert (bs.rv_diameter_lower, bs.rv_diameter_upper) == (0.5, 202.0)
-    assert bs.flags["rv"] and bs.flags["upper_c"] and bs.flags["clique"]
+    assert bs.flags["rv"] and bs.flags["clique"]
     # the weighted tail sum still exceeds 1 at this horizon for gamma = 0.5
     assert not bs.flags["upper_b"] and bs.diameter_upper_b is None
     assert bs.clique_upper == 7.0 * math.sqrt(10**4)
-    assert bs.diameter_upper_c == pytest.approx(
-        2 + 12 * math.log(10**4) / math.log(math.log(10**4))
-    )
+    assert bs.clique_exponent == 0.25
 
 
 def test_diameter_theory_tail_regime_applies_for_fast_decay():
