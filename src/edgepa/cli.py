@@ -47,8 +47,22 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(",", " ").split()]
+def _parse_int(key: str, token: str) -> int:
+    """An integer, also in integral scientific notation (``1e4``)."""
+    try:
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        if (value := float(token)).is_integer():  # not for fractions, nan or inf
+            return int(value)
+    except ValueError:
+        pass
+    raise UsageError(f"{key}: {token!r} is not an integer")
+
+
+def _parse_int_list(key: str, text: str) -> list[int]:
+    return [_parse_int(key, token) for token in text.replace(",", " ").split()]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,20 +111,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+
 def _merged(args: argparse.Namespace, key: str, cast, default=None):
     """Flag value if given, else config value, else default."""
     val = getattr(args, key, None)
     if val not in (None, False, []):
         return val
     cfg = getattr(args, "_config", {})
-    if key in cfg:
-        raw = cfg[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        if cast is list:
-            return raw.split()
-        return cast(raw)
-    return default
+    if key not in cfg:
+        return default
+    raw = cfg[key]
+    try:
+        return _CONFIG_BOOLS[raw.lower()] if cast is bool else cast(raw)
+    except (KeyError, ValueError):
+        raise UsageError(f"config {key}={raw!r}: not a valid {cast.__name__}") from None
 
 
 def _spec_from_args(args: argparse.Namespace, coupled: bool) -> experiments.ExperimentSpec:
@@ -126,7 +143,7 @@ def _spec_from_args(args: argparse.Namespace, coupled: bool) -> experiments.Expe
         raise UsageError("--seed is required")
     spec = experiments.ExperimentSpec(
         families=list(families),
-        horizons=_parse_int_list(str(horizons_raw)),
+        horizons=_parse_int_list("t", str(horizons_raw)),
         reps=_merged(args, "reps", int, 1),
         seed=seed,
         coupled=coupled,
@@ -165,10 +182,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_observe(args) -> int:
-    with open(args.graph) as fh:
-        g = load_graph(fh)
+    try:
+        with open(args.graph) as fh:
+            g = load_graph(fh)
+        overlay = experiments._overlay(g.family, g.t) if g.family else {}
+    except ValueError as exc:  # a malformed dump, or an unknown family in its header
+        raise UsageError(f"{args.graph}: {exc}") from None
     report = measure_graph(g)
-    overlay = experiments._overlay(g.family, g.t) if g.family else {}
     record = experiments._report_to_record(
         "observe", g.family or "-", g.t, 0, g.seed if g.seed is not None else "", report, overlay
     )

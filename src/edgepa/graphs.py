@@ -186,9 +186,11 @@ def _presample(f: EdgeStepFunction, t: int, seed: int):
     return (z, *_draw_slots(_rng.stream(seed, _rng.SLOTS), t))
 
 
-def resolve_backward_links(ptr: np.ndarray, val: np.ndarray) -> np.ndarray:
+def resolve_backward_links(ptr: np.ndarray, val: np.ndarray, count: bool = False):
     """``out[i] = val[root(i)]`` for links with ``ptr[i] <= i``; ``ptr[i] == i``
-    marks a terminal.
+    marks a terminal.  With ``count``, returns ``(out, hops)``, where
+    ``hops[i]`` is the number of links followed from ``i`` to its root (the
+    depth of ``i`` when ``ptr`` holds parent links).
 
     Blocks of ``_RESOLVE_BLOCK`` entries are resolved in index order.  A
     block's links into the resolved prefix take one gather; its in-block
@@ -197,19 +199,30 @@ def resolve_backward_links(ptr: np.ndarray, val: np.ndarray) -> np.ndarray:
     first converting them.
     """
     out = np.empty(len(ptr), dtype=val.dtype)
+    hops = np.zeros(len(ptr), dtype=np.int64) if count else None
     for lo in range(0, len(ptr), _RESOLVE_BLOCK):
         hi = min(lo + _RESOLVE_BLOCK, len(ptr))
         p = ptr[lo:hi]
         out[lo:hi] = val[lo:hi]
         got = out.take(p)  # final for terminals and for links into the prefix
         link = np.where(p >= lo, p - lo, np.arange(hi - lo, dtype=p.dtype)) if lo else p
+        if count:
+            # a local root's hops: 0 at a terminal, 1 + the prefix target's
+            # at a link into the prefix; in-block links count 1 each
+            own = np.arange(lo, hi)
+            base = hops.take(p) + (p != own)
+            steps = (link != own - lo).astype(np.int64)
         while True:
             nxt = link.take(link)
             if (nxt == link).all():
                 break
+            if count:
+                steps += steps.take(link)
             link = nxt
         out[lo:hi] = got.take(link)
-    return out
+        if count:
+            hops[lo:hi] = steps + base.take(link)
+    return (out, hops) if count else out
 
 
 def _finish(seed, family, z, endpoints) -> MultiGraph:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import MultiGraph
+from .graphs import MultiGraph, resolve_backward_links
 
 
 @dataclass
@@ -36,6 +36,27 @@ class SimpleView:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    @property
+    def tree_parents(self) -> Optional[np.ndarray]:
+        """Parent links if the view is a tree in heap order, else ``None``;
+        found once per view.
+
+        With ``n - 1`` edges and a smaller neighbour at every vertex but 0,
+        each vertex's links to smaller ones reach 0, so the view is
+        connected, hence a tree.  Each vertex then has exactly one smaller
+        neighbour, the first of its sorted row: its parent.
+        """
+        if "_tree_parents" not in vars(self):
+            parent = None
+            n = self.n
+            if n > 1 and self.n_edges == n - 1 and self.degrees().all():
+                parent = self.indices[self.indptr[:-1]]  # first of each row
+                parent[0] = 0
+                if (parent[1:] >= np.arange(1, n)).any():
+                    parent = None
+            vars(self)["_tree_parents"] = parent
+        return vars(self)["_tree_parents"]
 
 
 def simple_view(g: MultiGraph) -> SimpleView:
@@ -109,12 +130,35 @@ def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
     return dist
 
 
+def _tree_diameter(parent: np.ndarray) -> int:
+    """Diameter of the tree with backward parent links ``parent``
+    (``parent[0] == 0``), by two walks of :func:`resolve_backward_links`.
+
+    The first gives every depth; the deepest vertex ``u`` is a diametral
+    endpoint.  The second finds each vertex's nearest ancestor ``a`` on
+    ``u``'s path to the root, and ``d(u, v) = depth[u] + depth[v] - 2
+    depth[a]``.
+    """
+    _, depth = resolve_backward_links(parent, parent, count=True)
+    path = [int(np.argmax(depth))]
+    while path[-1]:
+        path.append(int(parent[path[-1]]))
+    stops = parent.copy()
+    stops[path] = path  # terminals: each vertex's walk ends on the path
+    dist = resolve_backward_links(stops, depth)  # depth[a] of every v
+    dist *= -2  # in place, so that no further array as long as the tree is made
+    dist += depth
+    return int(depth[path[0]] + dist.max())
+
+
 def diameter_bounds(view: SimpleView, refine_budget: int = 256) -> tuple[int, int]:
     """Certified diameter bracket ``(lb, ub)``, with ``lb == ub`` unless the
     budget of fringe searches ran out.
 
-    A double sweep from the highest-degree vertex ``r`` gives the lower
-    bound ``lb``, the largest eccentricity seen; on a tree it is exact.
+    A tree in heap order (:attr:`SimpleView.tree_parents`) is measured
+    exactly from its parent links, with no search.  Otherwise a double
+    sweep from the highest-degree vertex ``r`` gives the lower bound
+    ``lb``, the largest eccentricity seen; on a tree it is exact.
     Otherwise the breadth-first levels of ``r`` are searched from the
     outermost inward (iFUB: Crescenzi, Grossi, Habib, Lanzi & Marino, TCS
     2013).  Once every vertex above level ``i`` has eccentricity at most
@@ -128,6 +172,9 @@ def diameter_bounds(view: SimpleView, refine_budget: int = 256) -> tuple[int, in
     n = view.n
     if n == 1:
         return (0, 0)
+    if (parent := view.tree_parents) is not None:
+        d = _tree_diameter(parent)
+        return (d, d)
     lb = 0
     ecc_ub = np.full(n, 2 * n, dtype=np.int64)
 
@@ -276,8 +323,11 @@ def clique_exact(view: SimpleView, node_budget: int = 500_000) -> tuple[int, str
     (Tomita & Seki, DMTCS 2003): a colour class is independent, so a
     clique takes at most one vertex of each, and the candidates are
     branched on from the highest colour down until ``size + colour <=
-    best``.
+    best``.  A tree in heap order (:attr:`SimpleView.tree_parents`) has
+    ``omega = 2`` and is not searched.
     """
+    if view.tree_parents is not None:
+        return (2, "exact", 0)
     best = len(_greedy_clique(view, view.degrees()))
     core = _core(view, best)
     if core.n <= best:

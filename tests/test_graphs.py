@@ -158,9 +158,13 @@ def test_fast_matches_sequential_reference(t, seed, fam):
 
 def _resolve_by_loop(ptr, val):
     out = np.empty_like(val)
+    hops = np.zeros(len(ptr), dtype=np.int64)
     for i in range(len(ptr)):
-        out[i] = val[i] if ptr[i] == i else out[ptr[i]]
-    return out
+        if ptr[i] == i:
+            out[i] = val[i]
+        else:
+            out[i], hops[i] = out[ptr[i]], hops[ptr[i]] + 1
+    return out, hops
 
 
 @given(
@@ -181,8 +185,33 @@ def test_resolve_backward_links_matches_loop(n, seed, terminal, reach, block, dt
     val = rng.integers(-5, 10**6, n).astype(dtype)
     with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
         out = gr.resolve_backward_links(ptr, val)
+        counted, hops = gr.resolve_backward_links(ptr, val, count=True)
+    want, want_hops = _resolve_by_loop(ptr, val)
     assert out.dtype == val.dtype
-    assert np.array_equal(out, _resolve_by_loop(ptr, val))
+    assert np.array_equal(out, want)
+    assert np.array_equal(counted, want) and np.array_equal(hops, want_hops)
+
+
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    reach=st.integers(1, 300),
+    block=st.sampled_from([1, 3, 7, 64]),
+)
+@settings(max_examples=80, deadline=None)
+def test_depth_walk_matches_loop(n, seed, reach, block):
+    # parent links of a heap-ordered tree, up to ``reach`` ids back, so that
+    # chains cross the block seams; the hop counts are depths from vertex 0
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n)
+    parent = np.maximum(idx - rng.integers(1, reach + 1, n), 0)
+    parent[0] = 0
+    want = np.zeros(n, dtype=np.int64)
+    for v in range(1, n):
+        want[v] = want[parent[v]] + 1
+    with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+        _, hops = gr.resolve_backward_links(parent, parent, count=True)
+    assert np.array_equal(hops, want)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -196,6 +225,8 @@ def test_resolve_backward_links_edge_cases(dtype):
     # chains that jump back across block boundaries, to one of four terminals
     hop = np.maximum(idx - 4 * (gr._RESOLVE_BLOCK // 8 + 1), idx % 4).astype(dtype)
     assert np.array_equal(gr.resolve_backward_links(hop, val), val[idx % 4])
+    _, hops = gr.resolve_backward_links(chain, val, count=True)
+    assert np.array_equal(hops, idx)
     assert gr.resolve_backward_links(idx[:0], val[:0]).size == 0
 
 

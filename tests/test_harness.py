@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from edgepa import coupling
 from edgepa import experiments as ex
 from edgepa.cli import main
 from edgepa.edgestep import make_family
-from edgepa.graphs import evolve, load_graph
+from edgepa.graphs import dump_graph, evolve, load_graph
 from edgepa.observables import measure_graph
 from edgepa.rng import child_seed
 
@@ -237,7 +238,7 @@ def test_dumped_graphs_are_the_measured_graphs(tmp_path):
     }
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert main(["generate", "--family", "const:0.5", "--t", "100"]) == 2  # missing seed
     assert main(["generate", "--t", "100", "--seed", "1"]) == 2  # missing family
     assert main(["verify", "--suite", "bogus"]) == 2
@@ -245,6 +246,26 @@ def test_cli_usage_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just-a-line\n")
     assert main(["generate", "--config", str(cfg)]) == 2
+    # a config value that fails its cast names the key and the value
+    cfg.write_text("family=const:0.5\nt=100\nseed=1\nreps=abc\n")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert "reps='abc'" in capsys.readouterr().err
+    cfg.write_text("family=const:0.5\nt=100\nseed=1\nclique_exact=ture\n")
+    assert main(["generate", "--config", str(cfg)]) == 2
+    assert "clique_exact='ture'" in capsys.readouterr().err
+    # a truncated dump is a usage error with the loader's message, and so
+    # is a dump whose header names no known family
+    buf = io.StringIO()
+    dump_graph(evolve(make_family("const:0.5"), 30, 1), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    dump = tmp_path / "bad.graph"
+    dump.write_text("".join(lines[:12]))  # the header and 11 of 30 edges
+    assert main(["observe", str(dump)]) == 2
+    assert "graph dump line 13: expected 's u v z'" in capsys.readouterr().err
+    dump.write_text("".join([lines[0].replace("const:0.5", "bogus:1")] + lines[1:]))
+    assert main(["observe", str(dump)]) == 2
+    assert "unknown family 'bogus'" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_horizons():
@@ -255,6 +276,20 @@ def test_cli_rejects_bad_horizons():
     assert main(["couple", "--family", "const:0.5", "--family", "tab:1", "--t", "3", "--seed", "7"]) == 2
     # a coupled grid needs two families
     assert main(["couple", "--family", "const:0.5", "--t", "3", "--seed", "7"]) == 2
+
+
+@pytest.mark.parametrize("horizons", ["100,abc", "1.5", "1e-3", "inf", "1e4x"])
+def test_cli_rejects_malformed_horizons(horizons, capsys):
+    assert main(["generate", "--family", "ba", "--t", horizons, "--seed", "1"]) == 2
+    bad = next(tok for tok in horizons.split(",") if not tok.isdigit())
+    assert f"t: {bad!r} is not an integer" in capsys.readouterr().err
+
+
+def test_cli_reads_horizons_in_scientific_notation(tmp_path):
+    out = tmp_path / "r.csv"
+    off = ["--no-diameter", "--no-clique", "--no-paths", "--out", str(out)]
+    assert main(["generate", "--family", "ba", "--t", "1e2,2E2", "--seed", "1", *off]) == 0
+    assert [r["t"] for r in ex.read_records(str(out))] == ["100", "200"]
 
 
 def test_cli_rejects_sweep():
@@ -289,6 +324,12 @@ def test_cli_config_and_override(tmp_path):
     assert ex.read_records(str(out1))[0]["t"] == "120"
     assert main(["generate", "--config", str(cfg), "--t", "80", "--out", str(out2)]) == 0
     assert ex.read_records(str(out2))[0]["t"] == "80"
+    # switches read yes/no words; the default stays where a key is absent
+    cfg.write_text(f"family=const:0.5\nt=120\nseed=3\nout={out1}\nclique_exact=yes\nno_paths=on\n")
+    assert main(["generate", "--config", str(cfg)]) == 0
+    row = ex.read_records(str(out1))[0]
+    assert row["clique_exact_status"] == "exact" and row["max_vertex_path"] == ""
+    assert row["diameter_method"] == "exact"
 
 
 def test_cli_verify_exit_codes():

@@ -1,10 +1,12 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgepa import coupling
 from edgepa import edgestep as es
 from edgepa import graphs as gr
 from edgepa import observables as ob
@@ -135,12 +137,62 @@ def test_diameter_cross_checks(rng):
 
 
 def test_diameter_on_generated_graphs():
-    # graphs with hubs, chains and parallel edges, against the all-pairs oracle
-    for desc in ("const:0.5", "log:1", "rv:0.5", "const:0.9", "osc:base=10"):
+    # graphs with hubs, chains and parallel edges, and trees, against the
+    # all-pairs oracle
+    for desc in ("const:0.5", "log:1", "rv:0.5", "const:0.9", "osc:base=10", "ba"):
         for seed in range(2):
             view = ob.simple_view(gr.evolve(es.make_family(desc), 800, seed))
             exact = all_pairs_diameter(view)
             assert ob.diameter_bounds(view) == (exact, exact)
+    for seed in range(2):
+        tree = coupling.collapse(coupling.grow_tree(800, seed), es.make_family("ba"))
+        view = ob.simple_view(tree)
+        assert view.tree_parents is not None
+        exact = all_pairs_diameter(view)
+        assert ob.diameter_bounds(view) == (exact, exact)
+
+
+@given(
+    n=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+    reach=st.integers(1, 300),
+)
+@settings(max_examples=40, deadline=None)
+def test_heap_ordered_trees_are_measured_from_parent_links(n, seed, reach):
+    # each vertex links to one of the ``reach`` before it: paths to bushy trees
+    rng = np.random.default_rng(seed)
+    child = np.arange(1, n)
+    parent = np.concatenate([[0], rng.integers(np.maximum(child - reach, 0), child)])
+    view = ob._view_from_pairs(n, parent[1:], child)
+    assert np.array_equal(view.tree_parents, parent)
+    exact = all_pairs_diameter(view)
+    assert ob.diameter_bounds(view) == (exact, exact)
+    assert ob.clique_exact(view) == (2, "exact", 0)
+    # the same tree relabelled at random, measured by the double sweep
+    label = rng.permutation(n)
+    relabelled = ob._view_from_pairs(n, label[parent[1:]], label[child])
+    assert ob.diameter_bounds(relabelled) == (exact, exact)
+    with mock.patch.object(ob.SimpleView, "tree_parents", None):
+        assert ob.diameter_bounds(relabelled) == (exact, exact)
+        assert ob.clique_exact(relabelled) == (2, "exact", 0)
+
+
+def test_tree_test_rejects_non_trees():
+    # n - 1 edges and no isolated vertex, but vertex 2 has two smaller
+    # neighbours: a triangle beside an edge
+    view = ob._view_from_pairs(5, np.array([0, 0, 1, 3]), np.array([1, 2, 2, 4]))
+    assert view.n_edges == view.n - 1 and view.degrees().all()
+    assert view.tree_parents is None
+    with pytest.raises(ValueError, match="disconnected"):
+        ob.diameter_bounds(view)
+    # n - 1 edges with vertex 3 isolated; a tree plus one edge
+    assert ob._view_from_pairs(4, np.array([0, 0, 1]), np.array([1, 2, 2])).tree_parents is None
+    assert ob._view_from_pairs(3, np.array([0, 0, 1]), np.array([1, 2, 2])).tree_parents is None
+    # a tree whose vertex 1 has no smaller neighbour (not in heap order)
+    relabelled = ob._view_from_pairs(3, np.array([0, 2]), np.array([2, 1]))
+    assert relabelled.tree_parents is None
+    assert ob.diameter_bounds(relabelled) == (2, 2)
+    assert ob.simple_view(gr.new_initial()).tree_parents is None  # one vertex
 
 
 def test_diameter_exact_guards():
@@ -487,3 +539,15 @@ def test_measure_graph_report():
     assert bounded.diameter_method == "bounds"
     assert bounded.diameter_lower <= exact <= bounded.diameter_upper
     assert bounded.diameter_lower < bounded.diameter_upper
+
+
+@pytest.mark.parametrize("desc", ["ba", "const:0.5"])
+def test_measure_graph_tree_path_changes_no_column(desc):
+    g = gr.evolve(es.make_family(desc), 3000, 4)
+    report = ob.measure_graph(g, want_clique_exact=True)
+    with mock.patch.object(ob.SimpleView, "tree_parents", None):
+        assert ob.measure_graph(g, want_clique_exact=True) == report
+    if desc == "ba":
+        assert report.diameter_method == "exact"
+        assert report.clique_exact_status == "exact"
+        assert report.clique_exact == 2 and report.clique_nodes == 0
