@@ -26,19 +26,12 @@ from .edgestep import (
     tabulated,
 )
 from .graphs import (
-    EDGE,
-    VERTEX,
     MultiGraph,
-    canonical_form,
     canonical_key,
     dump_graph,
-    dumps_graph,
     evolve,
     evolve_batch,
-    evolve_step,
     load_graph,
-    new_initial,
-    sample_preferential,
 )
 from .observables import (
     ObservableReport,
@@ -49,7 +42,6 @@ from .observables import (
     count_vertex_paths,
     degree_histogram,
     diameter_bounds,
-    isolated_chains,
     isolated_paths,
     max_degree,
     max_vertex_path,

@@ -19,7 +19,7 @@ resolution that is draw-for-draw identical to the sequential definition
 
 from __future__ import annotations
 
-import io
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,10 +27,6 @@ import numpy as np
 
 from . import rng as _rng
 from .edgestep import EdgeStepFunction
-
-VERTEX = "vertex"
-EDGE = "edge"
-
 
 @dataclass
 class MultiGraph:
@@ -101,52 +97,6 @@ class MultiGraph:
             raise ValueError("vertex-step slots must hold the new vertex id")
 
 
-def new_initial() -> MultiGraph:
-    """The starting graph: one vertex, one loop, time 1."""
-    return MultiGraph(
-        endpoints=np.array([1, 1], dtype=np.int64),
-        step_type=np.array([True]),
-        birth_time=np.array([1], dtype=np.int64),
-        parent=np.array([0], dtype=np.int64),
-    )
-
-
-def sample_preferential(g: MultiGraph, gen: np.random.Generator) -> int:
-    """Draw a vertex with probability degree/2t via a uniform endpoint slot."""
-    return int(g.endpoints[gen.integers(0, len(g.endpoints))])
-
-
-def evolve_step(g: MultiGraph, coin: str, gen: np.random.Generator) -> MultiGraph:
-    """Apply one vertex- or edge-step to ``g`` and return the grown graph.
-
-    Both edge-step endpoints are drawn on the pre-step graph, so each sees
-    the same degree normalization.
-    """
-    if coin == VERTEX:
-        u = sample_preferential(g, gen)
-        vid = g.n_vertices + 1
-        return MultiGraph(
-            endpoints=np.append(g.endpoints, [u, vid]),
-            step_type=np.append(g.step_type, True),
-            birth_time=np.append(g.birth_time, g.t + 1),
-            parent=np.append(g.parent, u),
-            family=g.family,
-            seed=g.seed,
-        )
-    if coin == EDGE:
-        u1 = sample_preferential(g, gen)
-        u2 = sample_preferential(g, gen)
-        return MultiGraph(
-            endpoints=np.append(g.endpoints, [u1, u2]),
-            step_type=np.append(g.step_type, False),
-            birth_time=g.birth_time,
-            parent=g.parent,
-            family=g.family,
-            seed=g.seed,
-        )
-    raise ValueError(f"coin must be {VERTEX!r} or {EDGE!r}, got {coin!r}")
-
-
 # -- full-trajectory generation -------------------------------------------
 
 # Steps per chunk of slot draws, and entries per block of the link
@@ -196,22 +146,29 @@ def resolve_backward_links(ptr: np.ndarray, val: np.ndarray, count: bool = False
     block's links into the resolved prefix take one gather; its in-block
     links are resolved by pointer doubling on a local array that stays in
     cache.  Gathers use ``take``, which indexes with int32 ids without
-    first converting them.
+    first converting them.  A forward link raises ``ValueError``: every
+    cycle has one, and the doubling would follow a cycle forever, or, on
+    one whose length is a power of two, settle on a wrong root.
     """
     out = np.empty(len(ptr), dtype=val.dtype)
     hops = np.zeros(len(ptr), dtype=np.int64) if count else None
     for lo in range(0, len(ptr), _RESOLVE_BLOCK):
         hi = min(lo + _RESOLVE_BLOCK, len(ptr))
         p = ptr[lo:hi]
+        rel = p - lo
+        local = np.arange(hi - lo, dtype=p.dtype)
+        forward = rel > local
+        if forward.any():
+            i = int(np.argmax(forward))
+            raise ValueError(f"link at {lo + i} points forward, to {p[i]}")
         out[lo:hi] = val[lo:hi]
         got = out.take(p)  # final for terminals and for links into the prefix
-        link = np.where(p >= lo, p - lo, np.arange(hi - lo, dtype=p.dtype)) if lo else p
+        link = np.where(rel >= 0, rel, local)
         if count:
             # a local root's hops: 0 at a terminal, 1 + the prefix target's
             # at a link into the prefix; in-block links count 1 each
-            own = np.arange(lo, hi)
-            base = hops.take(p) + (p != own)
-            steps = (link != own - lo).astype(np.int64)
+            base = hops.take(p) + (rel != local)
+            steps = (link != local).astype(np.int64)
         while True:
             nxt = link.take(link)
             if (nxt == link).all():
@@ -354,32 +311,18 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- canonical forms --------------------------------------------------------
-
-
-def edge_birth_pairs(g: MultiGraph) -> np.ndarray:
-    """Edges as sorted (older, younger) birth-time pairs, one row per edge."""
-    bt = g.birth_time[g.endpoints - 1].reshape(-1, 2)
-    return np.sort(bt, axis=1)
-
-
-def canonical_form(g: MultiGraph) -> tuple:
-    """Hashable identity of a run: step types plus the birth-time edge multiset.
-
-    Vertices are named by birth time, so two graphs are equal as labeled
-    multigraphs exactly when their canonical forms are equal; no
-    isomorphism search is ever needed.
-    """
-    pairs = edge_birth_pairs(g)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    z = tuple(bool(b) for b in g.step_type[1:])
-    edges = tuple((int(a), int(b)) for a, b in pairs[order])
-    return (z, edges)
+# -- canonical form ---------------------------------------------------------
 
 
 def canonical_key(g: MultiGraph) -> bytes:
-    """Compact bytes equivalent of :func:`canonical_form` for bulk comparisons."""
-    pairs = edge_birth_pairs(g).astype(np.int64)
+    """Hashable identity of a run: its step types and the multiset of its
+    edges as sorted (older, younger) birth-time pairs, packed into bytes.
+
+    Vertices are named by birth time, so two graphs are equal as labeled
+    multigraphs exactly when their keys are equal; no isomorphism search
+    is ever needed.
+    """
+    pairs = np.sort(g.birth_time[g.endpoints - 1].reshape(-1, 2), axis=1).astype(np.int64)
     packed = np.sort(pairs[:, 0] * (g.t + 2) + pairs[:, 1])
     return g.t.to_bytes(8, "little") + np.ascontiguousarray(g.step_type).tobytes() + packed.tobytes()
 
@@ -397,12 +340,6 @@ def dump_graph(g: MultiGraph, fh) -> None:
         fh.write(f"{s} {u} {v} {int(g.step_type[s - 1])}\n")
 
 
-def dumps_graph(g: MultiGraph) -> str:
-    buf = io.StringIO()
-    dump_graph(g, buf)
-    return buf.getvalue()
-
-
 def load_graph(fh) -> MultiGraph:
     """Read a dump back; the round trip is bit-exact."""
     header = fh.readline().split()
@@ -412,18 +349,24 @@ def load_graph(fh) -> MultiGraph:
     seed = None if header[2] == "-" else int(header[2])
     family = "" if header[3] == "-" else header[3]
 
-    endpoints = np.zeros(2 * t, dtype=np.int64)
-    step_type = np.zeros(t, dtype=bool)
-    for i in range(t):
-        parts = fh.readline().split()
+    # the edge lines are read before anything sized by the header's t
+    ends, coins = array("q"), array("b")
+    for line_no, line in enumerate(fh, start=2):
+        parts = line.split()
         if len(parts) != 4:
-            raise ValueError(f"graph dump line {i + 2}: expected 's u v z'")
+            raise ValueError(f"graph dump line {line_no}: expected 's u v z'")
         s, u, v, z = (int(x) for x in parts)
-        if s != i + 1:
-            raise ValueError(f"graph dump line {i + 2}: out-of-order edge time {s}")
-        endpoints[2 * i] = u
-        endpoints[2 * i + 1] = v
-        step_type[i] = bool(z)
+        if s != line_no - 1:
+            raise ValueError(f"graph dump line {line_no}: out-of-order edge time {s}")
+        ends.extend((u, v))
+        coins.append(z != 0)
+    claim = f"(the header claims {t} edges)"
+    if len(coins) < t:
+        raise ValueError(f"graph dump line {len(coins) + 2}: expected 's u v z' {claim}")
+    if len(coins) > t:
+        raise ValueError(f"graph dump line {t + 2}: expected the end {claim}")
+    endpoints = np.array(ends, dtype=np.int64)
+    step_type = np.array(coins, dtype=bool)
 
     if t and not step_type[0]:
         raise ValueError("graph dump line 2: step 1 must be the seed vertex")

@@ -369,57 +369,30 @@ def clique_exact(view: SimpleView, node_budget: int = 500_000) -> tuple[int, str
     return (best, "exact", nodes)
 
 
-# -- isolated chains -----------------------------------------------------------
+# -- isolated chains and vertex paths -------------------------------------------
 
 
-def isolated_chains(g: MultiGraph) -> list[list[int]]:
-    """All maximal isolated chains, each as vertex ids oldest first.
+def _run_lengths(parent: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Vertices on the run of links ``v -> parent[v]`` climbed from each
+    ``v`` while ``keep`` holds, ``v`` included, by one walk of
+    :func:`resolve_backward_links` (0-based ids)."""
+    ptr = np.where(keep, parent, np.arange(len(parent)))
+    return resolve_backward_links(ptr, ptr, count=True)[1] + 1
+
+
+def isolated_paths(g: MultiGraph, degrees: np.ndarray) -> Counter:
+    """Multiset of maximal isolated-chain lengths (vertex counts).
 
     A chain is a run of vertex-born vertices in increasing birth order,
     each first-connected to its predecessor, with interior degrees exactly
-    2 and tip degree 1; the walk from each degree-1 tip climbs parents
-    until the predicate first fails, so every chain is reported at its
-    maximal valid length.  The root never qualifies (it was not born by a
-    step coin), while every other vertex is vertex-born by construction.
+    2 and tip degree 1: the climb from each degree-1 tip follows parents
+    until the next one is the root (not born by a step coin) or has a
+    degree other than 2.  ``degrees`` are the multigraph's,
+    ``g.degrees()``.
     """
-    deg = g.degrees()
-    chains: list[list[int]] = []
-    for tip in np.flatnonzero(deg == 1) + 1:
-        chain = [int(tip)]
-        cur = int(tip)
-        while True:
-            p = int(g.parent[cur - 1])
-            if p <= 1 or deg[p - 1] != 2:
-                break
-            chain.append(p)
-            cur = p
-        chain.reverse()
-        chains.append(chain)
-    return chains
-
-
-def _chain_links(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees and chain links by vertex id: the parent when it is not the
-    root and has degree 2 (the climb of :func:`isolated_chains`), else 0."""
-    deg = np.concatenate([[0], g.degrees()])
-    par = np.concatenate([[0], g.parent]).astype(np.int64)
-    return deg, np.where((par > 1) & (deg[par] == 2), par, 0)
-
-
-def isolated_paths(g: MultiGraph) -> Counter:
-    """Multiset of maximal isolated-chain lengths (vertex counts).
-
-    The lengths of :func:`isolated_chains` by pointer jumping over the
-    chain links: a tip's chain length is the number of vertices on its
-    link path.
-    """
-    deg, ptr = _chain_links(g)
-    length = np.ones(len(ptr), dtype=np.int64)
-    length[0] = 0  # entry 0 is the null link
-    while ptr.any():
-        length = length + length[ptr]
-        ptr = ptr[ptr]
-    counts = np.bincount(length[deg == 1])
+    par = g.parent - 1  # the root's reads -1 and is never followed
+    runs = _run_lengths(par, (par > 0) & (degrees[par] == 2))
+    counts = np.bincount(runs[degrees == 1])
     present = np.flatnonzero(counts)
     return Counter(dict(zip(present.tolist(), counts[present].tolist())))
 
@@ -430,43 +403,31 @@ def count_isolated_in_window(g: MultiGraph, l: int, xi: float) -> int:
     Counts, per maximal chain, the single size-``l`` sub-chain ending at
     the degree-1 tip, provided all ``l`` of its vertices were born in the
     window; only tails qualify because interior vertices have degree 2.
-    Pointer jumping finds the tail's oldest vertex ``l - 1`` chain links
-    above the tip (null if the chain is shorter); its birth decides.
+    Births increase up the ids and down a chain, so that holds exactly
+    when the tip is born in the window and its chain, climbed only through
+    vertices born in the window, has at least ``l`` of them.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
-    deg, ptr = _chain_links(g)
-    head = np.flatnonzero(deg == 1)
-    steps = l - 1
-    while steps and head.any():
-        if steps & 1:
-            head = ptr[head]
-        ptr = ptr[ptr]
-        steps >>= 1
-    born = np.concatenate([[0], g.birth_time])
-    return int(np.count_nonzero((head > 0) & (born[head] >= xi * g.t)))
-
-
-# -- vertex paths ---------------------------------------------------------------
+    degrees = g.degrees()
+    lo = int(np.searchsorted(g.birth_time, xi * g.t))  # the first born in the window
+    par = g.parent - 1
+    runs = _run_lengths(par, (par >= max(lo, 1)) & (degrees[par] == 2))
+    return int(np.count_nonzero(runs[lo:][degrees[lo:] == 1] >= l))
 
 
 def vertex_path_depths(g: MultiGraph, t0: int) -> np.ndarray:
     """Length of the first-connection chain ending at each vertex.
 
     A vertex qualifies when it was vertex-born at time >= ``t0``; its
-    depth is 1 plus the parent's depth when the parent qualifies too.
-    Indexed by vertex id (entry 0 unused).
+    depth is 1 plus the parent's depth when the parent qualifies too, and
+    0 when it does not qualify.  Births increase with the ids, so the
+    qualifying vertices are a suffix.  Indexed by vertex id - 1.
     """
-    n = g.n_vertices
-    qual = np.zeros(n + 1, dtype=bool)
-    qual[2:] = g.birth_time[1:] >= t0
-    par = np.concatenate([[0], g.parent]).astype(np.int64)
-    par[par < 0] = 0
-    depth = qual.astype(np.int64)
-    ptr = np.where(qual & qual[par], par, 0)
-    while ptr.any():
-        depth = depth + depth[ptr]
-        ptr = ptr[ptr]
+    lo = max(1, int(np.searchsorted(g.birth_time, t0)))  # the root was not born by a coin
+    par = g.parent - 1
+    depth = _run_lengths(par, par >= lo)
+    depth[:lo] = 0
     return depth
 
 
@@ -558,7 +519,7 @@ def measure_graph(
             exact = clique_exact(view)
             report.clique_exact, report.clique_exact_status, report.clique_nodes = exact
     if paths:
-        report.isolated_path_lengths = isolated_paths(g)
+        report.isolated_path_lengths = isolated_paths(g, degrees)
         t0 = vertex_path_t0 if vertex_path_t0 is not None else _default_t0(g.t)
         report.max_vertex_path = max_vertex_path(g, t0)
         report.vertex_path_t0 = t0

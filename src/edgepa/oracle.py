@@ -25,7 +25,7 @@ import numpy as np
 
 from .coupling import DoublyLabeledTree, collapse
 from .edgestep import EdgeStepFunction
-from .graphs import canonical_form, evolve_batch
+from .graphs import evolve_batch
 
 MAX_ENUM_T = 6
 
@@ -105,6 +105,8 @@ def enumerate_direct_law(f: EdgeStepFunction, t: int) -> GraphLaw:
 
 
 def _canon_lists(z: list, endpoints: list) -> tuple:
+    """Key of a run whose endpoints are named by birth time: the coins of
+    steps 2..t and the sorted edge pairs.  Both laws key by it."""
     pairs = sorted(
         (min(endpoints[2 * i], endpoints[2 * i + 1]), max(endpoints[2 * i], endpoints[2 * i + 1]))
         for i in range(len(endpoints) // 2)
@@ -133,7 +135,7 @@ def enumerate_collapse_law(f: EdgeStepFunction, t: int) -> GraphLaw:
             seed=0,
         )
         g = collapse(tree, f)
-        key = canonical_form(g)
+        key = _canon_lists(g.step_type[1:].tolist(), g.birth_time[g.endpoints - 1].tolist())
         probs[key] = probs.get(key, Fraction(0)) + weight
 
     def recurse_labels(w: list, keep: list, j: int, ell: list, weight: Fraction) -> None:
@@ -208,11 +210,3 @@ def sample_direct_law(f: EdgeStepFunction, t: int, reps: int, seed: int) -> dict
         out[(zt, edges)] = int(cnt)
     return out
 
-
-def dump_law(law: GraphLaw, fh) -> None:
-    """Write ``probability <tab> canonical-edge-list`` lines, sorted by key."""
-    for key in sorted(law.probs):
-        z, edges = key
-        zs = "".join("1" if b else "0" for b in z)
-        es = " ".join(f"({a},{b})" for a, b in edges)
-        fh.write(f"{float(law.probs[key])!r}\tz={zs} {es}\n")

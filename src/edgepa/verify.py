@@ -540,9 +540,9 @@ def c14_observable_oracles(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
     loops = evolve(constant(0.0), 50, _rng.child_seed(seed, 140))
     fixtures_ok = (
-        ob.isolated_paths(line) == Counter({2: 1})
-        and ob.isolated_paths(two) == Counter({3: 1, 4: 1})
-        and ob.isolated_paths(loops) == Counter()
+        ob.isolated_paths(line, line.degrees()) == Counter({2: 1})
+        and ob.isolated_paths(two, two.degrees()) == Counter({3: 1, 4: 1})
+        and ob.isolated_paths(loops, loops.degrees()) == Counter()
     )
     ok = diam_bad == 0 and clique_bad == 0 and fixtures_ok
     return _result(

@@ -1,0 +1,107 @@
+"""Reference semantics that the tests compare the package against.
+
+The one-step process (``new_initial``, ``sample_preferential``,
+``evolve_step``) states the generator's definition one draw at a time;
+``isolated_chains`` walks each chain in Python; ``dumps_graph`` and
+``dump_law`` render a graph and a law as text.  None of them is on a
+measurement path, so they live beside the tests.
+"""
+
+from __future__ import annotations
+
+import io
+
+import numpy as np
+
+from edgepa.graphs import MultiGraph, dump_graph
+from edgepa.oracle import GraphLaw
+
+VERTEX = "vertex"
+EDGE = "edge"
+
+
+def new_initial() -> MultiGraph:
+    """The starting graph: one vertex, one loop, time 1."""
+    return MultiGraph(
+        endpoints=np.array([1, 1], dtype=np.int64),
+        step_type=np.array([True]),
+        birth_time=np.array([1], dtype=np.int64),
+        parent=np.array([0], dtype=np.int64),
+    )
+
+
+def sample_preferential(g: MultiGraph, gen: np.random.Generator) -> int:
+    """Draw a vertex with probability degree/2t via a uniform endpoint slot."""
+    return int(g.endpoints[gen.integers(0, len(g.endpoints))])
+
+
+def evolve_step(g: MultiGraph, coin: str, gen: np.random.Generator) -> MultiGraph:
+    """Apply one vertex- or edge-step to ``g`` and return the grown graph.
+
+    Both edge-step endpoints are drawn on the pre-step graph, so each sees
+    the same degree normalization.
+    """
+    if coin == VERTEX:
+        u = sample_preferential(g, gen)
+        vid = g.n_vertices + 1
+        return MultiGraph(
+            endpoints=np.append(g.endpoints, [u, vid]),
+            step_type=np.append(g.step_type, True),
+            birth_time=np.append(g.birth_time, g.t + 1),
+            parent=np.append(g.parent, u),
+            family=g.family,
+            seed=g.seed,
+        )
+    if coin == EDGE:
+        u1 = sample_preferential(g, gen)
+        u2 = sample_preferential(g, gen)
+        return MultiGraph(
+            endpoints=np.append(g.endpoints, [u1, u2]),
+            step_type=np.append(g.step_type, False),
+            birth_time=g.birth_time,
+            parent=g.parent,
+            family=g.family,
+            seed=g.seed,
+        )
+    raise ValueError(f"coin must be {VERTEX!r} or {EDGE!r}, got {coin!r}")
+
+
+def isolated_chains(g: MultiGraph) -> list[list[int]]:
+    """All maximal isolated chains, each as vertex ids oldest first.
+
+    A chain is a run of vertex-born vertices in increasing birth order,
+    each first-connected to its predecessor, with interior degrees exactly
+    2 and tip degree 1; the walk from each degree-1 tip climbs parents
+    until the predicate first fails, so every chain is reported at its
+    maximal valid length.  The root never qualifies (it was not born by a
+    step coin), while every other vertex is vertex-born by construction.
+    """
+    deg = g.degrees()
+    chains: list[list[int]] = []
+    for tip in np.flatnonzero(deg == 1) + 1:
+        chain = [int(tip)]
+        cur = int(tip)
+        while True:
+            p = int(g.parent[cur - 1])
+            if p <= 1 or deg[p - 1] != 2:
+                break
+            chain.append(p)
+            cur = p
+        chain.reverse()
+        chains.append(chain)
+    return chains
+
+
+def dumps_graph(g: MultiGraph) -> str:
+    buf = io.StringIO()
+    dump_graph(g, buf)
+    return buf.getvalue()
+
+
+def dump_law(law: GraphLaw, fh) -> None:
+    """Write ``probability <tab> canonical-edge-list`` lines, sorted by key."""
+    for key in sorted(law.probs):
+        z, edges = key
+        zs = "".join("1" if b else "0" for b in z)
+        es = " ".join(f"({a},{b})" for a, b in edges)
+        fh.write(f"{float(law.probs[key])!r}\tz={zs} {es}\n")

