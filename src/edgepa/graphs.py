@@ -355,10 +355,13 @@ def load_graph(fh) -> MultiGraph:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"graph dump line {line_no}: expected 's u v z'")
-        s, u, v, z = (int(x) for x in parts)
+        try:
+            s, u, v, z = (int(x) for x in parts)
+            ends.extend((u, v))
+        except (ValueError, OverflowError):
+            raise ValueError(f"graph dump line {line_no}: 's u v z' must be 64-bit integers") from None
         if s != line_no - 1:
             raise ValueError(f"graph dump line {line_no}: out-of-order edge time {s}")
-        ends.extend((u, v))
         coins.append(z != 0)
     claim = f"(the header claims {t} edges)"
     if len(coins) < t:

@@ -102,7 +102,17 @@ def degree_histogram(degrees: np.ndarray) -> dict[int, int]:
 
 
 def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
-    """Unweighted distances from ``src``; unreachable vertices get -1."""
+    """Unweighted distances from ``src``; unreachable vertices get -1.
+
+    Direction-optimizing (Beamer, Asanović & Patterson, SC 2012).  The
+    search keeps two arc counts: the current level's, and ``left``, those
+    of the vertices not reached yet.  A level whose arcs are at most a
+    quarter of ``left`` is expanded top-down: every arc of the level is
+    gathered.  A wider one, such as the neighbours of a hub, is run
+    bottom-up by :func:`_bottom_up_level`: each unvisited vertex of degree
+    >= 1 joins the next level if a neighbour lies on this one, and its
+    first neighbour is probed before any whole row is gathered.
+    """
     dist = np.full(view.n, -1, dtype=np.int64)
     dist[src] = 0
     frontier = np.array([src], dtype=np.int64)
@@ -111,12 +121,24 @@ def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
     owner = np.empty(view.n, dtype=np.int64)
     d = 0
     indptr, indices = view.indptr, view.indices
+    left = len(indices)
+    todo = None  # unvisited vertices of degree >= 1, kept from the last bottom-up level
     while frontier.size:
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
         total = int(counts.sum())
         if total == 0:
             break
+        left -= total
+        if 4 * total > left:
+            if todo is None:
+                todo = np.flatnonzero((dist < 0) & (indptr[1:] > indptr[:-1]))
+            else:
+                todo = todo[dist[todo] < 0]
+            frontier = _bottom_up_level(indptr, indices, dist, todo, d)
+            d += 1
+            dist[frontier] = d
+            continue
         shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
         nbrs = indices[shift + np.arange(total)]
         nbrs = nbrs[dist[nbrs] < 0]
@@ -128,6 +150,35 @@ def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
         owner[nbrs] = slots
         frontier = nbrs[owner[nbrs] == slots]
     return dist
+
+
+def _bottom_up_level(
+    indptr: np.ndarray, indices: np.ndarray, dist: np.ndarray, todo: np.ndarray, d: int
+) -> np.ndarray:
+    """The vertices of ``todo`` (unvisited, each of degree >= 1) with a
+    neighbour on level ``d``.
+
+    numpy cannot stop a row scan at its first hit, so each vertex's first
+    neighbour (its oldest, often a hub) is probed alone, and only the
+    vertices that probe misses have the rest of their rows gathered.
+    Rows must be non-empty: a degree-0 ``v``'s ``indices[indptr[v]]`` is
+    the next row's entry, and ``reduceat`` over an empty row returns the
+    next row's entry too.
+    """
+    hit = dist[indices[indptr[todo]]] == d
+    found = todo[hit]
+    rest = todo[~hit]
+    starts = indptr[rest] + 1
+    counts = indptr[rest + 1] - starts
+    more = counts > 0
+    rest, starts, counts = rest[more], starts[more], counts[more]
+    total = int(counts.sum())
+    if total:
+        offsets = np.cumsum(counts) - counts
+        shift = np.repeat(starts - offsets, counts)
+        near = dist[indices[shift + np.arange(total)]] == d
+        found = np.concatenate([found, rest[np.logical_or.reduceat(near, offsets)]])
+    return found
 
 
 def _tree_diameter(parent: np.ndarray) -> int:

@@ -460,21 +460,6 @@ def _random_view(gen: np.random.Generator, n: int, extra: int) -> ob.SimpleView:
     return ob.SimpleView(n=n, edges=edges, indptr=indptr, indices=dst[order])
 
 
-def all_pairs_diameter(view: ob.SimpleView) -> int:
-    """All-pairs oracle: a breadth-first search from every vertex.
-
-    Quadratic, so for tests on small graphs only.  Raises on disconnected
-    input.
-    """
-    best = 0
-    for src in range(view.n):
-        dist = ob.bfs_distances(view, src)
-        if dist.min() < 0:
-            raise ValueError("graph is disconnected")
-        best = max(best, int(dist.max()))
-    return best
-
-
 def floyd_warshall_diameter(view: ob.SimpleView) -> int:
     """Independent all-pairs oracle by min-plus relaxation."""
     n = view.n

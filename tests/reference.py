@@ -2,9 +2,11 @@
 
 The one-step process (``new_initial``, ``sample_preferential``,
 ``evolve_step``) states the generator's definition one draw at a time;
-``isolated_chains`` walks each chain in Python; ``dumps_graph`` and
-``dump_law`` render a graph and a law as text.  None of them is on a
-measurement path, so they live beside the tests.
+``isolated_chains`` walks each chain in Python; ``plain_bfs`` and
+``all_pairs_diameter`` measure distances by a FIFO queue over Python
+lists, with no code shared with ``observables.bfs_distances``;
+``dumps_graph`` and ``dump_law`` render a graph and a law as text.  None
+of them is on a measurement path, so they live beside the tests.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import io
 import numpy as np
 
 from edgepa.graphs import MultiGraph, dump_graph
+from edgepa.observables import SimpleView
 from edgepa.oracle import GraphLaw
 
 VERTEX = "vertex"
@@ -90,6 +93,37 @@ def isolated_chains(g: MultiGraph) -> list[list[int]]:
         chain.reverse()
         chains.append(chain)
     return chains
+
+
+def plain_bfs(view: SimpleView, src: int, rows: list[list[int]] | None = None) -> list[int]:
+    """Distances from ``src`` by a FIFO queue; -1 where unreachable.
+    ``rows``, the view's adjacency as lists, may be passed to skip building it."""
+    if rows is None:
+        rows = [view.neighbors(v).tolist() for v in range(view.n)]
+    dist = [-1] * view.n
+    dist[src] = 0
+    queue = [src]
+    for u in queue:
+        for v in rows[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def all_pairs_diameter(view: SimpleView) -> int:
+    """All-pairs oracle: a plain breadth-first search from every vertex.
+
+    Quadratic, so for small graphs only.  Raises on disconnected input.
+    """
+    rows = [view.neighbors(v).tolist() for v in range(view.n)]
+    best = 0
+    for src in range(view.n):
+        dist = plain_bfs(view, src, rows)
+        if min(dist) < 0:
+            raise ValueError("graph is disconnected")
+        best = max(best, max(dist))
+    return best
 
 
 def dumps_graph(g: MultiGraph) -> str:

@@ -276,6 +276,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     dump.write_text("".join([lines[0].replace("30 ", "29 ", 1)] + lines[1:]))
     assert main(["observe", str(dump)]) == 2
     assert "line 31: expected the end (the header claims 29 edges)" in capsys.readouterr().err
+    # a number past int64 is the loader's error too, not an OverflowError
+    dump.write_text("2 2 - -\n1 1 1 1\n2 99999999999999999999 1 1\n")
+    assert main(["observe", str(dump)]) == 2
+    assert "line 3: 's u v z' must be 64-bit integers" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_horizons():

@@ -12,13 +12,12 @@ from edgepa import graphs as gr
 from edgepa import observables as ob
 from edgepa.verify import (
     _random_view,
-    all_pairs_diameter,
     exhaustive_clique_upto,
     floyd_warshall_diameter,
 )
 
 from conftest import forced_path, forced_star
-from reference import isolated_chains, new_initial
+from reference import all_pairs_diameter, isolated_chains, new_initial, plain_bfs
 
 
 def test_simple_view_dedup_and_loops():
@@ -77,25 +76,59 @@ def _two_edges():
     )
 
 
-def _plain_bfs(view, src):
-    dist = [-1] * view.n
-    dist[src] = 0
-    queue = [src]
-    for u in queue:
-        for v in view.neighbors(u).tolist():
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+def _with_isolated(view, mid):
+    """``view`` relabelled onto ``n + 3`` vertices, leaving ids 0, ``mid + 1``
+    and ``n + 2`` isolated."""
+    n = view.n
+    label = np.arange(n) + 1 + (np.arange(n) >= mid)
+    return ob._view_from_pairs(n + 3, label[view.edges[:, 0]], label[view.edges[:, 1]])
 
 
 def test_bfs_distances_match_plain_bfs():
-    for desc, t in [("const:0.5", 2000), ("log:1", 3000), ("rv:0.5", 3000), ("ba", 1000)]:
-        view = ob.simple_view(gr.evolve(es.make_family(desc), t, 8))
-        for src in (0, int(np.argmax(view.degrees())), view.n - 1):
-            assert ob.bfs_distances(view, src).tolist() == _plain_bfs(view, src)
-    disconnected = _two_edges()
-    assert ob.bfs_distances(disconnected, 0).tolist() == [0, 1, -1, -1]
+    # levels run bottom-up exactly where their arcs exceed a quarter of the
+    # unvisited vertices' arcs; the t = 1e5 hub graphs take that branch on
+    # their wide levels, and the isolated vertices must stay out of it
+    levels = []
+    real = ob._bottom_up_level
+
+    def spy(indptr, indices, dist, todo, d):
+        found = real(indptr, indices, dist, todo, d)
+        levels.append((d, found.size))
+        return found
+
+    def check(view, src):
+        want = np.array(plain_bfs(view, src))
+        levels.clear()
+        dist = ob.bfs_distances(view, src)
+        assert dist.dtype == np.int64 and dist.tolist() == want.tolist()
+        deg = view.degrees()
+        expect = []
+        for d in range(int(want.max()) + 1):
+            level = int(deg[want == d].sum())
+            left = int(deg[(want > d) | (want < 0)].sum())
+            if level and 4 * level > left:
+                expect.append(d)
+        assert [d for d, _ in levels] == expect
+        return sum(k for _, k in levels)
+
+    bottom_up = 0
+    with mock.patch.object(ob, "_bottom_up_level", spy):
+        for desc, t in [("const:0.5", 2000), ("log:1", 3000), ("rv:0.5", 3000), ("ba", 1000),
+                        ("const:0.5", 10**5), ("log:1", 10**5)]:
+            view = ob.simple_view(gr.evolve(es.make_family(desc), t, 8))
+            hub = int(np.argmax(view.degrees()))
+            for src in (0, hub, view.n - 1):
+                settled = check(view, src)
+                if t == 10**5:
+                    bottom_up += settled
+            if t <= 3000:
+                gapped = _with_isolated(view, view.n // 2)
+                hub = int(np.argmax(gapped.degrees()))
+                for src in (0, 1, hub, view.n // 2 + 1, view.n + 2):
+                    check(gapped, src)
+        check(_two_edges(), 0)
+    assert bottom_up > 10**5  # most of both graphs' vertices, over six searches
+    assert ob.bfs_distances(_two_edges(), 0).tolist() == [0, 1, -1, -1]
 
 
 def test_tallies():
