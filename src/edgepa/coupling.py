@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng as _rng
 from .edgestep import EdgeStepFunction
-from .graphs import MultiGraph, _draw_slots, _id_dtype, canonical_key, resolve_backward_links
+from .graphs import MultiGraph, _draw_slots, _finish, _id_dtype, canonical_key, resolve_backward_links
 
 
 @dataclass
@@ -112,15 +112,7 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
     endpoints[:2] = 1
     endpoints[2::2] = rr[tree.w[2:]]
     endpoints[3::2] = rr[2:]
-    survivors = np.flatnonzero(keep[1:]) + 1
-    return MultiGraph(
-        endpoints=endpoints,
-        step_type=keep[1:].copy(),
-        birth_time=survivors,
-        parent=np.concatenate([[0], endpoints[2 * survivors[1:] - 2]]),
-        family=f.name,
-        seed=tree.seed,
-    )
+    return _finish(tree.seed, f.name, keep[2:], endpoints)
 
 
 def tv_upper_bound(f: EdgeStepFunction, h: EdgeStepFunction, horizon: int) -> float:

@@ -12,8 +12,9 @@ cover the regimes studied by the experiments:
 * ``oscillating(b)``-- alternates 1/0 plateaus on a squared tower ``b, b**2, b**4, ...``
 * ``tabulated(v)``  -- explicit values for ``t = 2 .. len(v) + 1``
 
-Instances are immutable and safe to share across workers; prefix sums are
-cached since ``F(t) = 1 + sum_{s=2..t} f(s)`` is queried inside hot loops.
+Instances are immutable and safe to share across workers; the prefix sum
+``F(t) = 1 + sum_{s=2..t} f(s)`` is summed afresh on every call, so its
+value depends only on ``t``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ _TOWER_LIMIT = 1 << 62
 
 
 class EdgeStepFunction:
-    """A validated edge-step function with cached prefix sums.
+    """A validated edge-step function.
 
     Use the module-level constructors (:func:`constant`, :func:`rv_power`,
     ...) or :func:`make_family` rather than instantiating directly.
@@ -36,7 +37,6 @@ class EdgeStepFunction:
         self.family = family
         self.params = dict(params)
         self.name = name
-        self._prefix = np.array([1.0])  # _prefix[i] = F(i + 1)
         if family == "oscillating":
             b = params["base"]
             bounds = [b]
@@ -111,14 +111,9 @@ class EdgeStepFunction:
             raise ValueError(
                 f"tabulated function covers t in [2, {len(self.params['values']) + 1}], got t={t}"
             )
-        if t - 1 >= len(self._prefix):
-            lo = len(self._prefix) + 1  # first uncached time index
-            hi = max(t, 2 * len(self._prefix))
-            if self.family == "tabulated":
-                hi = min(hi, len(self.params["values"]) + 1)
-            vals = self.eval_array(np.arange(lo, hi + 1))
-            self._prefix = np.concatenate([self._prefix, self._prefix[-1] + np.cumsum(vals)])
-        return float(self._prefix[t - 1])
+        if t == 1:
+            return 1.0
+        return float(1.0 + np.cumsum(self.eval_array(np.arange(2, t + 1)))[-1])
 
     def weighted_tail_sum(self, a: int, b: int) -> float:
         """``sum_{s=a..b} f(s) / (s - 1)`` for ``2 <= a <= b``."""

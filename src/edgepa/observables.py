@@ -20,16 +20,16 @@ from .graphs import MultiGraph, resolve_backward_links
 
 @dataclass
 class SimpleView:
-    """Deduplicated undirected adjacency in CSR form, vertices 0-based."""
+    """Deduplicated undirected adjacency in CSR form, vertices 0-based;
+    each edge is stored as its two arcs."""
 
     n: int
-    edges: np.ndarray    # (m, 2) unique pairs, edges[:, 0] < edges[:, 1]
     indptr: np.ndarray
     indices: np.ndarray  # sorted within each row
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return int(self.indptr[-1]) // 2
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
@@ -80,9 +80,7 @@ def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
     src, dst = np.divmod(arcs, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    forward = src < dst
-    edges = np.column_stack([src[forward], dst[forward]])
-    return SimpleView(n=n, edges=edges, indptr=indptr, indices=dst)
+    return SimpleView(n=n, indptr=indptr, indices=dst)
 
 
 # -- tallies -----------------------------------------------------------------
@@ -314,13 +312,16 @@ def _core(view: SimpleView, q: int) -> SimpleView:
     """The ``q``-core: what is left after repeatedly dropping every vertex
     with fewer than ``q`` surviving neighbours.
 
-    Each round relabels the survivors compactly and keeps only the edges
-    between them, so the edge list shrinks as the peel goes on.  The core
-    comes back labelled by descending degree (ties in the old order),
+    The peel starts from the forward arcs ``a < b`` of the rows, one per
+    edge.  Each round relabels the survivors compactly and keeps only the
+    edges between them, so the edge list shrinks as the peel goes on.  The
+    core comes back labelled by descending degree (ties in the old order),
     which keeps the colour bounds of the clique search tight.
     """
-    a, b = view.edges[:, 0], view.edges[:, 1]
     deg = view.degrees()
+    a = np.repeat(np.arange(view.n), deg)
+    forward = a < view.indices
+    a, b = a[forward], view.indices[forward]
     while not (keep := deg >= q).all():
         label = np.cumsum(keep) - 1
         inside = keep[a] & keep[b]
@@ -549,7 +550,6 @@ def measure_graph(
     paths: bool = True,
     refine_budget: int = 256,
     want_clique_exact: bool = False,
-    vertex_path_t0: Optional[int] = None,
 ) -> ObservableReport:
     """Measure the toggled observables of one graph into a report."""
     view = simple_view(g)
@@ -571,7 +571,7 @@ def measure_graph(
             report.clique_exact, report.clique_exact_status, report.clique_nodes = exact
     if paths:
         report.isolated_path_lengths = isolated_paths(g, degrees)
-        t0 = vertex_path_t0 if vertex_path_t0 is not None else _default_t0(g.t)
+        t0 = _default_t0(g.t)
         report.max_vertex_path = max_vertex_path(g, t0)
         report.vertex_path_t0 = t0
     report.check()

@@ -173,7 +173,7 @@ TREE_DIAMETER_CONSTANT = 1.0 / _pittel_gamma()
 
 @dataclass(frozen=True)
 class BoundSet:
-    """Diameter and clique predictions at one horizon, with applicability flags.
+    """Diameter and clique predictions at one horizon.
 
     ``diameter_upper_a`` is ``log t``, the scale of the paper's general
     ``O(log t)`` upper bound; the paper leaves its constant unspecified, so
@@ -181,8 +181,8 @@ class BoundSet:
     constant is :data:`TREE_DIAMETER_CONSTANT`).  It always applies;
     ``_b`` needs the weighted tail sum below 1, and the constant ``rv_*``
     band and the asymptotic clique exponent (see :func:`clique_theory`)
-    need a regular-variation index.  Inapplicable entries are ``None`` and
-    flagged, never raised.
+    need a regular-variation index.  Inapplicable entries are ``None``,
+    never raised.
     """
 
     t: int
@@ -193,7 +193,6 @@ class BoundSet:
     rv_diameter_upper: Optional[float]
     clique_exponent: Optional[float]
     clique_upper: float
-    flags: dict
 
 
 def diameter_theory(
@@ -225,15 +224,12 @@ def diameter_theory(
         decay_branch = 0.0
     lower = (min(log_t / loglog_t, decay_branch)) / 3.0
 
-    flags = {"upper_b": False, "rv": False, "clique": False}
-
     t13 = max(2, math.ceil(t ** (1.0 / 13.0)))
     tail = f.weighted_tail_sum(t13, t)
     upper_b = None
     if tail < 1.0:
         tail_branch = 0.0 if tail == 0.0 else log_t / (-math.log(tail))
         upper_b = 2.0 + 6.0 * min(tail_branch, log_t / loglog_t)
-        flags["upper_b"] = True
 
     rv_lower = rv_upper = clique_exponent = None
     if gamma is not None:
@@ -241,10 +237,8 @@ def diameter_theory(
             raise ValueError(f"gamma must be > 0 for the constant band, got {gamma}")
         rv_lower = 1.0 / (4.0 * gamma)
         rv_upper = 100.0 / gamma + 2.0
-        flags["rv"] = True
         if gamma < 1.0:
             clique_exponent = clique_theory(t, gamma)[0]
-            flags["clique"] = True
 
     return BoundSet(
         t=t,
@@ -255,5 +249,4 @@ def diameter_theory(
         rv_diameter_upper=rv_upper,
         clique_exponent=clique_exponent,
         clique_upper=7.0 * math.sqrt(t),
-        flags=flags,
     )

@@ -65,6 +65,18 @@ def test_partial_sum_increments_match_eval(f):
         assert got == pytest.approx(f.eval(t), abs=1e-9)
 
 
+@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name)
+def test_partial_sum_ignores_call_history(f):
+    # one instance asked at increasing horizons gives each the value a
+    # fresh instance gives, to the last bit
+    last = len(f.params["values"]) + 1 if f.family == "tabulated" else 10**6
+    used = es.EdgeStepFunction(f.family, f.params, f.name)
+    for t in (2, 3, 17, 1000, 4099, 10**5, 10**6):
+        if t <= last:
+            fresh = es.EdgeStepFunction(f.family, f.params, f.name)
+            assert used.partial_sum(t) == fresh.partial_sum(t)
+
+
 def test_weighted_tail_sum():
     one = es.constant(1.0)
     assert one.weighted_tail_sum(2, 3) == pytest.approx(1.5)

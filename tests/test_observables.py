@@ -31,8 +31,8 @@ def test_simple_view_dedup_and_loops():
         parent=np.array([0, 1]),
     )
     v = ob.simple_view(tripled)
-    assert v.n_edges == 1 and list(v.edges[0]) == [0, 1]
-    assert list(v.neighbors(0)) == [1]
+    assert v.n_edges == 1
+    assert list(v.neighbors(0)) == [1] and list(v.neighbors(1)) == [0]
 
 
 def _reference_view(g):
@@ -48,6 +48,13 @@ def _reference_view(g):
     return pairs, indptr, [v for r in rows for v in sorted(r)]
 
 
+def _forward_arcs(view):
+    """The arcs ``a -> b`` with ``a < b`` of the rows, one per edge, in row order."""
+    a = np.repeat(np.arange(view.n), view.degrees())
+    forward = a < view.indices
+    return a[forward], view.indices[forward]
+
+
 def test_simple_view_matches_reference():
     # edge-steps bring loops and parallel edges; f == 0 gives only loops
     loops = parallel = 0
@@ -59,8 +66,9 @@ def test_simple_view_matches_reference():
         ends = g.endpoints.reshape(-1, 2)
         loops += int(np.count_nonzero(ends[:, 0] == ends[:, 1]))
         parallel += int(np.count_nonzero(ends[:, 0] != ends[:, 1])) - len(pairs)
-        assert view.edges.dtype == view.indptr.dtype == view.indices.dtype == np.int64
-        assert view.edges.reshape(-1, 2).tolist() == [list(p) for p in pairs]
+        assert view.indptr.dtype == view.indices.dtype == np.int64
+        assert list(zip(*(arcs.tolist() for arcs in _forward_arcs(view)))) == pairs
+        assert view.n_edges == len(pairs)
         assert view.indptr.tolist() == indptr.tolist()
         assert view.indices.tolist() == indices
     assert loops > 0 and parallel > 0
@@ -70,7 +78,6 @@ def _two_edges():
     """Two disjoint edges: a disconnected simple view."""
     return ob.SimpleView(
         n=4,
-        edges=np.array([[0, 1], [2, 3]]),
         indptr=np.array([0, 1, 2, 3, 4]),
         indices=np.array([1, 0, 3, 2]),
     )
@@ -81,7 +88,8 @@ def _with_isolated(view, mid):
     and ``n + 2`` isolated."""
     n = view.n
     label = np.arange(n) + 1 + (np.arange(n) >= mid)
-    return ob._view_from_pairs(n + 3, label[view.edges[:, 0]], label[view.edges[:, 1]])
+    a, b = _forward_arcs(view)
+    return ob._view_from_pairs(n + 3, label[a], label[b])
 
 
 def test_bfs_distances_match_plain_bfs():
@@ -331,7 +339,6 @@ def _view_from_pair_set(n, pairs):
         rows[b].append(a)
     return ob.SimpleView(
         n=n,
-        edges=np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2),
         indptr=np.cumsum([0] + [len(r) for r in rows]).astype(np.int64),
         indices=np.array([v for r in rows for v in sorted(r)], dtype=np.int64),
     )
@@ -390,10 +397,7 @@ def test_clique_greedy_and_bitsets_match_references(monkeypatch):
             orders = (np.arange(view.n), np.argsort(-g.degrees(), kind="stable"))
             want = max(len(_walk_greedy(view, order)) for order in orders)
             assert ob.clique_greedy(view, g.degrees()) == want
-            masks = [0] * view.n
-            for a, b in view.edges.tolist():
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
+            masks = [sum(1 << b for b in view.neighbors(a).tolist()) for a in range(view.n)]
             for rows in (1, 7, 256):
                 monkeypatch.setattr(ob, "_MASK_ROWS", rows)
                 assert ob._bitset_adjacency(view) == masks

@@ -147,24 +147,25 @@ def test_diameter_theory_tree_case():
     bs = th.diameter_theory(es.ba(), 10**5)
     assert bs.diameter_lower == pytest.approx(math.log(1e5) / math.log(math.log(1e5)) / 3)
     assert bs.diameter_upper_a == pytest.approx(math.log(1e5))
-    assert not bs.flags["upper_b"]  # tail sum diverges past 1
-    assert bs.clique_exponent is None and not bs.flags["clique"]
+    assert bs.diameter_upper_b is None  # tail sum diverges past 1
+    assert bs.clique_exponent is None
 
 
 def test_diameter_theory_rv_band():
     bs = th.diameter_theory(es.rv_power(0.5), 10**4, gamma=0.5)
     assert (bs.rv_diameter_lower, bs.rv_diameter_upper) == (0.5, 202.0)
-    assert bs.flags["rv"] and bs.flags["clique"]
+    assert bs.rv_diameter_lower is not None and bs.rv_diameter_upper is not None
+    assert bs.clique_exponent is not None
     # the weighted tail sum still exceeds 1 at this horizon for gamma = 0.5
-    assert not bs.flags["upper_b"] and bs.diameter_upper_b is None
+    assert bs.diameter_upper_b is None
     assert bs.clique_upper == 7.0 * math.sqrt(10**4)
     assert bs.clique_exponent == 0.25
 
 
 def test_diameter_theory_tail_regime_applies_for_fast_decay():
     bs = th.diameter_theory(es.rv_power(3.0), 10**4, gamma=3.0)
-    assert bs.flags["upper_b"] and bs.diameter_upper_b is not None
-    assert not bs.flags["clique"]  # the clique band needs an index below 1
+    assert bs.diameter_upper_b is not None
+    assert bs.clique_exponent is None  # the clique band needs an index below 1
     tail = es.rv_power(3.0).weighted_tail_sum(3, 10**4)
     want = 2 + 6 * min(
         math.log(10**4) / -math.log(tail),
