@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 from . import experiments, verify
 from .graphs import load_graph
-from .observables import measure_graph
+from .edgestep import make_family
 
 USAGE_ERROR = 2
 
@@ -118,7 +118,7 @@ _CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 def _merged(args: argparse.Namespace, key: str, cast, default=None):
     """Flag value if given, else config value, else default."""
     val = getattr(args, key, None)
-    if val not in (None, False, []):
+    if val is not None and val is not False:  # 0 is a value, not an absent flag
         return val
     cfg = getattr(args, "_config", {})
     if key not in cfg:
@@ -185,14 +185,12 @@ def _cmd_observe(args) -> int:
     try:
         with open(args.graph) as fh:
             g = load_graph(fh)
-        overlay = experiments._overlay(g.family, g.t) if g.family else {}
+        if g.family:
+            make_family(g.family)
     except ValueError as exc:  # a malformed dump, or an unknown family in its header
         raise UsageError(f"{args.graph}: {exc}") from None
-    report = measure_graph(g)
-    record = experiments._report_to_record(
-        "observe", g.family or "-", g.t, 0, g.seed if g.seed is not None else "", report, overlay
-    )
-    record["wall_time"] = ""
+    ids = experiments.record_ids("observe", g.family or "-", g.t, 0, g.seed)
+    record = experiments.record(ids, g, g.family)
     out = _merged(args, "out", str)
     fmt = _merged(args, "format", str, "json")
     if out:

@@ -19,38 +19,17 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from . import coupling, observables, rng as _rng, theory
 from .edgestep import make_family
-from .graphs import dump_graph, evolve
+from .graphs import MultiGraph, dump_graph, evolve
 
 SCHEMA_VERSION = 4
 
-RECORD_FIELDS = [
-    "schema",
-    "spec_hash",
-    "family",
-    "t",
-    "rep",
-    "rep_seed",
-    "n_vertices",
-    "max_degree",
-    "simple_edges",
-    "diameter_lower",
-    "diameter_upper",
-    "diameter_method",
-    "clique_greedy",
-    "clique_exact",
-    "clique_exact_status",
-    "clique_nodes",
-    "isolated_path_count",
-    "isolated_path_max",
-    "isolated_paths",
-    "max_vertex_path",
-    "vertex_path_t0",
-    "degree_histogram",
+ID_FIELDS = ["schema", "spec_hash", "family", "t", "rep", "rep_seed"]
+OVERLAY_FIELDS = [
     "expected_vertices",
     "theory_diam_lower",
     "theory_diam_upper_a",
@@ -59,6 +38,12 @@ RECORD_FIELDS = [
     "theory_rv_upper",
     "theory_clique_exponent",
     "theory_clique_upper",
+]
+# the measurement columns are the report's fields, in order
+RECORD_FIELDS = [
+    *ID_FIELDS,
+    *(f.name for f in fields(observables.ObservableReport)),
+    *OVERLAY_FIELDS,
     "error",
     "wall_time",
 ]
@@ -108,6 +93,8 @@ class ExperimentSpec:
                     f"{d} covers t in [2, {len(f.params['values']) + 1}], "
                     f"got horizon {self.horizons[-1]}"
                 )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.fmt not in ("csv", "json"):
@@ -126,50 +113,36 @@ class ExperimentSpec:
 _NOT_IDENTITY = ("out", "fmt", "jobs", "dump_dir")
 
 
-def _report_to_record(spec_hash, family, t, rep, rep_seed, report, overlay) -> dict:
-    hist = " ".join(f"{d}:{c}" for d, c in sorted(report.degree_histogram.items()))
-    if report.isolated_path_lengths is not None:
-        iso = " ".join(f"{l}:{c}" for l, c in sorted(report.isolated_path_lengths.items()))
-        iso_count = sum(report.isolated_path_lengths.values())
-        iso_max = max(report.isolated_path_lengths, default=0)
-    else:
-        iso, iso_count, iso_max = "", "", ""
-    rec = {
-        "schema": SCHEMA_VERSION,
-        "spec_hash": spec_hash,
-        "family": family,
-        "t": t,
-        "rep": rep,
-        "rep_seed": rep_seed,
-        "n_vertices": report.n_vertices,
-        "max_degree": report.max_degree,
-        "simple_edges": report.simple_edge_count,
-        "diameter_lower": _blank(report.diameter_lower),
-        "diameter_upper": _blank(report.diameter_upper),
-        "diameter_method": report.diameter_method,
-        "clique_greedy": _blank(report.clique_greedy),
-        "clique_exact": _blank(report.clique_exact),
-        "clique_exact_status": report.clique_exact_status,
-        "clique_nodes": _blank(report.clique_nodes),
-        "isolated_path_count": iso_count,
-        "isolated_path_max": iso_max,
-        "isolated_paths": iso,
-        "max_vertex_path": _blank(report.max_vertex_path),
-        "vertex_path_t0": _blank(report.vertex_path_t0),
-        "degree_histogram": hist,
-        "error": "",
-    }
-    rec.update(overlay)
-    return rec
+def record_ids(spec_hash: str, family: str, t: int, rep: int, rep_seed) -> dict:
+    """The id columns of a record."""
+    return dict(zip(ID_FIELDS, (SCHEMA_VERSION, spec_hash, family, t, rep, rep_seed)))
 
 
-def _blank(x):
-    return "" if x is None else x
+def record(ids: dict, g: MultiGraph, family: str, **toggles) -> dict:
+    """Measure ``g`` (``toggles`` as for :func:`observables.measure_graph`)
+    into its row under ``ids``, with the overlay of ``family`` at ``g.t``
+    (blank for an empty ``family``)."""
+    report = observables.measure_graph(g, **toggles)
+    cells = {f.name: getattr(report, f.name) for f in fields(report)}
+    return _row({**ids, **cells, **(_overlay(family, g.t) if family else {})})
+
+
+def _row(cells: dict) -> dict:
+    """``cells`` in ``RECORD_FIELDS`` order: a missing or ``None`` column is
+    blank, and a histogram is written as sorted ``key:count`` pairs."""
+    row = dict.fromkeys(RECORD_FIELDS, "")
+    for key, value in cells.items():
+        if isinstance(value, dict):
+            value = " ".join(f"{k}:{c}" for k, c in sorted(value.items()))
+        row[key] = "" if value is None else value
+    return row
 
 
 def _overlay(family_descriptor: str, t: int) -> dict:
+    """The theory columns of a family at ``t``; ``None`` where a bound does
+    not apply."""
     f = make_family(family_descriptor)
-    out = dict.fromkeys(RECORD_FIELDS[RECORD_FIELDS.index("expected_vertices") : -2], "")
+    out = dict.fromkeys(OVERLAY_FIELDS)
     if f.family == "tabulated":
         return out
     out["expected_vertices"] = f.partial_sum(t)
@@ -179,10 +152,10 @@ def _overlay(family_descriptor: str, t: int) -> dict:
         out.update(
             theory_diam_lower=round(bs.diameter_lower, 6),
             theory_diam_upper_a=round(bs.diameter_upper_a, 6),
-            theory_diam_upper_b="" if bs.diameter_upper_b is None else round(bs.diameter_upper_b, 6),
-            theory_rv_lower=_blank(bs.rv_diameter_lower),
-            theory_rv_upper=_blank(bs.rv_diameter_upper),
-            theory_clique_exponent=_blank(bs.clique_exponent),
+            theory_diam_upper_b=None if bs.diameter_upper_b is None else round(bs.diameter_upper_b, 6),
+            theory_rv_lower=bs.rv_diameter_lower,
+            theory_rv_upper=bs.rv_diameter_upper,
+            theory_clique_exponent=bs.clique_exponent,
             theory_clique_upper=round(bs.clique_upper, 6),
         )
     return out
@@ -202,6 +175,8 @@ def _run_task(args: tuple) -> list[dict]:
     spec_dict, spec_hash, family, rep = args
     rep_seed = _rng.child_seed(spec_dict["seed"], rep)
     horizons = spec_dict["horizons"]
+    toggles = {k: spec_dict[k] for k in ("diameter", "clique", "paths", "refine_budget")}
+    toggles["want_clique_exact"] = spec_dict["clique_exact"]
     rows: list[dict] = []
     started = time.perf_counter()
     # a failed generation is kept and re-raised into each row it leaves unmeasured
@@ -222,43 +197,26 @@ def _run_task(args: tuple) -> list[dict]:
         generate_s = tree_s + time.perf_counter() - started
         for t in horizons:
             started = time.perf_counter()
+            ids = record_ids(spec_hash, desc, t, rep, rep_seed)
             try:
                 if isinstance(g, Exception):
                     raise g
-                row = _record(spec_dict, spec_hash, desc, rep, rep_seed, g.prefix(t))
+                if spec_dict["dump_dir"]:
+                    _dump(spec_dict["dump_dir"], g.prefix(t), desc, rep)
+                row = record(ids, g.prefix(t), desc, **toggles)
             except Exception as exc:  # per-record failures are data, not crashes
-                row = {
-                    **dict.fromkeys(RECORD_FIELDS, ""),
-                    "schema": SCHEMA_VERSION,
-                    "spec_hash": spec_hash,
-                    "family": desc,
-                    "t": t,
-                    "rep": rep,
-                    "rep_seed": rep_seed,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
+                row = _row({**ids, "error": f"{type(exc).__name__}: {exc}"})
             row["wall_time"] = round(generate_s + time.perf_counter() - started, 4)
             rows.append(row)
         del g  # before the next family's graph is built
     return rows
 
 
-def _record(spec_dict, spec_hash, family, rep, rep_seed, g) -> dict:
-    """Measure ``g`` (and dump it into a set ``dump_dir``) into one record."""
-    if spec_dict["dump_dir"]:
-        os.makedirs(spec_dict["dump_dir"], exist_ok=True)
-        tag = family.replace(":", "_").replace(",", "_").replace("=", "")
-        with open(os.path.join(spec_dict["dump_dir"], f"{tag}_t{g.t}_r{rep}.graph"), "w") as fh:
-            dump_graph(g, fh)
-    report = observables.measure_graph(
-        g,
-        diameter=spec_dict["diameter"],
-        clique=spec_dict["clique"],
-        paths=spec_dict["paths"],
-        refine_budget=spec_dict["refine_budget"],
-        want_clique_exact=spec_dict["clique_exact"],
-    )
-    return _report_to_record(spec_hash, family, g.t, rep, rep_seed, report, _overlay(family, g.t))
+def _dump(directory: str, g: MultiGraph, family: str, rep: int) -> None:
+    os.makedirs(directory, exist_ok=True)
+    tag = family.replace(":", "_").replace(",", "_").replace("=", "")
+    with open(os.path.join(directory, f"{tag}_t{g.t}_r{rep}.graph"), "w") as fh:
+        dump_graph(g, fh)
 
 
 def run(spec: ExperimentSpec) -> list[dict]:

@@ -8,7 +8,6 @@ on the multigraph itself.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -16,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import MultiGraph, resolve_backward_links
+from .theory import t13
 
 
 @dataclass
@@ -265,8 +265,9 @@ def diameter_bounds(view: SimpleView, refine_budget: int = 256) -> tuple[int, in
 # -- cliques -------------------------------------------------------------------
 
 
-def _greedy_clique(view: SimpleView, degrees: np.ndarray) -> list[int]:
-    """Larger of two verified greedy cliques (birth order / degree order).
+def clique_greedy(view: SimpleView, degrees: np.ndarray) -> int:
+    """Size of the larger of two verified greedy cliques (birth order /
+    degree order, by ``degrees``: the multigraph's, see :func:`measure_graph`).
 
     A pass keeps each vertex of its order that is adjacent to every vertex
     kept so far.  Its first vertex always joins and after it only that
@@ -275,7 +276,7 @@ def _greedy_clique(view: SimpleView, degrees: np.ndarray) -> list[int]:
     descending degree.  The result is re-checked pairwise.
     """
     if view.n == 1:
-        return [0]
+        return 1
     adjacent = np.zeros(view.n, dtype=bool)
 
     def greedy(members: list[int], alive: np.ndarray) -> list[int]:
@@ -299,13 +300,7 @@ def _greedy_clique(view: SimpleView, degrees: np.ndarray) -> list[int]:
         found = row[np.searchsorted(row, members) % row.size] == members
         if np.count_nonzero(found) < len(best) - 1:
             raise AssertionError("greedy clique failed pairwise adjacency check")
-    return best
-
-
-def clique_greedy(view: SimpleView, degrees: np.ndarray) -> int:
-    """Size of the larger of two verified greedy cliques, the by-degree
-    pass ordered by ``degrees`` (the multigraph's, see :func:`measure_graph`)."""
-    return len(_greedy_clique(view, degrees))
+    return len(best)
 
 
 def _core(view: SimpleView, q: int) -> SimpleView:
@@ -380,7 +375,7 @@ def clique_exact(view: SimpleView, node_budget: int = 500_000) -> tuple[int, str
     """
     if view.tree_parents is not None:
         return (2, "exact", 0)
-    best = len(_greedy_clique(view, view.degrees()))
+    best = clique_greedy(view, view.degrees())
     core = _core(view, best)
     if core.n <= best:
         return (best, "exact", 0)
@@ -502,21 +497,24 @@ def count_vertex_paths(g: MultiGraph, t0: int, k: int) -> int:
 # -- report ---------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ObservableReport:
-    """Measurements of one graph, flat enough to serialize as a single row.
+    """Measurements of one graph.  Its fields, in order, are the record's
+    measurement columns (see ``experiments.RECORD_FIELDS``); ``None`` is
+    an observable that was not measured.
 
     With the exact clique on, ``clique_exact`` is the clique number of the
     whole graph when ``clique_exact_status`` is ``"exact"``, or the largest
     clique found when it is ``"lower_bound"``, and ``clique_nodes`` is the
     number of search nodes it took; otherwise they stay ``None`` with
-    status ``"off"``.
+    status ``"off"``.  ``isolated_paths`` counts the isolated chains by
+    length, and ``isolated_path_count`` / ``isolated_path_max`` are its
+    total and its longest length.
     """
 
     n_vertices: int
     max_degree: int
-    degree_histogram: dict[int, int]
-    simple_edge_count: int
+    simple_edges: int
     diameter_lower: Optional[int] = None
     diameter_upper: Optional[int] = None
     diameter_method: str = "off"
@@ -524,9 +522,12 @@ class ObservableReport:
     clique_exact: Optional[int] = None
     clique_exact_status: str = "off"
     clique_nodes: Optional[int] = None
-    isolated_path_lengths: Optional[Counter] = None
+    isolated_path_count: Optional[int] = None
+    isolated_path_max: Optional[int] = None
+    isolated_paths: Optional[Counter] = None
     max_vertex_path: Optional[int] = None
     vertex_path_t0: Optional[int] = None
+    degree_histogram: dict[int, int]
 
     def check(self) -> None:
         if sum(self.degree_histogram.values()) != self.n_vertices:
@@ -558,7 +559,7 @@ def measure_graph(
         n_vertices=g.n_vertices,
         max_degree=max_degree(degrees),
         degree_histogram=degree_histogram(degrees),
-        simple_edge_count=view.n_edges,
+        simple_edges=view.n_edges,
     )
     if diameter:
         lo, hi = diameter_bounds(view, refine_budget=refine_budget)
@@ -570,14 +571,11 @@ def measure_graph(
             exact = clique_exact(view)
             report.clique_exact, report.clique_exact_status, report.clique_nodes = exact
     if paths:
-        report.isolated_path_lengths = isolated_paths(g, degrees)
-        t0 = _default_t0(g.t)
-        report.max_vertex_path = max_vertex_path(g, t0)
-        report.vertex_path_t0 = t0
+        chains = report.isolated_paths = isolated_paths(g, degrees)
+        report.isolated_path_count = sum(chains.values())
+        report.isolated_path_max = max(chains, default=0)
+        report.vertex_path_t0 = t13(g.t)
+        report.max_vertex_path = max_vertex_path(g, report.vertex_path_t0)
     report.check()
     return report
 
-
-def _default_t0(t: int) -> int:
-    """Fractional-power time indices round up and never below 2."""
-    return max(2, math.ceil(t ** (1.0 / 13.0)))

@@ -101,6 +101,13 @@ def vertex_path_prob_ub(f: EdgeStepFunction, s_vec: Sequence[int]) -> float:
     return float(out)
 
 
+def t13(t: int) -> int:
+    """The time index ``ceil(t^(1/13))``, never below 2: where the tail sum
+    of :func:`diameter_theory` starts, and the birth-time cutoff ``t0`` of
+    the vertex paths that records measure and C13 counts."""
+    return max(2, math.ceil(t ** (1.0 / 13.0)))
+
+
 def vertex_path_mean_ub(f: EdgeStepFunction, t0: int, t: int, k: int) -> float:
     """Upper bound on the expected number of length-``k`` vertex paths with
     all birth times in ``[t0, t]``::
@@ -224,8 +231,7 @@ def diameter_theory(
         decay_branch = 0.0
     lower = (min(log_t / loglog_t, decay_branch)) / 3.0
 
-    t13 = max(2, math.ceil(t ** (1.0 / 13.0)))
-    tail = f.weighted_tail_sum(t13, t)
+    tail = f.weighted_tail_sum(t13(t), t)
     upper_b = None
     if tail < 1.0:
         tail_branch = 0.0 if tail == 0.0 else log_t / (-math.log(tail))

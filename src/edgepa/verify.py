@@ -421,7 +421,7 @@ def c12_isolated_path_moment(seed: int = DEFAULT_SEED) -> CriterionResult:
 def c13_vertex_path_moment(seed: int = DEFAULT_SEED) -> CriterionResult:
     started = time.perf_counter()
     f, t, k, reps = constant(0.3), 10**4, 4, 10**3
-    t0 = max(2, math.ceil(t ** (1.0 / 13.0)))
+    t0 = theory.t13(t)
     base = _rng.child_seed(seed, 13)
     counts = np.array(
         [

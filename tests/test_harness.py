@@ -9,12 +9,11 @@ import pytest
 
 from unittest import mock
 
-from edgepa import coupling
+from edgepa import coupling, verify
 from edgepa import experiments as ex
 from edgepa.cli import main
 from edgepa.edgestep import make_family
 from edgepa.graphs import dump_graph, evolve, load_graph
-from edgepa.observables import measure_graph
 from edgepa.rng import child_seed
 
 
@@ -57,7 +56,10 @@ def test_spec_validation():
         _spec(families=["const:0.5", "tab:1,0.5"], coupled=True, horizons=[4]).validate()
     with pytest.raises(ValueError, match="at least two families"):
         _spec(coupled=True).validate()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        _spec(seed=-1).validate()
     _spec(families=["tab:1,0.5"], horizons=[1, 3]).validate()
+    _spec(seed=0).validate()
 
 
 def test_run_smoke_and_determinism():
@@ -90,11 +92,57 @@ def test_parallel_matches_serial():
 
 def _direct_record(spec, family, t, rep, g):
     """The record of ``g`` measured on its own, as the run would write it."""
-    report = measure_graph(g, want_clique_exact=spec.clique_exact)
-    rec = ex._report_to_record(
-        spec.spec_hash(), family, t, rep, child_seed(spec.seed, rep), report, ex._overlay(family, t)
-    )
+    ids = ex.record_ids(spec.spec_hash(), family, t, rep, child_seed(spec.seed, rep))
+    rec = ex.record(ids, g, family, want_clique_exact=spec.clique_exact)
     return {k: rec[k] for k in ex.RECORD_FIELDS if k != "wall_time"}
+
+
+def test_record_fields_are_pinned():
+    # derived from the report's fields; a renamed or reordered field shows here
+    assert ex.RECORD_FIELDS == [
+        "schema", "spec_hash", "family", "t", "rep", "rep_seed",
+        "n_vertices", "max_degree", "simple_edges",
+        "diameter_lower", "diameter_upper", "diameter_method",
+        "clique_greedy", "clique_exact", "clique_exact_status", "clique_nodes",
+        "isolated_path_count", "isolated_path_max", "isolated_paths",
+        "max_vertex_path", "vertex_path_t0", "degree_histogram",
+        "expected_vertices", "theory_diam_lower", "theory_diam_upper_a", "theory_diam_upper_b",
+        "theory_rv_lower", "theory_rv_upper", "theory_clique_exponent", "theory_clique_upper",
+        "error", "wall_time",
+    ]
+
+
+def test_every_row_lists_the_record_fields_in_order(tmp_path, monkeypatch, capsys):
+    grid = dict(families=["const:0.3", "rv:0.5"], horizons=[20, 40], reps=1)
+    rows = ex.run(_spec(**grid)) + ex.run(_spec(**grid, coupled=True))
+
+    def fail(g, **kwargs):
+        raise RuntimeError("measurement failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(ex.observables, "measure_graph", fail)
+        failed = ex.run(_spec(**grid))
+    assert {r["error"] for r in failed} == {"RuntimeError: measurement failed"}
+    dumps = tmp_path / "dumps"
+    assert main(["generate", "--family", "const:0.5", "--t", "60", "--seed", "3",
+                 "--out", str(tmp_path / "r.csv"), "--dump-graphs", str(dumps)]) == 0
+    dump = next(dumps.iterdir())
+    header, *edges = dump.read_text().splitlines(keepends=True)
+    bare = tmp_path / "bare.graph"  # the same graph with no family in its header
+    bare.write_text(header.rsplit(" ", 1)[0] + " -\n" + "".join(edges))
+    observed = []
+    for path in (dump, bare):
+        capsys.readouterr()
+        assert main(["observe", str(path)]) == 0
+        observed.append(json.loads(capsys.readouterr().out))
+    for row in rows + failed + observed:
+        assert list(row) == ex.RECORD_FIELDS
+    with_family, without = observed
+    assert without["family"] == "-" and with_family["expected_vertices"] != ""
+    assert {without[k] for k in ex.OVERLAY_FIELDS} == {""}
+    assert {k: v for k, v in without.items() if k not in ex.OVERLAY_FIELDS and k != "family"} == {
+        k: v for k, v in with_family.items() if k not in ex.OVERLAY_FIELDS and k != "family"
+    }
 
 
 def test_plain_rows_equal_direct_measurements():
@@ -344,6 +392,31 @@ def test_cli_config_and_override(tmp_path):
     row = ex.read_records(str(out1))[0]
     assert row["clique_exact_status"] == "exact" and row["max_vertex_path"] == ""
     assert row["diameter_method"] == "exact"
+
+
+def test_cli_zero_is_a_given_value(tmp_path, monkeypatch):
+    out = tmp_path / "r.csv"
+    assert main(["generate", "--family", "const:0.5", "--t", "50", "--seed", "0", "--out", str(out)]) == 0
+    assert ex.read_records(str(out))[0]["rep_seed"] == str(child_seed(0, 0))
+    # a zero flag overrides the config file's value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"family=const:0.5\nt=50\nreps=3\nseed=5\nout={out}\n")
+    assert main(["generate", "--config", str(cfg), "--seed", "0"]) == 0
+    rows = ex.read_records(str(out))
+    assert len(rows) == 3 and rows[0]["rep_seed"] == str(child_seed(0, 0))
+    assert main(["generate", "--config", str(cfg), "--reps", "0"]) == 2
+    assert main(["generate", "--config", str(cfg), "--jobs", "0"]) == 2
+    calls = []
+    monkeypatch.setattr(verify, "run_suite", lambda suite, seed: calls.append((suite, seed)) or [])
+    assert main(["verify", "--suite", "paths", "--seed", "0"]) == 0
+    assert calls == [("paths", 0)]
+
+
+def test_cli_rejects_a_negative_seed(capsys):
+    assert main(["generate", "--family", "const:0.5", "--t", "50", "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["couple", "--family", "const:0.3", "--family", "const:0.7", "--t", "50", "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_cli_verify_exit_codes():

@@ -592,7 +592,7 @@ def test_measure_graph_report():
     assert rep.diameter_lower == rep.diameter_upper
     assert rep.clique_greedy <= rep.clique_exact
     k = rep.clique_greedy
-    assert k * (k - 1) // 2 <= rep.simple_edge_count
+    assert k * (k - 1) // 2 <= rep.simple_edges
 
     assert rep.diameter_lower == all_pairs_diameter(ob.simple_view(g))
 

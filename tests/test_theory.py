@@ -105,6 +105,11 @@ def test_vertex_path_prob_ub():
         th.vertex_path_prob_ub(es.ba(), [5, 5])
 
 
+def test_t13_hand_values():
+    # ceil(t^(1/13)), never below 2: 1000^(1/13) = 1.70, 1e4^(1/13) = 2.03, 1e7^(1/13) = 3.46
+    assert [th.t13(t) for t in (1, 16, 1000, 10**4, 10**7)] == [2, 2, 2, 3, 4]
+
+
 def test_vertex_path_mean_ub_hand_value():
     got = th.vertex_path_mean_ub(es.ba(), 2, 4, 3)
     assert got == pytest.approx((1 / 4) * (11 / 6) * (11 / 12), rel=1e-12)
