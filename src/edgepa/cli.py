@@ -212,10 +212,13 @@ def _cmd_verify(args) -> int:
     if not suite:
         raise UsageError("--suite is required")
     seed = _merged(args, "seed", int, verify.DEFAULT_SEED)
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     try:
-        results = verify.run_suite(suite, seed)
-    except ValueError as exc:
+        verify.suite_criteria(suite)
+    except ValueError as exc:  # an unknown name; a criterion's own ValueError is a failure
         raise UsageError(str(exc)) from None
+    results = verify.run_suite(suite, seed)
     failed = [r for r in results if not r.passed]
     if _merged(args, "json", bool, False):
         json.dump([asdict(r) for r in results], sys.stdout, indent=1)

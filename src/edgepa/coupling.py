@@ -24,7 +24,15 @@ import numpy as np
 
 from . import rng as _rng
 from .edgestep import EdgeStepFunction
-from .graphs import MultiGraph, _draw_slots, _finish, _id_dtype, canonical_key, resolve_backward_links
+from .graphs import (
+    MultiGraph,
+    _draw_slots,
+    _finish,
+    _id_dtype,
+    _schedule_chunks,
+    canonical_key,
+    resolve_backward_links,
+)
 
 
 @dataclass
@@ -32,7 +40,8 @@ class DoublyLabeledTree:
     """Attachment targets, ghost targets, and uniform marks, indexed by birth ``j``.
 
     ``w[j]`` and ``ell[j]`` are defined for ``j >= 2`` and always point to
-    strictly older vertices; slot 0 and the root entries are zero.
+    strictly older vertices; slot 0 and the root entries are zero.  Both
+    are of ``_id_dtype(t)`` (int32 while ``2t < 2**31``); ``u`` is float64.
     Immutable after growth; collapsing is read-only, so one tree may serve
     many edge-step functions concurrently.
     """
@@ -48,7 +57,7 @@ class DoublyLabeledTree:
 
     def validate(self) -> None:
         t = self.t
-        js = np.arange(2, t + 1)
+        js = np.arange(2, t + 1, dtype=self.w.dtype)
         if t >= 2 and (np.any(self.w[2:] < 1) or np.any(self.w[2:] >= js)):
             raise ValueError("attachment targets must be strictly older vertices")
         if t >= 2 and (np.any(self.ell[2:] < 1) or np.any(self.ell[2:] >= js)):
@@ -78,12 +87,19 @@ def grow_tree(t: int, seed: int) -> DoublyLabeledTree:
     np.copyto(ptr[2:], (w_slot >> 1) + 1, where=(w_slot & 1) == 0)
     val = np.ones(t + 1, dtype=w_slot.dtype)  # vertex 1 stands for slot 0
     val[2:] = (w_slot + 1) >> 1
-    held = resolve_backward_links(ptr, val)  # held[j] = w(j) for j >= 2
+    del w_slot
+    w = resolve_backward_links(ptr, val)  # w[j] = w(j) for j >= 2, w[1] = 1
+    del ptr, val
 
-    w = held.astype(np.int64)
+    # ghost slot k lies on the edge of vertex (k >> 1) + 1: it holds that
+    # vertex if k is odd, its attachment (the root's 1 for k = 0) if even
+    odd = (l_slot & 1).astype(bool)
+    l_slot >>= 1
+    l_slot += 1
+    ell = np.zeros(t + 1, dtype=w.dtype)
+    w.take(l_slot, out=ell[2:])
+    np.copyto(ell[2:], l_slot, where=odd)
     w[:2] = 0
-    ell = np.zeros(t + 1, dtype=np.int64)
-    ell[2:] = np.where(l_slot & 1, (l_slot + 1) >> 1, held.take((l_slot >> 1) + 1))
     return DoublyLabeledTree(w=w, ell=ell, u=u, seed=seed)
 
 
@@ -102,15 +118,19 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
     """
     t = tree.t
     keep = np.ones(t + 1, dtype=bool)
-    keep[2:] = tree.u[2:] <= f.eval_array(np.arange(2, t + 1, dtype=np.int64))
+    for lo, fs in _schedule_chunks(f, t):
+        np.less_equal(tree.u[lo + 2 : lo + 2 + len(fs)], fs, out=keep[lo + 2 : lo + 2 + len(fs)])
     dtype = _id_dtype(t)
     rep = np.arange(t + 1, dtype=dtype)
     np.copyto(rep, tree.ell, where=~keep, casting="unsafe")
-    rr = resolve_backward_links(rep, np.cumsum(keep, dtype=dtype) - 1)
+    rank = np.cumsum(keep, dtype=dtype)
+    rank -= 1
+    rr = resolve_backward_links(rep, rank)
+    del rep, rank
 
-    endpoints = np.empty(2 * t, dtype=np.int64)
+    endpoints = np.empty(2 * t, dtype=dtype)
     endpoints[:2] = 1
-    endpoints[2::2] = rr[tree.w[2:]]
+    rr.take(tree.w[2:], out=endpoints[2::2])
     endpoints[3::2] = rr[2:]
     return _finish(tree.seed, f.name, keep[2:], endpoints)
 

@@ -35,7 +35,9 @@ class MultiGraph:
     Vertex ids are birth-order indices starting at 1; ``birth_time[i]`` is
     the step at which vertex ``i + 1`` appeared (the root has birth time 1)
     and ``parent[i]`` is the target of its first connection (0 for the
-    root).  Instances are treated as immutable once built.
+    root).  ``endpoints``, ``birth_time`` and ``parent`` share one integer
+    type, ``_id_dtype(t)``: int32 while ``2t < 2**31``, else int64.
+    Instances are treated as immutable once built.
     """
 
     endpoints: np.ndarray
@@ -89,19 +91,20 @@ class MultiGraph:
             raise ValueError("birth times must start at 1 and strictly increase")
         if self.parent[0] != 0:
             raise ValueError("the root has no parent")
-        ids = np.arange(1, n + 1)
+        ids = np.arange(1, n + 1, dtype=self.endpoints.dtype)
         if n > 1 and (np.any(self.parent[1:] < 1) or np.any(self.parent[1:] >= ids[1:])):
             raise ValueError("parents must be strictly older vertices")
-        born = np.flatnonzero(self.step_type) + 1
-        if np.any(self.endpoints[2 * born[1:] - 1] != ids[1:]):
+        # slot 2s - 1 of each vertex-step s >= 2, in birth order
+        if np.any(self.endpoints[3::2][self.step_type[1:]] != ids[1:]):
             raise ValueError("vertex-step slots must hold the new vertex id")
 
 
 # -- full-trajectory generation -------------------------------------------
 
-# Steps per chunk of slot draws, and entries per block of the link
-# resolver (int32 ids: 256 KB per local array, so a block stays in cache).
-_DRAW_CHUNK = 1 << 20
+# Steps per chunk of coin and slot draws (their float temporaries, about
+# 3 MB, do not grow with t), and entries per block of the link resolver
+# (int32 ids: 256 KB per local array, so a block stays in cache).
+_DRAW_CHUNK = 1 << 16
 _RESOLVE_BLOCK = 1 << 16
 
 
@@ -129,10 +132,24 @@ def _draw_slots(gen: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
+def _schedule_chunks(f: EdgeStepFunction, t: int):
+    """``f(s)`` for ``s = 2..t`` in pieces of ``_DRAW_CHUNK`` steps, each as
+    ``(lo, values)`` with ``values[i] = f(lo + 2 + i)``, so that no float or
+    int64 temporary spans the run."""
+    for lo in range(0, t - 1, _DRAW_CHUNK):
+        yield lo, f.eval_array(np.arange(lo + 2, min(lo + _DRAW_CHUNK, t - 1) + 2, dtype=np.int64))
+
+
 def _presample(f: EdgeStepFunction, t: int, seed: int):
-    """Coins and slot indices for steps 2..t, in the documented stream layout."""
-    s = np.arange(2, t + 1, dtype=np.int64)
-    z = _rng.stream(seed, _rng.COINS).random(t - 1) < f.eval_array(s)
+    """Coins and slot indices for steps 2..t, in the documented stream layout.
+
+    The coins compare the values of one ``gen.random(t - 1)`` call with
+    ``f``, drawn chunk by chunk (the same Philox stream).
+    """
+    gen = _rng.stream(seed, _rng.COINS)
+    z = np.empty(t - 1, dtype=bool)
+    for lo, fs in _schedule_chunks(f, t):
+        np.less(gen.random(len(fs)), fs, out=z[lo : lo + len(fs)])
     return (z, *_draw_slots(_rng.stream(seed, _rng.SLOTS), t))
 
 
@@ -140,7 +157,7 @@ def resolve_backward_links(ptr: np.ndarray, val: np.ndarray, count: bool = False
     """``out[i] = val[root(i)]`` for links with ``ptr[i] <= i``; ``ptr[i] == i``
     marks a terminal.  With ``count``, returns ``(out, hops)``, where
     ``hops[i]`` is the number of links followed from ``i`` to its root (the
-    depth of ``i`` when ``ptr`` holds parent links).
+    depth of ``i`` when ``ptr`` holds parent links), in ``ptr``'s type.
 
     Blocks of ``_RESOLVE_BLOCK`` entries are resolved in index order.  A
     block's links into the resolved prefix take one gather; its in-block
@@ -151,7 +168,7 @@ def resolve_backward_links(ptr: np.ndarray, val: np.ndarray, count: bool = False
     one whose length is a power of two, settle on a wrong root.
     """
     out = np.empty(len(ptr), dtype=val.dtype)
-    hops = np.zeros(len(ptr), dtype=np.int64) if count else None
+    hops = np.zeros(len(ptr), dtype=ptr.dtype) if count else None
     for lo in range(0, len(ptr), _RESOLVE_BLOCK):
         hi = min(lo + _RESOLVE_BLOCK, len(ptr))
         p = ptr[lo:hi]
@@ -168,7 +185,7 @@ def resolve_backward_links(ptr: np.ndarray, val: np.ndarray, count: bool = False
             # a local root's hops: 0 at a terminal, 1 + the prefix target's
             # at a link into the prefix; in-block links count 1 each
             base = hops.take(p) + (rel != local)
-            steps = (link != local).astype(np.int64)
+            steps = (link != local).astype(ptr.dtype)
         while True:
             nxt = link.take(link)
             if (nxt == link).all():
@@ -183,12 +200,18 @@ def resolve_backward_links(ptr: np.ndarray, val: np.ndarray, count: bool = False
 
 
 def _finish(seed, family, z, endpoints) -> MultiGraph:
-    born = np.flatnonzero(z) + 2
+    """The graph of coins ``z`` (steps 2..t) and ``endpoints``; its birth
+    times and parents take the endpoints' type.  Boolean masks select the
+    vertex-steps, so no int64 index array is made."""
+    step_type = np.concatenate([[True], z])
+    birth_time = np.arange(1, len(step_type) + 1, dtype=endpoints.dtype)[step_type]
+    parent = endpoints[::2][step_type]  # slot 2s - 2 of step s
+    parent[0] = 0
     return MultiGraph(
         endpoints=endpoints,
-        step_type=np.concatenate([[True], z]),
-        birth_time=np.concatenate([[1], born]),
-        parent=np.concatenate([[0], endpoints[2 * born - 2]]),
+        step_type=step_type,
+        birth_time=birth_time,
+        parent=parent,
         family=family,
         seed=seed,
     )
@@ -208,16 +231,22 @@ def evolve(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
     ptr = np.arange(2 * t, dtype=slot_a.dtype)
     ptr[2::2] = slot_a
     np.copyto(ptr[3::2], slot_b, where=~z)
-    val = np.zeros(2 * t, dtype=np.int64)  # the endpoint type, so no copy follows
+    del slot_a, slot_b
+    val = np.zeros(2 * t, dtype=ptr.dtype)  # the endpoint type, so no copy follows
     val[:2] = 1
-    val[3::2] = np.where(z, 1 + np.cumsum(z), 0)
-    return _finish(seed, f.name, z, resolve_backward_links(ptr, val))
+    born = val[3::2]
+    np.cumsum(z, dtype=val.dtype, out=born)
+    born += 1
+    born *= z  # the new vertex's id at a vertex-step, else 0
+    endpoints = resolve_backward_links(ptr, val)
+    del ptr, val, born
+    return _finish(seed, f.name, z, endpoints)
 
 
 def _evolve_sequential(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
     """Reference generator: same presampled draws, naive per-step resolution."""
     z, slot_a, slot_b = _presample(f, t, seed)
-    e = np.zeros(2 * t, dtype=np.int64)
+    e = np.zeros(2 * t, dtype=_id_dtype(t))
     e[0] = e[1] = 1
     vid = 1
     for i in range(t - 1):
@@ -258,7 +287,7 @@ class BatchRun:
         return 1 + self.z.sum(axis=1)
 
     def extract(self, r: int, family: str = "") -> MultiGraph:
-        return _finish(self.seed, family, self.z[r], self.endpoints[r].astype(np.int64))
+        return _finish(self.seed, family, self.z[r], self.endpoints[r].copy())
 
 
 def evolve_batch(
@@ -341,11 +370,13 @@ def dump_graph(g: MultiGraph, fh) -> None:
 
 
 def load_graph(fh) -> MultiGraph:
-    """Read a dump back; the round trip is bit-exact."""
+    """Read a dump back; the round trip is bit-exact, ids of ``_id_dtype(t)``."""
     header = fh.readline().split()
     if len(header) != 4:
         raise ValueError("graph dump header must be 't V seed family'")
     t, n = int(header[0]), int(header[1])
+    if t < 1:
+        raise ValueError(f"graph dump header: t must be >= 1, got {t}")
     seed = None if header[2] == "-" else int(header[2])
     family = "" if header[3] == "-" else header[3]
 
@@ -371,10 +402,10 @@ def load_graph(fh) -> MultiGraph:
     endpoints = np.array(ends, dtype=np.int64)
     step_type = np.array(coins, dtype=bool)
 
-    if t and not step_type[0]:
+    if not step_type[0]:
         raise ValueError("graph dump line 2: step 1 must be the seed vertex")
     g = _finish(seed, family, step_type[1:], endpoints)
     if g.n_vertices != n:
         raise ValueError(f"graph dump header claims {n} vertices, lines imply {g.n_vertices}")
-    g.validate()
-    return g
+    g.validate()  # on the int64 ids, so an out-of-range id is reported, never wrapped
+    return _finish(seed, family, step_type[1:], endpoints.astype(_id_dtype(t)))

@@ -21,7 +21,8 @@ from .theory import t13
 @dataclass
 class SimpleView:
     """Deduplicated undirected adjacency in CSR form, vertices 0-based;
-    each edge is stored as its two arcs."""
+    each edge is stored as its two arcs.  ``indptr`` is int64 and
+    ``indices`` int32 (int64 only for more than ``2**31`` vertices)."""
 
     n: int
     indptr: np.ndarray
@@ -53,7 +54,7 @@ class SimpleView:
             if n > 1 and self.n_edges == n - 1 and self.degrees().all():
                 parent = self.indices[self.indptr[:-1]]  # first of each row
                 parent[0] = 0
-                if (parent[1:] >= np.arange(1, n)).any():
+                if (parent[1:] >= np.arange(1, n, dtype=parent.dtype)).any():
                     parent = None
             vars(self)["_tree_parents"] = parent
         return vars(self)["_tree_parents"]
@@ -61,26 +62,45 @@ class SimpleView:
 
 def simple_view(g: MultiGraph) -> SimpleView:
     """Drop loops, deduplicate parallel edges, keep the vertex set unchanged."""
-    pairs = g.endpoints.reshape(-1, 2) - 1
-    a, b = pairs[:, 0], pairs[:, 1]
+    a, b = g.endpoints[0::2], g.endpoints[1::2]
     off_loop = a != b
-    return _view_from_pairs(g.n_vertices, a[off_loop], b[off_loop])
+    return _view_from_pairs(g.n_vertices, a[off_loop] - 1, b[off_loop] - 1)
 
 
 def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
     """Simple view on vertices ``0 .. n-1`` with the edges ``a[i] -- b[i]``,
     ``a != b``, repeats dropped.
 
-    Each edge gives the arc keys ``a * n + b`` and ``b * n + a``; one sort
-    of them, with repeats dropped, lists the CSR rows in order (numpy's
-    ``np.unique`` hashes, which is far slower here).
+    Each edge gives the int64 arc keys ``a * n + b`` and ``b * n + a``
+    (widened before the product: int32 ids times ``n`` stay int32 and
+    overflow once ``n > 46340``).  One in-place sort of them, with repeats
+    dropped, lists the CSR rows in order (numpy's ``np.unique`` hashes,
+    which is far slower here); row ``v`` starts at the first key ``>= v *
+    n``, and the column of a key is its remainder by ``n``.  ``a`` and
+    ``b`` are released once the keys are built, so a caller that passes
+    temporaries does not hold them through the sort.
     """
-    arcs = np.sort(np.concatenate([a * n + b, b * n + a]))
-    arcs = arcs[np.diff(arcs, prepend=-1) != 0]
-    src, dst = np.divmod(arcs, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return SimpleView(n=n, indptr=indptr, indices=dst)
+    m = len(a)
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(a, n, out=keys[:m], dtype=np.int64)
+    keys[:m] += b
+    np.multiply(b, n, out=keys[m:], dtype=np.int64)
+    keys[m:] += a
+    del a, b
+    keys.sort()
+    if keys.size:
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        del first
+    row_starts = np.arange(n + 1, dtype=np.int64)
+    row_starts *= n
+    indptr = np.searchsorted(keys, row_starts)
+    del row_starts
+    indices = np.empty(keys.size, dtype=np.int32 if n <= 2**31 else np.int64)
+    np.remainder(keys, n, out=indices)
+    return SimpleView(n=n, indptr=indptr, indices=indices)
 
 
 # -- tallies -----------------------------------------------------------------
@@ -114,17 +134,13 @@ def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
     dist = np.full(view.n, -1, dtype=np.int64)
     dist[src] = 0
     frontier = np.array([src], dtype=np.int64)
-    # owner[v] is the last position of v in the current level's reach list;
-    # keeping only that position dedupes the frontier without sorting
-    owner = np.empty(view.n, dtype=np.int64)
+    owner = np.empty(view.n, dtype=np.int64)  # scratch space of the top-down levels
     d = 0
     indptr, indices = view.indptr, view.indices
     left = len(indices)
     todo = None  # unvisited vertices of degree >= 1, kept from the last bottom-up level
     while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
+        total = int((indptr[frontier + 1] - indptr[frontier]).sum())  # the level's arcs
         if total == 0:
             break
         left -= total
@@ -134,20 +150,29 @@ def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
             else:
                 todo = todo[dist[todo] < 0]
             frontier = _bottom_up_level(indptr, indices, dist, todo, d)
-            d += 1
-            dist[frontier] = d
-            continue
-        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        nbrs = indices[shift + np.arange(total)]
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size == 0:
-            break
+        else:
+            frontier = _top_down_level(indptr, indices, dist, owner, frontier, total)
         d += 1
-        dist[nbrs] = d
-        slots = np.arange(nbrs.size)
-        owner[nbrs] = slots
-        frontier = nbrs[owner[nbrs] == slots]
+        dist[frontier] = d
     return dist
+
+
+def _top_down_level(
+    indptr: np.ndarray, indices: np.ndarray, dist: np.ndarray, owner: np.ndarray,
+    frontier: np.ndarray, total: int,
+) -> np.ndarray:
+    """The unvisited neighbours of ``frontier`` (each vertex of degree >=
+    1, ``total`` arcs in all), each once.
+
+    ``owner[v]`` is set to the last position of ``v`` among the gathered
+    neighbours; keeping only that position dedupes them without sorting.
+    """
+    starts = indptr[frontier]
+    nbrs = _row_arcs(indices, starts, indptr[frontier + 1] - starts, total)
+    nbrs = nbrs[dist[nbrs] < 0]
+    slots = np.arange(nbrs.size)
+    owner[nbrs] = slots
+    return nbrs[owner[nbrs] == slots]
 
 
 def _bottom_up_level(
@@ -163,20 +188,36 @@ def _bottom_up_level(
     the next row's entry, and ``reduceat`` over an empty row returns the
     next row's entry too.
     """
-    hit = dist[indices[indptr[todo]]] == d
+    hit = dist[indices[indptr[todo]].astype(np.int64)] == d  # int64 ids index faster
     found = todo[hit]
     rest = todo[~hit]
-    starts = indptr[rest] + 1
-    counts = indptr[rest + 1] - starts
-    more = counts > 0
-    rest, starts, counts = rest[more], starts[more], counts[more]
-    total = int(counts.sum())
-    if total:
+    rest = rest[indptr[rest + 1] - indptr[rest] > 1]  # rows left after the probe
+    if rest.size:
+        starts = indptr[rest] + 1
+        counts = indptr[rest + 1] - starts
+        near = dist[_row_arcs(indices, starts, counts, int(counts.sum()))] == d
         offsets = np.cumsum(counts) - counts
-        shift = np.repeat(starts - offsets, counts)
-        near = dist[indices[shift + np.arange(total)]] == d
         found = np.concatenate([found, rest[np.logical_or.reduceat(near, offsets)]])
     return found
+
+
+def _row_arcs(
+    indices: np.ndarray, starts: np.ndarray, counts: np.ndarray, total: int
+) -> np.ndarray:
+    """``indices[starts[i] : starts[i] + counts[i]]`` for every ``i`` in
+    turn, ``total`` entries in all, every count >= 1.
+
+    The positions are one running sum of steps: 1 within a row, a jump to
+    the next row's start between rows.  The ids are read into that same
+    array, so they come back as int64: numpy indexes with an int32 array
+    through a casting path about twice as slow.
+    """
+    pos = np.ones(total, dtype=np.int64)
+    pos[0] = starts[0]
+    pos[np.cumsum(counts[:-1])] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
+    np.cumsum(pos, out=pos)
+    pos[:] = indices[pos]
+    return pos
 
 
 def _tree_diameter(parent: np.ndarray) -> int:
@@ -188,7 +229,7 @@ def _tree_diameter(parent: np.ndarray) -> int:
     ``u``'s path to the root, and ``d(u, v) = depth[u] + depth[v] - 2
     depth[a]``.
     """
-    _, depth = resolve_backward_links(parent, parent, count=True)
+    depth = resolve_backward_links(parent, parent, count=True)[1]
     path = [int(np.argmax(depth))]
     while path[-1]:
         path.append(int(parent[path[-1]]))
@@ -314,11 +355,11 @@ def _core(view: SimpleView, q: int) -> SimpleView:
     which keeps the colour bounds of the clique search tight.
     """
     deg = view.degrees()
-    a = np.repeat(np.arange(view.n), deg)
+    a = np.repeat(np.arange(view.n, dtype=view.indices.dtype), deg)
     forward = a < view.indices
     a, b = a[forward], view.indices[forward]
     while not (keep := deg >= q).all():
-        label = np.cumsum(keep) - 1
+        label = np.cumsum(keep, dtype=a.dtype) - 1
         inside = keep[a] & keep[b]
         a, b = label[a[inside]], label[b[inside]]
         k = label[-1] + 1
@@ -423,8 +464,11 @@ def _run_lengths(parent: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Vertices on the run of links ``v -> parent[v]`` climbed from each
     ``v`` while ``keep`` holds, ``v`` included, by one walk of
     :func:`resolve_backward_links` (0-based ids)."""
-    ptr = np.where(keep, parent, np.arange(len(parent)))
-    return resolve_backward_links(ptr, ptr, count=True)[1] + 1
+    ptr = np.arange(len(parent), dtype=parent.dtype)
+    np.copyto(ptr, parent, where=keep)
+    runs = resolve_backward_links(ptr, ptr, count=True)[1]
+    runs += 1
+    return runs
 
 
 def isolated_paths(g: MultiGraph, degrees: np.ndarray) -> Counter:
@@ -438,7 +482,7 @@ def isolated_paths(g: MultiGraph, degrees: np.ndarray) -> Counter:
     ``g.degrees()``.
     """
     par = g.parent - 1  # the root's reads -1 and is never followed
-    runs = _run_lengths(par, (par > 0) & (degrees[par] == 2))
+    runs = _run_lengths(par, (par > 0) & (degrees == 2)[par])
     counts = np.bincount(runs[degrees == 1])
     present = np.flatnonzero(counts)
     return Counter(dict(zip(present.tolist(), counts[present].tolist())))
@@ -459,7 +503,7 @@ def count_isolated_in_window(g: MultiGraph, l: int, xi: float) -> int:
     degrees = g.degrees()
     lo = int(np.searchsorted(g.birth_time, xi * g.t))  # the first born in the window
     par = g.parent - 1
-    runs = _run_lengths(par, (par >= max(lo, 1)) & (degrees[par] == 2))
+    runs = _run_lengths(par, (par >= max(lo, 1)) & (degrees == 2)[par])
     return int(np.count_nonzero(runs[lo:][degrees[lo:] == 1] >= l))
 
 
@@ -570,6 +614,7 @@ def measure_graph(
         if want_clique_exact:
             exact = clique_exact(view)
             report.clique_exact, report.clique_exact_status, report.clique_nodes = exact
+    del view  # the chain walks read only the multigraph
     if paths:
         chains = report.isolated_paths = isolated_paths(g, degrees)
         report.isolated_path_count = sum(chains.values())

@@ -575,8 +575,13 @@ SUITES = {
 SUITES["all"] = sorted((fn for suite in SUITES.values() for fn in suite), key=lambda fn: fn.__name__)
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
-    """Execute a named suite; raises ValueError for unknown names."""
+def suite_criteria(name: str) -> list:
+    """The criteria of a named suite; raises ValueError for unknown names."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    return [fn(seed) for fn in SUITES[name]]
+    return SUITES[name]
+
+
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+    """Execute a named suite; raises ValueError for unknown names."""
+    return [fn(seed) for fn in suite_criteria(name)]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from edgepa import coupling as cp
 from edgepa import edgestep as es
 from edgepa import rng as _rng
+from edgepa import graphs as gr
 from edgepa.graphs import canonical_key
 from edgepa.observables import diameter_bounds, simple_view
 
@@ -109,7 +111,7 @@ def test_grow_tree_matches_per_vertex_reference(t):
     for seed in range(3):
         tree = cp.grow_tree(t, seed)
         w, ell = _tree_by_loop(t, seed)
-        assert tree.w.dtype == tree.ell.dtype == np.int64
+        assert tree.w.dtype == tree.ell.dtype == gr._id_dtype(t)
         assert tree.w.tolist() == w[: t + 1] and tree.ell.tolist() == ell[: t + 1]
         assert np.array_equal(tree.u[1:], _rng.stream(seed, _rng.TREE_ULABELS).random(t))
 
@@ -139,7 +141,7 @@ def test_collapse_matches_per_vertex_reference(fam):
         tree = cp.grow_tree(t, seed)
         g = cp.collapse(tree, f)
         ends, born, parent = _collapse_by_loop(tree, f)
-        assert g.endpoints.dtype == g.birth_time.dtype == g.parent.dtype == np.int64
+        assert g.endpoints.dtype == g.birth_time.dtype == g.parent.dtype == gr._id_dtype(t)
         assert g.endpoints.tolist() == ends
         assert g.birth_time.tolist() == born
         assert g.parent.tolist() == parent
@@ -191,6 +193,15 @@ def test_collapse_prefix_is_the_shorter_trees_collapse(horizon, data, seed, fam)
     prefix = cp.collapse(cp.grow_tree(horizon, seed), f).prefix(t)
     prefix.validate()
     assert_same_graph(prefix, cp.collapse(cp.grow_tree(t, seed), f))
+
+
+@pytest.mark.parametrize("fam", ["const:0.3", "log:1", "osc:base=10"])
+def test_collapse_marks_compared_in_chunks(fam):
+    # the marks are compared with f chunk by chunk; the pieces must not show
+    f, tree = es.make_family(fam), cp.grow_tree(300, 4)
+    whole = cp.collapse(tree, f)
+    with mock.patch.object(gr, "_DRAW_CHUNK", 7):
+        assert_same_graph(cp.collapse(tree, f), whole)
 
 
 def test_tree_validate_rejects_future_targets():

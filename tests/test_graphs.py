@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgepa import coupling as cp
 from edgepa import edgestep as es
 from edgepa import graphs as gr
 from edgepa import rng as _rng
@@ -14,6 +15,7 @@ from edgepa.observables import bfs_distances, simple_view
 
 from conftest import assert_same_graph
 from reference import EDGE, VERTEX, dumps_graph, evolve_step, new_initial, sample_preferential
+from test_edgestep import FAMILIES
 
 
 def test_new_initial():
@@ -188,7 +190,7 @@ def test_resolve_backward_links_matches_loop(n, seed, terminal, reach, block, dt
         out = gr.resolve_backward_links(ptr, val)
         counted, hops = gr.resolve_backward_links(ptr, val, count=True)
     want, want_hops = _resolve_by_loop(ptr, val)
-    assert out.dtype == val.dtype
+    assert out.dtype == val.dtype and hops.dtype == ptr.dtype
     assert np.array_equal(out, want)
     assert np.array_equal(counted, want) and np.array_equal(hops, want_hops)
 
@@ -315,7 +317,7 @@ def test_evolve_batch_rows_match_per_step_loop(force):
     for r in (0, reps - 1):
         g = batch.extract(r, f.name)
         g.validate()
-        assert g.endpoints.dtype == np.int64 and g.family == f.name
+        assert g.endpoints.dtype == gr._id_dtype(t) and g.family == f.name
 
 
 def test_dump_round_trip_bit_exact():
@@ -347,6 +349,38 @@ def _birth_form(g):
     born = [int(g.birth_time[v - 1]) for v in g.endpoints]
     pairs = sorted((min(a, b), max(a, b)) for a, b in zip(born[::2], born[1::2]))
     return tuple(bool(b) for b in g.step_type[1:]), tuple(pairs)
+
+
+def test_id_dtype_widens_only_past_int32_slots():
+    assert gr._id_dtype(2**30 - 1) == np.int32
+    assert gr._id_dtype(2**30) == np.int64
+
+
+@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name)
+def test_every_graph_holds_its_ids_in_the_id_dtype(f):
+    t = len(f.params["values"]) + 1 if f.family == "tabulated" else 300
+    g = gr.evolve(f, t, 3)
+    made = {
+        "evolve": g,
+        "prefix": g.prefix(t // 2),
+        "collapse": cp.collapse(cp.grow_tree(t, 3), f),
+        "extract": gr.evolve_batch(f, t, 2, 3).extract(1, f.name),
+        "sequential": gr._evolve_sequential(f, t, 3),
+        "load_graph": gr.load_graph(io.StringIO(dumps_graph(g))),
+    }
+    for name, h in made.items():
+        assert h.endpoints.dtype == h.birth_time.dtype == h.parent.dtype == gr._id_dtype(h.t), name
+        h.validate()
+        wide = gr.MultiGraph(
+            endpoints=h.endpoints.astype(np.int64),
+            step_type=h.step_type,
+            birth_time=h.birth_time.astype(np.int64),
+            parent=h.parent.astype(np.int64),
+            family=h.family,
+            seed=h.seed,
+        )
+        assert dumps_graph(h) == dumps_graph(wide), name
+        assert gr.canonical_key(h) == gr.canonical_key(wide), name
 
 
 def test_canonical_key_matches_canonical_form():

@@ -328,6 +328,11 @@ def test_cli_usage_errors(tmp_path, capsys):
     dump.write_text("2 2 - -\n1 1 1 1\n2 99999999999999999999 1 1\n")
     assert main(["observe", str(dump)]) == 2
     assert "line 3: 's u v z' must be 64-bit integers" in capsys.readouterr().err
+    # an id past int32 is reported before the ids are narrowed, never wrapped
+    # (2**32 + 1 would read as vertex 1)
+    dump.write_text(f"2 2 - -\n1 1 1 1\n2 {2**32 + 1} 2 1\n")
+    assert main(["observe", str(dump)]) == 2
+    assert "endpoint ids out of range" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_horizons():
@@ -423,6 +428,21 @@ def test_cli_verify_exit_codes():
     assert main(["verify", "--suite", "observables"]) == 0
 
 
+def test_cli_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "--suite", "paths", "--seed", "-1"]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_cli_verify_criterion_value_error_is_not_a_usage_error(monkeypatch):
+    # a defect inside a criterion fails the run; it is not bad input
+    def broken(seed):
+        raise ValueError("defect inside a criterion")
+
+    monkeypatch.setitem(verify.SUITES, "observables", [broken])
+    with pytest.raises(ValueError, match="defect inside a criterion"):
+        main(["verify", "--suite", "observables"])
+
+
 def test_cli_verify_json(capsys, monkeypatch):
     assert main(["verify", "--suite", "observables", "--json"]) == 0
     results = json.loads(capsys.readouterr().out)
@@ -452,3 +472,18 @@ def test_every_traced_metric_has_a_live_target():
         if callable(vars(owner).get(name)):
             served.add(metric)
     assert served == {metric for _, _, metric in spans.TARGETS}
+
+
+def test_bench_memory_script_runs_one_record_per_family(tmp_path):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_memory.py"
+    spec = importlib.util.spec_from_file_location("bench_memory", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = tmp_path / "BENCH_memory.json"
+    assert bench.main(["--t", "1000", "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert [r["family"] for r in runs] == ["const:0.5", "ba", "log:1"]
+    for r in runs:
+        assert r["checkout"] == "after" and r["t"] == 1000 and r["ru_maxrss_mb"] > 0
+        assert r["generate_s"] >= 0 and r["measure_s"] >= 0 and r["numpy"] == np.__version__
+    assert runs[0]["n_vertices"] == evolve(make_family("const:0.5"), 1000, 11).n_vertices

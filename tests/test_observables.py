@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -66,12 +67,48 @@ def test_simple_view_matches_reference():
         ends = g.endpoints.reshape(-1, 2)
         loops += int(np.count_nonzero(ends[:, 0] == ends[:, 1]))
         parallel += int(np.count_nonzero(ends[:, 0] != ends[:, 1])) - len(pairs)
-        assert view.indptr.dtype == view.indices.dtype == np.int64
+        assert view.indptr.dtype == np.int64 and view.indices.dtype == np.int32
         assert list(zip(*(arcs.tolist() for arcs in _forward_arcs(view)))) == pairs
         assert view.n_edges == len(pairs)
         assert view.indptr.tolist() == indptr.tolist()
         assert view.indices.tolist() == indices
     assert loops > 0 and parallel > 0
+
+
+@pytest.mark.parametrize("desc,t", [("ba", 60_000), ("const:0.5", 200_000)])
+def test_simple_view_rows_past_the_int32_arc_keys(desc, t):
+    # with n > 46341, n * n passes 2**31: int32 ids must be widened before
+    # the arc keys a * n + b are formed
+    g = gr.evolve(es.make_family(desc), t, 5)
+    assert g.endpoints.dtype == np.int32 and g.n_vertices > 46341
+    _, indptr, indices = _reference_view(g)  # Python ints, which cannot wrap
+    view = ob.simple_view(g)
+    assert view.indptr.tolist() == indptr.tolist()
+    assert view.indices.tolist() == indices
+
+
+# Peak numpy allocations over the bytes of the result, measured at t = 2e5
+# (evolve 2.76, simple_view 2.96) and pinned 25 % higher.
+EVOLVE_PEAK_RATIO = 3.45
+VIEW_PEAK_RATIO = 3.7
+
+
+def test_evolve_and_simple_view_peak_memory():
+    f = es.make_family("const:0.5")
+    ob.simple_view(gr.evolve(f, 1000, 0))  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        g = gr.evolve(f, 200_000, 5)
+        evolve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        view = ob.simple_view(g)
+        view_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    graph_bytes = sum(a.nbytes for a in (g.endpoints, g.step_type, g.birth_time, g.parent))
+    assert evolve_peak <= EVOLVE_PEAK_RATIO * graph_bytes
+    assert view_peak <= VIEW_PEAK_RATIO * (view.indptr.nbytes + view.indices.nbytes)
 
 
 def _two_edges():
