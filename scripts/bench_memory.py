@@ -1,9 +1,10 @@
 """Peak memory and phase seconds of single records at a large horizon.
 
 Each record runs in a fresh process, so its ``ru_maxrss`` is the peak of
-that record alone: ``evolve`` at ``--t``, then ``measure_graph`` with
-every observable on (exact clique included).  Run from the root of a
-source checkout:
+that record alone: ``evolve`` at ``T``, then ``measure_graph`` with
+every observable on (exact clique included), for each of ``FAMILIES``
+with seed ``SEED``, ``REPS`` times.  Run from the root of a source
+checkout:
 
     python3 scripts/bench_memory.py --before ../edgepa-parent
 
@@ -26,6 +27,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("const:0.5", "ba", "log:1")
+T = 10**7
+SEED = 11
+REPS = 2
 
 # One record, run in a child process: argv is family, t, seed.
 RECORD = """
@@ -63,21 +67,18 @@ def run_record(checkout: Path, family: str, t: int, seed: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--t", type=float, default=1e7, help="horizon of each record (default 1e7)")
-    parser.add_argument("--seed", type=int, default=11, help="seed of every record (default 11)")
-    parser.add_argument("--reps", type=int, default=1, help="records per checkout and family (default 1)")
     parser.add_argument("--before", type=Path, help="a second checkout to run against this one")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_memory.json", help="output file")
     args = parser.parse_args(argv)
 
     checkouts = {"after": ROOT} if args.before is None else {"before": args.before, "after": ROOT}
     runs = []
-    for rep in range(args.reps):
+    for rep in range(REPS):
         for family in FAMILIES:
             # alternate which checkout runs first, so drift favours neither
             order = list(checkouts.items())
             for label, checkout in order[::-1] if rep % 2 else order:
-                rec = run_record(checkout.resolve(), family, int(args.t), args.seed)
+                rec = run_record(checkout.resolve(), family, T, SEED)
                 runs.append({"checkout": label, "rep": rep, **rec})
                 print(json.dumps(runs[-1]), flush=True)
     args.out.write_text(json.dumps({"cpus": os.cpu_count(), "runs": runs}, indent=1) + "\n")

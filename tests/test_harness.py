@@ -474,13 +474,15 @@ def test_every_traced_metric_has_a_live_target():
     assert served == {metric for _, _, metric in spans.TARGETS}
 
 
-def test_bench_memory_script_runs_one_record_per_family(tmp_path):
+def test_bench_memory_script_runs_one_record_per_family(tmp_path, monkeypatch):
     path = Path(__file__).resolve().parent.parent / "scripts" / "bench_memory.py"
     spec = importlib.util.spec_from_file_location("bench_memory", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "T", 1000)
+    monkeypatch.setattr(bench, "REPS", 1)
     out = tmp_path / "BENCH_memory.json"
-    assert bench.main(["--t", "1000", "--out", str(out)]) == 0
+    assert bench.main(["--out", str(out)]) == 0
     runs = json.loads(out.read_text())["runs"]
     assert [r["family"] for r in runs] == ["const:0.5", "ba", "log:1"]
     for r in runs:
