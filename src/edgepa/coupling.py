@@ -31,6 +31,7 @@ from .graphs import (
     _id_dtype,
     _schedule_chunks,
     canonical_key,
+    keep_where,
     resolve_backward_links,
 )
 
@@ -84,7 +85,7 @@ def grow_tree(t: int, seed: int) -> DoublyLabeledTree:
     # 2j-2 holds w(j) (slot 0 holds the root).  A slot's value is thus a
     # terminal or the attachment of an older vertex: links over vertices.
     ptr = np.arange(t + 1, dtype=w_slot.dtype)
-    np.copyto(ptr[2:], (w_slot >> 1) + 1, where=(w_slot & 1) == 0)
+    keep_where(ptr[2:], (w_slot & 1) == 1, (w_slot >> 1) + 1)
     val = np.ones(t + 1, dtype=w_slot.dtype)  # vertex 1 stands for slot 0
     val[2:] = (w_slot + 1) >> 1
     del w_slot
@@ -93,12 +94,12 @@ def grow_tree(t: int, seed: int) -> DoublyLabeledTree:
 
     # ghost slot k lies on the edge of vertex (k >> 1) + 1: it holds that
     # vertex if k is odd, its attachment (the root's 1 for k = 0) if even
-    odd = (l_slot & 1).astype(bool)
+    even = (l_slot & 1) == 0
     l_slot >>= 1
     l_slot += 1
     ell = np.zeros(t + 1, dtype=w.dtype)
     w.take(l_slot, out=ell[2:])
-    np.copyto(ell[2:], l_slot, where=odd)
+    keep_where(ell[2:], even, l_slot)
     w[:2] = 0
     return DoublyLabeledTree(w=w, ell=ell, u=u, seed=seed)
 
@@ -122,7 +123,7 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
         np.less_equal(tree.u[lo + 2 : lo + 2 + len(fs)], fs, out=keep[lo + 2 : lo + 2 + len(fs)])
     dtype = _id_dtype(t)
     rep = np.arange(t + 1, dtype=dtype)
-    np.copyto(rep, tree.ell, where=~keep, casting="unsafe")
+    keep_where(rep, keep, tree.ell)
     rank = np.cumsum(keep, dtype=dtype)
     rank -= 1
     rr = resolve_backward_links(rep, rank)

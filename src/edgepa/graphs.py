@@ -108,6 +108,21 @@ _DRAW_CHUNK = 1 << 16
 _RESOLVE_BLOCK = 1 << 16
 
 
+def keep_where(x: np.ndarray, mask: np.ndarray, y: np.ndarray) -> None:
+    """``x[~mask] = y[~mask]`` in place, for integer ``x`` and ``y`` and a
+    boolean ``mask``.
+
+    Computed as ``x = (x - y) * mask + y``, because masked writes are slow
+    on random masks: for 1e7 int32 entries and a half-true mask these
+    three plain passes take 21 ms, ``np.copyto(x, y, where=~mask)`` 96 ms
+    and a boolean-mask assignment 176 ms (2 shared CPUs, numpy 2.4.6).
+    Integer wraparound in the difference cancels in the sum.
+    """
+    x -= y
+    x *= mask
+    x += y
+
+
 def _id_dtype(t: int):
     """Integer type of the slot and vertex ids of a horizon-``t`` run."""
     return np.int32 if 2 * t < 2**31 else np.int64
@@ -153,60 +168,103 @@ def _presample(f: EdgeStepFunction, t: int, seed: int):
     return (z, *_draw_slots(_rng.stream(seed, _rng.SLOTS), t))
 
 
-def resolve_backward_links(ptr: np.ndarray, val: np.ndarray, count: bool = False):
+def resolve_backward_links(ptr: np.ndarray, val: Optional[np.ndarray], count: bool = False):
     """``out[i] = val[root(i)]`` for links with ``ptr[i] <= i``; ``ptr[i] == i``
     marks a terminal.  With ``count``, returns ``(out, hops)``, where
     ``hops[i]`` is the number of links followed from ``i`` to its root (the
-    depth of ``i`` when ``ptr`` holds parent links), in ``ptr``'s type.
+    depth of ``i`` when ``ptr`` holds parent links), in ``ptr``'s type;
+    with ``count`` and ``val=None``, returns ``hops`` alone.
 
     Blocks of ``_RESOLVE_BLOCK`` entries are resolved in index order.  A
-    block's links into the resolved prefix take one gather; its in-block
-    links are resolved by pointer doubling on a local array that stays in
-    cache.  Gathers use ``take``, which indexes with int32 ids without
-    first converting them.  A forward link raises ``ValueError``: every
-    cycle has one, and the doubling would follow a cycle forever, or, on
-    one whose length is a power of two, settle on a wrong root.
+    block's links into the resolved prefix take one gather.  Pointer
+    doubling then runs only over its in-block links (``ptr[i] >= lo`` and
+    ``ptr[i] != i``; about 1 % of the generator's links), on block-sized
+    local arrays that stay in cache.  The local arrays are allocated once
+    per call and written with ``out=``.  A forward link raises
+    ``ValueError``: every cycle has one, and the doubling would follow a
+    cycle forever, or, on one whose length is a power of two, settle on a
+    wrong root.
     """
-    out = np.empty(len(ptr), dtype=val.dtype)
-    hops = np.zeros(len(ptr), dtype=ptr.dtype) if count else None
+    width = min(len(ptr), _RESOLVE_BLOCK)
+    own = np.arange(width, dtype=ptr.dtype)  # a block entry's own local index
+    link = own.copy()  # identity except at the current block's in-block links
+    rel = np.empty_like(own)
+    mask = np.empty(width, dtype=bool)
+    linked = np.empty(width, dtype=bool)  # not a terminal
+    if val is not None:
+        out = np.empty(len(ptr), dtype=val.dtype)
+        got = np.empty(width, dtype=val.dtype)
+    if count:
+        hops = np.zeros(len(ptr), dtype=ptr.dtype)
+        base = np.empty_like(own)
+        steps = np.zeros_like(own)  # nonzero only at the current block's in-block links
     for lo in range(0, len(ptr), _RESOLVE_BLOCK):
-        hi = min(lo + _RESOLVE_BLOCK, len(ptr))
-        p = ptr[lo:hi]
-        rel = p - lo
-        local = np.arange(hi - lo, dtype=p.dtype)
-        forward = rel > local
-        if forward.any():
-            i = int(np.argmax(forward))
+        n = min(_RESOLVE_BLOCK, len(ptr) - lo)
+        p, r, m, lk = ptr[lo : lo + n], rel[:n], mask[:n], linked[:n]
+        np.subtract(p, lo, out=r)
+        if np.greater(r, own[:n], out=m).any():
+            i = int(np.argmax(m))
             raise ValueError(f"link at {lo + i} points forward, to {p[i]}")
-        out[lo:hi] = val[lo:hi]
-        got = out.take(p)  # final for terminals and for links into the prefix
-        link = np.where(rel >= 0, rel, local)
+        np.not_equal(r, own[:n], out=lk)
+        np.greater_equal(r, 0, out=m)
+        m &= lk
+        inner = np.flatnonzero(m)
+        # every index lies in [0, lo + n), and mode="wrap" spares take the
+        # copy of ``out`` that mode="raise" makes
+        if val is not None:
+            out_block = out[lo : lo + n]
+            out_block[:] = val[lo : lo + n]
+            # final for terminals and for links into the prefix
+            out.take(p, out=got[:n], mode="wrap")
+            out_block[:] = got[:n]
         if count:
             # a local root's hops: 0 at a terminal, 1 + the prefix target's
-            # at a link into the prefix; in-block links count 1 each
-            base = hops.take(p) + (rel != local)
-            steps = (link != local).astype(ptr.dtype)
+            # at a link into the prefix
+            hops_block = hops[lo : lo + n]
+            hops.take(p, out=base[:n], mode="wrap")
+            base[:n] += lk
+            hops_block[:] = base[:n]
+        if not len(inner):
+            continue
+        # each round, every in-block link jumps to its target's target
+        link[inner] = r.take(inner)
+        if count:
+            steps[inner] = 1
         while True:
-            nxt = link.take(link)
-            if (nxt == link).all():
+            at = link.take(inner)
+            nxt = link.take(at)
+            if np.array_equal(nxt, at):
                 break
             if count:
-                steps += steps.take(link)
-            link = nxt
-        out[lo:hi] = got.take(link)
+                steps[inner] += steps.take(at)
+            link[inner] = nxt
+        if val is not None:
+            out_block[inner] = got.take(at)
         if count:
-            hops[lo:hi] = steps + base.take(link)
+            hops_block[inner] = steps.take(inner) + base.take(at)
+            steps[inner] = 0
+        link[inner] = inner
+    if val is None:
+        return hops
     return (out, hops) if count else out
 
 
 def _finish(seed, family, z, endpoints) -> MultiGraph:
     """The graph of coins ``z`` (steps 2..t) and ``endpoints``; its birth
-    times and parents take the endpoints' type.  Boolean masks select the
-    vertex-steps, so no int64 index array is made."""
+    times and parents take the endpoints' type.  The vertex-steps are
+    found ``_DRAW_CHUNK`` coins at a time, so no index array spans the run."""
     step_type = np.concatenate([[True], z])
-    birth_time = np.arange(1, len(step_type) + 1, dtype=endpoints.dtype)[step_type]
-    parent = endpoints[::2][step_type]  # slot 2s - 2 of step s
-    parent[0] = 0
+    n = 1 + int(np.count_nonzero(z))
+    birth_time = np.empty(n, dtype=endpoints.dtype)
+    parent = np.empty(n, dtype=endpoints.dtype)
+    birth_time[0], parent[0] = 1, 0
+    first = endpoints[2::2]  # slot 2s - 2 of step s >= 2
+    k = 1
+    for lo in range(0, len(z), _DRAW_CHUNK):
+        at = np.flatnonzero(z[lo : lo + _DRAW_CHUNK])
+        birth_time[k : k + len(at)] = at + (lo + 2)
+        first[lo : lo + _DRAW_CHUNK].take(at, out=parent[k : k + len(at)])
+        k += len(at)
     return MultiGraph(
         endpoints=endpoints,
         step_type=step_type,
@@ -230,7 +288,7 @@ def evolve(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
     z, slot_a, slot_b = _presample(f, t, seed)
     ptr = np.arange(2 * t, dtype=slot_a.dtype)
     ptr[2::2] = slot_a
-    np.copyto(ptr[3::2], slot_b, where=~z)
+    keep_where(ptr[3::2], z, slot_b)
     del slot_a, slot_b
     val = np.zeros(2 * t, dtype=ptr.dtype)  # the endpoint type, so no copy follows
     val[:2] = 1

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import MultiGraph, resolve_backward_links
+from .graphs import MultiGraph, keep_where, resolve_backward_links
 from .theory import t13
 
 
@@ -229,7 +229,7 @@ def _tree_diameter(parent: np.ndarray) -> int:
     ``u``'s path to the root, and ``d(u, v) = depth[u] + depth[v] - 2
     depth[a]``.
     """
-    depth = resolve_backward_links(parent, parent, count=True)[1]
+    depth = resolve_backward_links(parent, None, count=True)
     path = [int(np.argmax(depth))]
     while path[-1]:
         path.append(int(parent[path[-1]]))
@@ -465,8 +465,8 @@ def _run_lengths(parent: np.ndarray, keep: np.ndarray) -> np.ndarray:
     ``v`` while ``keep`` holds, ``v`` included, by one walk of
     :func:`resolve_backward_links` (0-based ids)."""
     ptr = np.arange(len(parent), dtype=parent.dtype)
-    np.copyto(ptr, parent, where=keep)
-    runs = resolve_backward_links(ptr, ptr, count=True)[1]
+    keep_where(ptr, ~keep, parent)
+    runs = resolve_backward_links(ptr, None, count=True)
     runs += 1
     return runs
 

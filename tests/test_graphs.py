@@ -189,10 +189,30 @@ def test_resolve_backward_links_matches_loop(n, seed, terminal, reach, block, dt
     with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
         out = gr.resolve_backward_links(ptr, val)
         counted, hops = gr.resolve_backward_links(ptr, val, count=True)
+        hops_only = gr.resolve_backward_links(ptr, None, count=True)
     want, want_hops = _resolve_by_loop(ptr, val)
-    assert out.dtype == val.dtype and hops.dtype == ptr.dtype
+    assert out.dtype == val.dtype and hops.dtype == hops_only.dtype == ptr.dtype
     assert np.array_equal(out, want)
     assert np.array_equal(counted, want) and np.array_equal(hops, want_hops)
+    assert np.array_equal(hops_only, hops)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_hops_only_resolve_matches_count_mode(block, dtype):
+    # terminals, in-block links and links into the prefix, over three seams
+    n = 3 * block + 300
+    rng = np.random.default_rng(block)
+    idx = np.arange(n)
+    near = np.maximum(idx - rng.integers(1, 5, n), 0)
+    far = (rng.random(n) * idx).astype(np.int64)
+    ptr = np.select([rng.random(n) < 0.2, rng.random(n) < 0.5], [idx, near], far).astype(dtype)
+    with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+        _, hops = gr.resolve_backward_links(ptr, ptr, count=True)
+        hops_only = gr.resolve_backward_links(ptr, None, count=True)
+    assert hops_only.dtype == hops.dtype == dtype
+    assert np.array_equal(hops_only, hops)
+    assert np.array_equal(hops, _resolve_by_loop(ptr, ptr)[1])
 
 
 @given(
@@ -318,6 +338,37 @@ def test_evolve_batch_rows_match_per_step_loop(force):
         g = batch.extract(r, f.name)
         g.validate()
         assert g.endpoints.dtype == gr._id_dtype(t) and g.family == f.name
+
+
+def _assert_mask_selected(g):
+    # birth times and parents as a boolean mask over the steps selects them
+    ids = np.arange(1, g.t + 1, dtype=g.endpoints.dtype)
+    parent = g.endpoints[::2][g.step_type]
+    parent[0] = 0
+    for name, want in (("birth_time", ids[g.step_type]), ("parent", parent)):
+        got = getattr(g, name)
+        assert got.dtype == g.endpoints.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("fam", ["ba", "const:0", "const:0.5"])  # every step, none past 1, half
+def test_finish_selects_vertex_steps_across_chunk_seams(chunk, fam):
+    f, t, seed = es.make_family(fam), 150, 9
+    tree = cp.grow_tree(t, seed)
+    g = gr.evolve(f, t, seed)
+    with mock.patch.object(gr, "_DRAW_CHUNK", chunk):
+        graphs = [
+            gr.evolve(f, t, seed),
+            cp.collapse(tree, f),
+            gr.evolve_batch(f, t, 3, seed).extract(2, fam),
+            gr.load_graph(io.StringIO(dumps_graph(g))),
+        ]
+    assert_same_graph(graphs[0], g)
+    for h in graphs:
+        if fam != "const:0.5":
+            assert h.n_vertices == (t if fam == "ba" else 1)
+        _assert_mask_selected(h)
+        h.validate()
 
 
 def test_dump_round_trip_bit_exact():

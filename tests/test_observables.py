@@ -111,6 +111,30 @@ def test_evolve_and_simple_view_peak_memory():
     assert view_peak <= VIEW_PEAK_RATIO * (view.indptr.nbytes + view.indices.nbytes)
 
 
+# Peak numpy allocations over the bytes of the result, measured at t = 2e5
+# (grow_tree 2.16, collapse 2.24) and pinned 25 % higher.
+TREE_PEAK_RATIO = 2.7
+COLLAPSE_PEAK_RATIO = 2.8
+
+
+def test_grow_tree_and_collapse_peak_memory():
+    f = es.constant(0.3)
+    coupling.collapse(coupling.grow_tree(1000, 0), f)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        tree = coupling.grow_tree(200_000, 5)
+        tree_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        g = coupling.collapse(tree, f)
+        collapse_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert tree_peak <= TREE_PEAK_RATIO * sum(a.nbytes for a in (tree.w, tree.ell, tree.u))
+    graph_bytes = sum(a.nbytes for a in (g.endpoints, g.step_type, g.birth_time, g.parent))
+    assert collapse_peak <= COLLAPSE_PEAK_RATIO * graph_bytes
+
+
 def _two_edges():
     """Two disjoint edges: a disconnected simple view."""
     return ob.SimpleView(
