@@ -84,11 +84,14 @@ def grow_tree(t: int, seed: int) -> DoublyLabeledTree:
     # Every step is a vertex-step, so odd slot 2j-1 holds j and even slot
     # 2j-2 holds w(j) (slot 0 holds the root).  A slot's value is thus a
     # terminal or the attachment of an older vertex: links over vertices.
+    odd = (w_slot & 1) == 1
+    w_slot >>= 1
+    w_slot += 1  # the vertex whose edge holds the slot
     ptr = np.arange(t + 1, dtype=w_slot.dtype)
-    keep_where(ptr[2:], (w_slot & 1) == 1, (w_slot >> 1) + 1)
+    keep_where(ptr[2:], odd, w_slot)
     val = np.ones(t + 1, dtype=w_slot.dtype)  # vertex 1 stands for slot 0
-    val[2:] = (w_slot + 1) >> 1
-    del w_slot
+    np.multiply(w_slot, odd, out=val[2:])  # zero at the links: each takes its root's value
+    del w_slot, odd
     w = resolve_backward_links(ptr, val)  # w[j] = w(j) for j >= 2, w[1] = 1
     del ptr, val
 
@@ -98,7 +101,7 @@ def grow_tree(t: int, seed: int) -> DoublyLabeledTree:
     l_slot >>= 1
     l_slot += 1
     ell = np.zeros(t + 1, dtype=w.dtype)
-    w.take(l_slot, out=ell[2:])
+    ell[2:] = w[l_slot]
     keep_where(ell[2:], even, l_slot)
     w[:2] = 0
     return DoublyLabeledTree(w=w, ell=ell, u=u, seed=seed)
@@ -126,12 +129,13 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
     keep_where(rep, keep, tree.ell)
     rank = np.cumsum(keep, dtype=dtype)
     rank -= 1
+    rank *= keep  # zero at the links, so each takes its representative's rank
     rr = resolve_backward_links(rep, rank)
     del rep, rank
 
     endpoints = np.empty(2 * t, dtype=dtype)
     endpoints[:2] = 1
-    rr.take(tree.w[2:], out=endpoints[2::2])
+    endpoints[2::2] = rr[tree.w[2:]]
     endpoints[3::2] = rr[2:]
     return _finish(tree.seed, f.name, keep[2:], endpoints)
 

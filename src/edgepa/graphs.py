@@ -168,85 +168,69 @@ def _presample(f: EdgeStepFunction, t: int, seed: int):
     return (z, *_draw_slots(_rng.stream(seed, _rng.SLOTS), t))
 
 
-def resolve_backward_links(ptr: np.ndarray, val: Optional[np.ndarray], count: bool = False):
-    """``out[i] = val[root(i)]`` for links with ``ptr[i] <= i``; ``ptr[i] == i``
-    marks a terminal.  With ``count``, returns ``(out, hops)``, where
-    ``hops[i]`` is the number of links followed from ``i`` to its root (the
-    depth of ``i`` when ``ptr`` holds parent links), in ``ptr``'s type;
-    with ``count`` and ``val=None``, returns ``hops`` alone.
+def resolve_backward_links(ptr: np.ndarray, w) -> np.ndarray:
+    """Path sums over backward links: ``out[i] = w[i]`` at a terminal
+    (``ptr[i] == i``) and ``out[i] = w[i] + out[ptr[i]]`` at a link
+    (``ptr[i] < i``), in ``w``'s type.  A scalar ``w`` is broadcast over
+    ``ptr``: weights of one give the vertices on each entry's path to its
+    root (1 + the depth, for parent links), and weights that are zero at
+    every link copy each root's weight down its links.
 
-    Blocks of ``_RESOLVE_BLOCK`` entries are resolved in index order.  A
-    block's links into the resolved prefix take one gather.  Pointer
-    doubling then runs only over its in-block links (``ptr[i] >= lo`` and
-    ``ptr[i] != i``; about 1 % of the generator's links), on block-sized
-    local arrays that stay in cache.  The local arrays are allocated once
-    per call and written with ``out=``.  A forward link raises
-    ``ValueError``: every cycle has one, and the doubling would follow a
-    cycle forever, or, on one whose length is a power of two, settle on a
-    wrong root.
+    Blocks of ``_RESOLVE_BLOCK`` entries are resolved in index order.
+    ``out`` starts at zero, so one gather reads ``out[ptr[i]]`` at a link
+    into the resolved prefix and 0 at every other entry of the block, and
+    ``w`` is added.  Only the block's in-block links (``ptr[i] >= lo`` and
+    ``ptr[i] != i``; about 1 % of the generator's links) are left; they
+    are numbered from 1, with 0 standing for every root, and pointer
+    doubling over arrays as long as their count sums the weights each jump
+    passes over.  The block-sized local arrays are allocated once per call and
+    written with ``out=``.  A forward link raises ``ValueError``: every
+    cycle has one, and the doubling would follow a cycle forever, or, on
+    one whose length is a power of two, settle on a wrong root.
     """
+    w = np.broadcast_to(w, ptr.shape)
     width = min(len(ptr), _RESOLVE_BLOCK)
     own = np.arange(width, dtype=ptr.dtype)  # a block entry's own local index
-    link = own.copy()  # identity except at the current block's in-block links
+    pos = np.zeros_like(own)  # an in-block link's number, while its block runs
     rel = np.empty_like(own)
     mask = np.empty(width, dtype=bool)
     linked = np.empty(width, dtype=bool)  # not a terminal
-    if val is not None:
-        out = np.empty(len(ptr), dtype=val.dtype)
-        got = np.empty(width, dtype=val.dtype)
-    if count:
-        hops = np.zeros(len(ptr), dtype=ptr.dtype)
-        base = np.empty_like(own)
-        steps = np.zeros_like(own)  # nonzero only at the current block's in-block links
+    out = np.zeros(len(ptr), dtype=w.dtype)
+    got = np.empty(width, dtype=w.dtype)
     for lo in range(0, len(ptr), _RESOLVE_BLOCK):
         n = min(_RESOLVE_BLOCK, len(ptr) - lo)
-        p, r, m, lk = ptr[lo : lo + n], rel[:n], mask[:n], linked[:n]
+        p, r, m = ptr[lo : lo + n], rel[:n], mask[:n]
         np.subtract(p, lo, out=r)
         if np.greater(r, own[:n], out=m).any():
             i = int(np.argmax(m))
             raise ValueError(f"link at {lo + i} points forward, to {p[i]}")
-        np.not_equal(r, own[:n], out=lk)
         np.greater_equal(r, 0, out=m)
-        m &= lk
+        m &= np.not_equal(r, own[:n], out=linked[:n])
         inner = np.flatnonzero(m)
         # every index lies in [0, lo + n), and mode="wrap" spares take the
         # copy of ``out`` that mode="raise" makes
-        if val is not None:
-            out_block = out[lo : lo + n]
-            out_block[:] = val[lo : lo + n]
-            # final for terminals and for links into the prefix
-            out.take(p, out=got[:n], mode="wrap")
-            out_block[:] = got[:n]
-        if count:
-            # a local root's hops: 0 at a terminal, 1 + the prefix target's
-            # at a link into the prefix
-            hops_block = hops[lo : lo + n]
-            hops.take(p, out=base[:n], mode="wrap")
-            base[:n] += lk
-            hops_block[:] = base[:n]
+        out.take(p, out=got[:n], mode="wrap")
+        out_block = out[lo : lo + n]
+        np.add(got[:n], w[lo : lo + n], out=out_block)  # final but at the in-block links
         if not len(inner):
             continue
-        # each round, every in-block link jumps to its target's target
-        link[inner] = r.take(inner)
-        if count:
-            steps[inner] = 1
-        while True:
-            at = link.take(inner)
-            nxt = link.take(at)
-            if np.array_equal(nxt, at):
-                break
-            if count:
-                steps[inner] += steps.take(at)
-            link[inner] = nxt
-        if val is not None:
-            out_block[inner] = got.take(at)
-        if count:
-            hops_block[inner] = steps.take(inner) + base.take(at)
-            steps[inner] = 0
-        link[inner] = inner
-    if val is None:
-        return hops
-    return (out, hops) if count else out
+        k = len(inner)
+        tgt = r.take(inner).astype(np.intp)
+        pos[inner] = np.arange(1, k + 1)
+        jump = np.zeros(k + 1, dtype=np.intp)  # the number of each link's target, 0 at a root
+        jump[1:] = pos[tgt]
+        pos[inner] = 0
+        total = np.zeros(k + 1, dtype=w.dtype)
+        total[1:] = out_block[inner]  # the weights, as the gather read 0 there
+        out_block[inner] = 0
+        total[1:] += out_block[tgt]  # a root's final sum, else 0
+        # each round, every link adds its target's total and jumps to its
+        # target's target
+        while jump.any():
+            total += total.take(jump)
+            jump = jump.take(jump)
+        out_block[inner] = total[1:]
+    return out
 
 
 def _finish(seed, family, z, endpoints) -> MultiGraph:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,7 +39,7 @@ class SimpleView:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    @property
+    @cached_property
     def tree_parents(self) -> Optional[np.ndarray]:
         """Parent links if the view is a tree in heap order, else ``None``;
         found once per view.
@@ -48,16 +49,14 @@ class SimpleView:
         connected, hence a tree.  Each vertex then has exactly one smaller
         neighbour, the first of its sorted row: its parent.
         """
-        if "_tree_parents" not in vars(self):
-            parent = None
-            n = self.n
-            if n > 1 and self.n_edges == n - 1 and self.degrees().all():
-                parent = self.indices[self.indptr[:-1]]  # first of each row
-                parent[0] = 0
-                if (parent[1:] >= np.arange(1, n, dtype=parent.dtype)).any():
-                    parent = None
-            vars(self)["_tree_parents"] = parent
-        return vars(self)["_tree_parents"]
+        n = self.n
+        if n < 2 or self.n_edges != n - 1 or not self.degrees().all():
+            return None
+        parent = self.indices[self.indptr[:-1]]  # first of each row
+        parent[0] = 0
+        if (parent[1:] >= np.arange(1, n, dtype=parent.dtype)).any():
+            return None
+        return parent
 
 
 def simple_view(g: MultiGraph) -> SimpleView:
@@ -224,21 +223,22 @@ def _tree_diameter(parent: np.ndarray) -> int:
     """Diameter of the tree with backward parent links ``parent``
     (``parent[0] == 0``), by two walks of :func:`resolve_backward_links`.
 
-    The first gives every depth; the deepest vertex ``u`` is a diametral
-    endpoint.  The second finds each vertex's nearest ancestor ``a`` on
-    ``u``'s path to the root, and ``d(u, v) = depth[u] + depth[v] - 2
-    depth[a]``.
+    The first sums weights of one, giving ``1 + depth``; the deepest
+    vertex ``u`` is a diametral endpoint.  The second gives every
+    vertex's distance from ``u``: with ``u = path[0], ..., path[L] = 0``
+    the path to the root, weights of 1 off the path, -1 on it and ``L``
+    at the root sum to ``k`` from ``path[k]``, and each further vertex
+    adds 1, up to its nearest ancestor on the path.
     """
-    depth = resolve_backward_links(parent, None, count=True)
+    depth = resolve_backward_links(parent, parent.dtype.type(1))
     path = [int(np.argmax(depth))]
     while path[-1]:
         path.append(int(parent[path[-1]]))
-    stops = parent.copy()
-    stops[path] = path  # terminals: each vertex's walk ends on the path
-    dist = resolve_backward_links(stops, depth)  # depth[a] of every v
-    dist *= -2  # in place, so that no further array as long as the tree is made
-    dist += depth
-    return int(depth[path[0]] + dist.max())
+    w = depth  # reused, so that no third array as long as the tree is made
+    w[:] = 1
+    w[path] = -1
+    w[0] = len(path) - 1
+    return int(resolve_backward_links(parent, w).max())
 
 
 def diameter_bounds(view: SimpleView, refine_budget: int = 256) -> tuple[int, int]:
@@ -466,9 +466,7 @@ def _run_lengths(parent: np.ndarray, keep: np.ndarray) -> np.ndarray:
     :func:`resolve_backward_links` (0-based ids)."""
     ptr = np.arange(len(parent), dtype=parent.dtype)
     keep_where(ptr, ~keep, parent)
-    runs = resolve_backward_links(ptr, None, count=True)
-    runs += 1
-    return runs
+    return resolve_backward_links(ptr, parent.dtype.type(1))
 
 
 def isolated_paths(g: MultiGraph, degrees: np.ndarray) -> Counter:

@@ -159,15 +159,21 @@ def test_fast_matches_sequential_reference(t, seed, fam):
     assert np.array_equal(fast.parent, slow.parent)
 
 
-def _resolve_by_loop(ptr, val):
-    out = np.empty_like(val)
-    hops = np.zeros(len(ptr), dtype=np.int64)
+def _path_sums_by_loop(ptr, w):
+    w = np.broadcast_to(w, ptr.shape)
+    out = np.empty(len(ptr), dtype=w.dtype)
     for i in range(len(ptr)):
-        if ptr[i] == i:
-            out[i] = val[i]
-        else:
-            out[i], hops[i] = out[ptr[i]], hops[ptr[i]] + 1
-    return out, hops
+        out[i] = w[i] if ptr[i] == i else w[i] + out[ptr[i]]
+    return out
+
+
+def _backward_links(rng, n, terminal, reach, dtype):
+    idx = np.arange(n)
+    ptr = np.maximum(idx - rng.integers(1, reach + 1, n), 0)  # links up to ``reach`` back
+    ptr = np.where(rng.random(n) < terminal, idx, ptr).astype(dtype)
+    if n:
+        ptr[0] = 0
+    return ptr
 
 
 @given(
@@ -181,38 +187,45 @@ def _resolve_by_loop(ptr, val):
 @settings(max_examples=120, deadline=None)
 def test_resolve_backward_links_matches_loop(n, seed, terminal, reach, block, dtype):
     rng = np.random.default_rng(seed)
-    idx = np.arange(n)
-    ptr = np.maximum(idx - rng.integers(1, reach + 1, n), 0)  # links up to ``reach`` back
-    ptr = np.where(rng.random(n) < terminal, idx, ptr).astype(dtype)
-    ptr[0] = 0
-    val = rng.integers(-5, 10**6, n).astype(dtype)
+    ptr = _backward_links(rng, n, terminal, reach, dtype)
+    w = rng.integers(-10**6, 10**6, n).astype(dtype)  # negative weights too
+    roots = w * (ptr == np.arange(n))  # zero at every link
+    one = ptr.dtype.type(1)
     with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
-        out = gr.resolve_backward_links(ptr, val)
-        counted, hops = gr.resolve_backward_links(ptr, val, count=True)
-        hops_only = gr.resolve_backward_links(ptr, None, count=True)
-    want, want_hops = _resolve_by_loop(ptr, val)
-    assert out.dtype == val.dtype and hops.dtype == hops_only.dtype == ptr.dtype
-    assert np.array_equal(out, want)
-    assert np.array_equal(counted, want) and np.array_equal(hops, want_hops)
-    assert np.array_equal(hops_only, hops)
+        sums = gr.resolve_backward_links(ptr, w)
+        copied = gr.resolve_backward_links(ptr, roots)
+        counted = gr.resolve_backward_links(ptr, one)
+    assert sums.dtype == copied.dtype == counted.dtype == dtype
+    assert np.array_equal(sums, _path_sums_by_loop(ptr, w))
+    # zero weights at the links copy each root's weight down to its links
+    root = np.arange(n)
+    for i in range(n):
+        root[i] = i if ptr[i] == i else root[ptr[i]]
+    assert np.array_equal(copied, w[root])
+    assert np.array_equal(counted, _path_sums_by_loop(ptr, np.ones(n, dtype=dtype)))
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_hops_only_resolve_matches_count_mode(block, dtype):
-    # terminals, in-block links and links into the prefix, over three seams
+    # broadcast ones count the links followed, plus one, over terminals,
+    # in-block links and links into the prefix, across three seams
     n = 3 * block + 300
     rng = np.random.default_rng(block)
     idx = np.arange(n)
     near = np.maximum(idx - rng.integers(1, 5, n), 0)
     far = (rng.random(n) * idx).astype(np.int64)
     ptr = np.select([rng.random(n) < 0.2, rng.random(n) < 0.5], [idx, near], far).astype(dtype)
+    hops = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        hops[i] = 0 if ptr[i] == i else hops[ptr[i]] + 1
     with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
-        _, hops = gr.resolve_backward_links(ptr, ptr, count=True)
-        hops_only = gr.resolve_backward_links(ptr, None, count=True)
-    assert hops_only.dtype == hops.dtype == dtype
-    assert np.array_equal(hops_only, hops)
-    assert np.array_equal(hops, _resolve_by_loop(ptr, ptr)[1])
+        counted = gr.resolve_backward_links(ptr, np.broadcast_to(ptr.dtype.type(1), n))
+        scalar = gr.resolve_backward_links(ptr, ptr.dtype.type(1))
+        ones = gr.resolve_backward_links(ptr, np.ones(n, dtype=dtype))
+    assert counted.dtype == scalar.dtype == ones.dtype == dtype
+    assert np.array_equal(counted, hops + 1)
+    assert np.array_equal(scalar, counted) and np.array_equal(ones, counted)
 
 
 @given(
@@ -224,17 +237,14 @@ def test_hops_only_resolve_matches_count_mode(block, dtype):
 @settings(max_examples=80, deadline=None)
 def test_depth_walk_matches_loop(n, seed, reach, block):
     # parent links of a heap-ordered tree, up to ``reach`` ids back, so that
-    # chains cross the block seams; the hop counts are depths from vertex 0
-    rng = np.random.default_rng(seed)
-    idx = np.arange(n)
-    parent = np.maximum(idx - rng.integers(1, reach + 1, n), 0)
-    parent[0] = 0
+    # chains cross the block seams; weights of one sum to 1 + the depth
+    parent = _backward_links(np.random.default_rng(seed), n, 0.0, reach, np.int64)
     want = np.zeros(n, dtype=np.int64)
     for v in range(1, n):
         want[v] = want[parent[v]] + 1
     with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
-        _, hops = gr.resolve_backward_links(parent, parent, count=True)
-    assert np.array_equal(hops, want)
+        depth = gr.resolve_backward_links(parent, 1)
+    assert np.array_equal(depth - 1, want)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -244,13 +254,31 @@ def test_resolve_backward_links_edge_cases(dtype):
     val = (7 * idx + 3).astype(dtype)
     assert np.array_equal(gr.resolve_backward_links(idx, val), val)  # all terminal
     chain = np.maximum(idx - 1, 0).astype(dtype)  # one chain through every block
-    assert np.array_equal(gr.resolve_backward_links(chain, val), np.full(n, val[0]))
+    at_root = np.where(idx == 0, val, 0).astype(dtype)
+    assert np.array_equal(gr.resolve_backward_links(chain, at_root), np.full(n, val[0]))
     # chains that jump back across block boundaries, to one of four terminals
     hop = np.maximum(idx - 4 * (gr._RESOLVE_BLOCK // 8 + 1), idx % 4).astype(dtype)
-    assert np.array_equal(gr.resolve_backward_links(hop, val), val[idx % 4])
-    _, hops = gr.resolve_backward_links(chain, val, count=True)
-    assert np.array_equal(hops, idx)
-    assert gr.resolve_backward_links(idx[:0], val[:0]).size == 0
+    at_roots = np.where(idx < 4, val, 0).astype(dtype)
+    assert np.array_equal(gr.resolve_backward_links(hop, at_roots), val[idx % 4])
+    assert np.array_equal(gr.resolve_backward_links(chain, dtype(1)), idx + 1)
+    # the sums of a chain through every block, each entry weighing its own index
+    assert np.array_equal(gr.resolve_backward_links(chain, idx.astype(np.int64)), np.cumsum(idx, dtype=np.int64))
+    for w in (val[:0], dtype(1)):
+        empty = gr.resolve_backward_links(idx[:0], w)
+        assert empty.size == 0 and empty.dtype == dtype
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64, 1 << 16])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_resolve_backward_links_block_sizes(block, dtype):
+    # random signed weights over terminals, in-block links and prefix links
+    rng = np.random.default_rng(block + 1)
+    n = 5 * block + 37 if block < 1000 else 2 * block + 37
+    ptr = _backward_links(rng, n, 0.3, 3 * block, dtype)
+    w = rng.integers(-1000, 1000, n).astype(dtype)
+    with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+        out = gr.resolve_backward_links(ptr, w)
+    assert out.dtype == dtype and np.array_equal(out, _path_sums_by_loop(ptr, w))
 
 
 # each id links to the next of its cycle; with blocks of 8 the first two
@@ -258,13 +286,23 @@ def test_resolve_backward_links_edge_cases(dtype):
 # across the seam at 8
 @pytest.mark.parametrize("cycle", [(2, 5), (1, 6, 3), (9, 12), (10, 15, 11), (5, 9), (4, 9, 6)])
 @pytest.mark.parametrize("block", [8, 1 << 16])
-@pytest.mark.parametrize("count", [False, True])
-def test_resolve_backward_links_rejects_cycles(cycle, block, count):
+@pytest.mark.parametrize("ones", [False, True])
+def test_resolve_backward_links_rejects_cycles(cycle, block, ones):
     ptr = np.maximum(np.arange(20) - 1, 0)
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         ptr[a] = b
+    w = ptr.dtype.type(1) if ones else np.arange(20) - 7
     with mock.patch.object(gr, "_RESOLVE_BLOCK", block), pytest.raises(ValueError):
-        gr.resolve_backward_links(ptr, ptr, count=count)
+        gr.resolve_backward_links(ptr, w)
+
+
+@pytest.mark.parametrize("ones", [False, True])
+def test_resolve_backward_links_rejects_forward_links(ones):
+    ptr = np.arange(20)
+    ptr[6] = 11  # a forward link with no cycle
+    w = ptr.dtype.type(1) if ones else np.arange(20) - 7
+    with pytest.raises(ValueError, match="link at 6 points forward, to 11"):
+        gr.resolve_backward_links(ptr, w)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
