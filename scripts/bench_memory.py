@@ -14,6 +14,11 @@ records are run the same way, alternating with this checkout's
 written to ``BENCH_memory.json``: one entry per checkout, family and
 repetition, with ``ru_maxrss`` in MB, the seconds to generate and to
 measure, and the edgepa, numpy and python versions each process ran on.
+
+Every child runs with glibc's mmap threshold fixed at
+``MALLOC_MMAP_THRESHOLD``, recorded in each entry: left adaptive, the
+threshold rises with the first large block freed, so one record's peak
+would follow the order of its frees as much as its arrays.
 """
 
 from __future__ import annotations
@@ -30,10 +35,11 @@ FAMILIES = ("const:0.5", "ba", "log:1")
 T = 10**7
 SEED = 11
 REPS = 2
+MALLOC_MMAP_THRESHOLD = 131072  # bytes; glibc's starting value
 
 # One record, run in a child process: argv is family, t, seed.
 RECORD = """
-import json, platform, resource, sys, time
+import json, os, platform, resource, sys, time
 import numpy as np
 import edgepa
 from edgepa import graphs, make_family, observables
@@ -52,12 +58,17 @@ print(json.dumps({
     "n_vertices": report.n_vertices, "diameter": [report.diameter_lower, report.diameter_upper],
     "clique_exact": report.clique_exact,
     "edgepa": edgepa.__version__, "numpy": np.__version__, "python": platform.python_version(),
+    "malloc_mmap_threshold": int(os.environ["MALLOC_MMAP_THRESHOLD_"]),
 }))
 """
 
 
 def run_record(checkout: Path, family: str, t: int, seed: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(checkout / "src"),
+        MALLOC_MMAP_THRESHOLD_=str(MALLOC_MMAP_THRESHOLD),
+    )
     out = subprocess.run(
         [sys.executable, "-c", RECORD, family, str(t), str(seed)],
         env=env, capture_output=True, text=True, check=True,

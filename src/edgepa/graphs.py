@@ -56,8 +56,12 @@ class MultiGraph:
         return len(self.birth_time)
 
     def degrees(self) -> np.ndarray:
-        """Degree of every vertex (loops count twice), indexed by id - 1."""
-        return np.bincount(self.endpoints, minlength=self.n_vertices + 1)[1:]
+        """Degree of every vertex (loops count twice), indexed by id - 1, as
+        int64.  Added in place with ``np.add.at``, which reads the ids in
+        their own type; ``np.bincount`` would first copy them to int64."""
+        out = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.add.at(out, self.endpoints, 1)
+        return out[1:]
 
     def prefix(self, t: int) -> MultiGraph:
         """The same trajectory at time ``t <= self.t``: the first ``t`` edges
@@ -101,9 +105,10 @@ class MultiGraph:
 
 # -- full-trajectory generation -------------------------------------------
 
-# Steps per chunk of coin and slot draws (their float temporaries, about
-# 3 MB, do not grow with t), and entries per block of the link resolver
-# (int32 ids: 256 KB per local array, so a block stays in cache).
+# Steps per chunk of coin and slot draws (``evolve_batch`` divides it by
+# its replicates), so their float temporaries, about 3 MB, do not grow
+# with t or reps; and entries per block of the link resolver (int32 ids:
+# 256 KB per local array, so a block stays in cache).
 _DRAW_CHUNK = 1 << 16
 _RESOLVE_BLOCK = 1 << 16
 
@@ -310,10 +315,12 @@ class BatchRun:
     Row ``r`` is one full trajectory; with ``reps=1`` the draws coincide
     exactly with ``evolve`` under the same seed.  Replicates occupy
     disjoint counter blocks of the keyed streams, so they are mutually
-    independent and the whole batch is reproducible from the seed.
+    independent and the whole batch is reproducible from the seed.  Both
+    matrices are C-contiguous; the endpoints take ``_id_dtype(t)``, like
+    a ``MultiGraph``'s, whatever type ``evolve_batch`` worked in.
     """
 
-    endpoints: np.ndarray  # (reps, 2t) int
+    endpoints: np.ndarray  # (reps, 2t) _id_dtype(t)
     z: np.ndarray          # (reps, t-1) bool, steps 2..t
     seed: int
 
@@ -341,8 +348,14 @@ def evolve_batch(
 ) -> BatchRun:
     """Generate ``reps`` independent trajectories, one step for all of them at a time.
 
-    Endpoints are built slot-major, so each step writes two contiguous
-    rows, and transposed once at the end.  ``force_coin`` pins the coin
+    Endpoints are built slot-major, in the narrowest type that holds ``t``
+    (ids never exceed it), and transposed once at the end.  Coins and slot
+    uniforms are drawn ``max(1, _DRAW_CHUNK // reps)`` steps at a time into
+    buffers made once (the same Philox values as per-step calls), and the
+    chunk's flat positions ``slot * reps + col`` are computed in one pass.
+    At a vertex-step the second position is the step's own row ``2s - 1``,
+    which holds the new ids before the gather, so each step is one gather
+    of both slots and one two-row write.  ``force_coin`` pins the coin
     of selected steps (e.g. ``{10: True}`` conditions every replicate on
     a vertex birth at time 10); the remaining coins keep their own draws,
     so forcing equals conditioning.
@@ -351,31 +364,53 @@ def evolve_batch(
         raise ValueError("need t >= 1 and reps >= 1")
     gen_c = _rng.stream(seed, _rng.COINS)
     gen_s = _rng.stream(seed, _rng.SLOTS)
-    dtype = _id_dtype(t)
     fs = f.eval_array(np.arange(2, t + 1, dtype=np.int64))
-    ends = np.zeros((2 * t, reps), dtype=dtype)
+    ends = np.zeros((2 * t, reps), dtype=np.min_scalar_type(t))
     ends[:2] = 1
     flat = ends.reshape(-1)
     z = np.zeros((t - 1, reps), dtype=bool)
     cols = np.arange(reps)
-    top_id = np.ones(reps, dtype=dtype)
-    for s in range(2, t + 1):
-        width = 2 * (s - 1)
-        zs = z[s - 2]
-        np.less(gen_c.random(reps), fs[s - 2], out=zs)
-        if force_coin and s in force_coin:
-            zs[:] = force_coin[s]
-        slots = np.minimum((gen_s.random((reps, 2)) * width).astype(np.int64), width - 1)
-        at = slots * reps + cols[:, None]  # flat positions of the drawn slots
-        top_id += zs
-        ends[width] = flat[at[:, 0]]
-        ends[width + 1] = np.where(zs, top_id, flat[at[:, 1]])
-    return BatchRun(endpoints=_transposed(ends), z=_transposed(z), seed=seed)
+    top_id = np.ones(reps, dtype=ends.dtype)  # each replicate's newest id
+    steps = max(1, _DRAW_CHUNK // reps)
+    coins = np.empty((steps, reps))
+    raw = np.empty((steps, reps, 2))
+    at = np.empty((steps, 2, reps), dtype=np.intp)  # flat positions of both slots
+    got = np.empty((2, reps), dtype=ends.dtype)
+    for lo in range(0, t - 1, steps):
+        k = min(steps, t - 1 - lo)
+        zc = z[lo : lo + k]
+        np.less(gen_c.random(out=coins[:k]), fs[lo : lo + k, None], out=zc)
+        for s, coin in (force_coin or {}).items():
+            if lo + 2 <= s < lo + 2 + k:
+                zc[s - lo - 2] = coin
+        # step s fills rows 2s - 2, whose index is the width 2(s - 1) it
+        # draws over, and 2s - 1, which first gets the step's new ids
+        own = ends[2 * lo + 3 : 2 * (lo + k) + 2 : 2]
+        np.cumsum(zc, axis=0, dtype=ends.dtype, out=own)
+        own += top_id
+        top_id[:] = own[-1]
+        width = np.arange(2 * lo + 2, 2 * (lo + k) + 2, 2)[:, None, None]
+        x = gen_s.random(out=raw[:k])
+        x *= width
+        # clamp, then truncate on assignment, as in _draw_slots
+        np.minimum(x, width - 1, out=x)
+        ak = at[:k]
+        ak[...] = x.transpose(0, 2, 1)
+        keep_where(ak[:, 1], ~zc, width[:, 0] + 1)  # a vertex-step reads its own row
+        ak *= reps
+        ak += cols
+        for i in range(k):
+            # every position lies in the filled rows, and mode="wrap" spares
+            # take the copy of ``got`` that mode="raise" makes
+            flat.take(ak[i], out=got, mode="wrap")
+            ends[2 * (lo + i + 1) : 2 * (lo + i + 2)] = got
+    return BatchRun(endpoints=_transposed(ends, _id_dtype(t)), z=_transposed(z, bool), seed=seed)
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """``a.T`` as a C-contiguous array, copied in 256 x 256 tiles that stay in cache."""
-    out = np.empty(a.shape[::-1], dtype=a.dtype)
+def _transposed(a: np.ndarray, dtype) -> np.ndarray:
+    """``a.T`` as a C-contiguous array of ``dtype``, copied in 256 x 256
+    tiles that stay in cache."""
+    out = np.empty(a.shape[::-1], dtype=dtype)
     for i in range(0, a.shape[0], 256):
         for j in range(0, a.shape[1], 256):
             out[j : j + 256, i : i + 256] = a[i : i + 256, j : j + 256].T

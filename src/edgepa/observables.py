@@ -596,17 +596,19 @@ def measure_graph(
 ) -> ObservableReport:
     """Measure the toggled observables of one graph into a report."""
     view = simple_view(g)
-    degrees = g.degrees()
+    lo = hi = None
+    if diameter:
+        lo, hi = diameter_bounds(view, refine_budget=refine_budget)
+    degrees = g.degrees()  # made after the diameter search, whose peak it would raise
     report = ObservableReport(
         n_vertices=g.n_vertices,
         max_degree=max_degree(degrees),
         degree_histogram=degree_histogram(degrees),
         simple_edges=view.n_edges,
+        diameter_lower=lo,
+        diameter_upper=hi,
+        diameter_method="off" if lo is None else "exact" if lo == hi else "bounds",
     )
-    if diameter:
-        lo, hi = diameter_bounds(view, refine_budget=refine_budget)
-        report.diameter_lower, report.diameter_upper = lo, hi
-        report.diameter_method = "exact" if lo == hi else "bounds"
     if clique:
         report.clique_greedy = clique_greedy(view, degrees)
         if want_clique_exact:

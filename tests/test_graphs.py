@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -352,9 +353,7 @@ def test_evolve_batch_force_coin():
     assert not np.any(batch.z[:, 9])
 
 
-@pytest.mark.parametrize("force", [None, {3: False, 10: True, 11: False}])
-def test_evolve_batch_rows_match_per_step_loop(force):
-    f, t, reps, seed = es.make_family("rv:0.5"), 90, 7, 23
+def _assert_batch_matches_per_step_loop(f, t, reps, seed, force):
     gen_c, gen_s = _rng.stream(seed, _rng.COINS), _rng.stream(seed, _rng.SLOTS)
     ends = [[1, 1] for _ in range(reps)]
     zs = [[] for _ in range(reps)]
@@ -370,12 +369,47 @@ def test_evolve_batch_rows_match_per_step_loop(force):
             zs[r].append(vertex)
     batch = gr.evolve_batch(f, t, reps, seed, force_coin=force)
     assert batch.endpoints.dtype == np.int32 and batch.endpoints.flags.c_contiguous
+    assert batch.z.dtype == bool and batch.z.flags.c_contiguous
     assert np.array_equal(batch.endpoints, np.array(ends))
     assert np.array_equal(batch.z, np.array(zs))
     for r in (0, reps - 1):
         g = batch.extract(r, f.name)
         g.validate()
         assert g.endpoints.dtype == gr._id_dtype(t) and g.family == f.name
+
+
+@pytest.mark.parametrize("force", [None, {3: False, 10: True, 11: False}])
+def test_evolve_batch_rows_match_per_step_loop(force):
+    _assert_batch_matches_per_step_loop(es.make_family("rv:0.5"), 90, 7, 23, force)
+
+
+# ba reaches id t: 255 is the largest uint8 working matrix, 256 the smallest uint16
+@pytest.mark.parametrize("fam, t", [("rv:0.5", 100), ("ba", 255), ("ba", 256)])
+@pytest.mark.parametrize("chunk, reps", [(1, 3), (7, 3), (7, 2)])  # 1, 2 and 3 steps per draw chunk
+def test_evolve_batch_rows_match_per_step_loop_across_chunks(fam, t, chunk, reps):
+    steps = max(1, chunk // reps)
+    # a chunk's first step, another chunk's last step, and the last step of the run
+    force = {2 + 5 * steps: False, 1 + 9 * steps: True, t: False} if fam == "rv:0.5" else None
+    with mock.patch.object(gr, "_DRAW_CHUNK", chunk):
+        _assert_batch_matches_per_step_loop(es.make_family(fam), t, reps, 4, force)
+
+
+# Peak numpy allocations of evolve_batch over the bytes of its result,
+# measured at t = 1000, reps = 5000 (1.64) and pinned 10 % higher: below
+# the 2.0 of an int32 working matrix.
+BATCH_PEAK_RATIO = 1.8
+
+
+def test_evolve_batch_peak_memory():
+    f = es.make_family("const:0.5")
+    gr.evolve_batch(f, 100, 100, 0)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        batch = gr.evolve_batch(f, 1000, 5000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BATCH_PEAK_RATIO * (batch.endpoints.nbytes + batch.z.nbytes)
 
 
 def _assert_mask_selected(g):

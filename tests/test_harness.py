@@ -488,4 +488,5 @@ def test_bench_memory_script_runs_one_record_per_family(tmp_path, monkeypatch):
     for r in runs:
         assert r["checkout"] == "after" and r["t"] == 1000 and r["ru_maxrss_mb"] > 0
         assert r["generate_s"] >= 0 and r["measure_s"] >= 0 and r["numpy"] == np.__version__
+        assert r["malloc_mmap_threshold"] == bench.MALLOC_MMAP_THRESHOLD
     assert runs[0]["n_vertices"] == evolve(make_family("const:0.5"), 1000, 11).n_vertices
