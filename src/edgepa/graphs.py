@@ -312,15 +312,16 @@ def _evolve_sequential(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
 class BatchRun:
     """Endpoint matrices of many replicates generated together.
 
-    Row ``r`` is one full trajectory; with ``reps=1`` the draws coincide
-    exactly with ``evolve`` under the same seed.  Replicates occupy
-    disjoint counter blocks of the keyed streams, so they are mutually
-    independent and the whole batch is reproducible from the seed.  Both
-    matrices are C-contiguous; the endpoints take ``_id_dtype(t)``, like
-    a ``MultiGraph``'s, whatever type ``evolve_batch`` worked in.
+    Replicate ``r``'s full trajectory is column ``r`` of the slot-major
+    matrices ``evolve_batch`` builds, read as row ``r`` of their transposed
+    views: ``endpoints.T`` and ``z.T`` are C-contiguous, and the endpoints
+    keep the working type ``np.min_scalar_type(t)``.  With ``reps=1`` the
+    draws coincide exactly with ``evolve`` under the same seed.  Replicates
+    occupy disjoint counter blocks of the keyed streams, so they are
+    mutually independent and the whole batch is reproducible from the seed.
     """
 
-    endpoints: np.ndarray  # (reps, 2t) _id_dtype(t)
+    endpoints: np.ndarray  # (reps, 2t) np.min_scalar_type(t)
     z: np.ndarray          # (reps, t-1) bool, steps 2..t
     seed: int
 
@@ -336,7 +337,8 @@ class BatchRun:
         return 1 + self.z.sum(axis=1)
 
     def extract(self, r: int, family: str = "") -> MultiGraph:
-        return _finish(self.seed, family, self.z[r], self.endpoints[r].copy())
+        """Replicate ``r`` as a graph with contiguous ``_id_dtype(t)`` ids of its own."""
+        return _finish(self.seed, family, self.z[r], self.endpoints[r].astype(_id_dtype(self.t)))
 
 
 def evolve_batch(
@@ -349,28 +351,29 @@ def evolve_batch(
     """Generate ``reps`` independent trajectories, one step for all of them at a time.
 
     Endpoints are built slot-major, in the narrowest type that holds ``t``
-    (ids never exceed it), and transposed once at the end.  Coins and slot
-    uniforms are drawn ``max(1, _DRAW_CHUNK // reps)`` steps at a time into
-    buffers made once (the same Philox values as per-step calls), and the
-    chunk's flat positions ``slot * reps + col`` are computed in one pass.
-    At a vertex-step the second position is the step's own row ``2s - 1``,
-    which holds the new ids before the gather, so each step is one gather
-    of both slots and one two-row write.  ``force_coin`` pins the coin
-    of selected steps (e.g. ``{10: True}`` conditions every replicate on
-    a vertex birth at time 10); the remaining coins keep their own draws,
-    so forcing equals conditioning.
+    (ids never exceed it), and handed back as transposed views, uncopied.
+    Coins and slot uniforms are drawn ``max(1, _DRAW_CHUNK // reps)`` steps
+    at a time into buffers made once (the same Philox values as per-step
+    calls), and the chunk's flat positions ``slot * reps + col`` are
+    computed in one pass.  A row past the last slot holds each replicate's
+    newest id, one add per step; a vertex-step's second position points
+    there, so each step is one gather of both slots and one two-row write.
+    ``force_coin`` pins the coin of selected steps (e.g. ``{10: True}``
+    conditions every replicate on a vertex birth at time 10); the
+    remaining coins keep their own draws, so forcing equals conditioning.
     """
     if t < 1 or reps < 1:
         raise ValueError("need t >= 1 and reps >= 1")
     gen_c = _rng.stream(seed, _rng.COINS)
     gen_s = _rng.stream(seed, _rng.SLOTS)
     fs = f.eval_array(np.arange(2, t + 1, dtype=np.int64))
-    ends = np.zeros((2 * t, reps), dtype=np.min_scalar_type(t))
+    ends = np.zeros((2 * t + 1, reps), dtype=np.min_scalar_type(t))
     ends[:2] = 1
+    top_id = ends[2 * t]  # each replicate's newest id
+    top_id[:] = 1
     flat = ends.reshape(-1)
     z = np.zeros((t - 1, reps), dtype=bool)
     cols = np.arange(reps)
-    top_id = np.ones(reps, dtype=ends.dtype)  # each replicate's newest id
     steps = max(1, _DRAW_CHUNK // reps)
     coins = np.empty((steps, reps))
     raw = np.empty((steps, reps, 2))
@@ -383,12 +386,7 @@ def evolve_batch(
         for s, coin in (force_coin or {}).items():
             if lo + 2 <= s < lo + 2 + k:
                 zc[s - lo - 2] = coin
-        # step s fills rows 2s - 2, whose index is the width 2(s - 1) it
-        # draws over, and 2s - 1, which first gets the step's new ids
-        own = ends[2 * lo + 3 : 2 * (lo + k) + 2 : 2]
-        np.cumsum(zc, axis=0, dtype=ends.dtype, out=own)
-        own += top_id
-        top_id[:] = own[-1]
+        # step s draws over the 2(s - 1) filled rows
         width = np.arange(2 * lo + 2, 2 * (lo + k) + 2, 2)[:, None, None]
         x = gen_s.random(out=raw[:k])
         x *= width
@@ -396,25 +394,17 @@ def evolve_batch(
         np.minimum(x, width - 1, out=x)
         ak = at[:k]
         ak[...] = x.transpose(0, 2, 1)
-        keep_where(ak[:, 1], ~zc, width[:, 0] + 1)  # a vertex-step reads its own row
+        keep_where(ak[:, 1], ~zc, 2 * t)  # a vertex-step reads the newest id
         ak *= reps
         ak += cols
         for i in range(k):
-            # every position lies in the filled rows, and mode="wrap" spares
-            # take the copy of ``got`` that mode="raise" makes
+            top_id += zc[i]
+            # every position lies in the filled rows or the newest-id row,
+            # and mode="wrap" spares take the copy of ``got`` that
+            # mode="raise" makes
             flat.take(ak[i], out=got, mode="wrap")
             ends[2 * (lo + i + 1) : 2 * (lo + i + 2)] = got
-    return BatchRun(endpoints=_transposed(ends, _id_dtype(t)), z=_transposed(z, bool), seed=seed)
-
-
-def _transposed(a: np.ndarray, dtype) -> np.ndarray:
-    """``a.T`` as a C-contiguous array of ``dtype``, copied in 256 x 256
-    tiles that stay in cache."""
-    out = np.empty(a.shape[::-1], dtype=dtype)
-    for i in range(0, a.shape[0], 256):
-        for j in range(0, a.shape[1], 256):
-            out[j : j + 256, i : i + 256] = a[i : i + 256, j : j + 256].T
-    return out
+    return BatchRun(endpoints=ends[: 2 * t].T, z=z.T, seed=seed)
 
 
 # -- canonical form ---------------------------------------------------------

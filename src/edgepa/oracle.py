@@ -17,6 +17,7 @@ The regrouped sum is term-for-term the per-slot sum.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,10 +201,18 @@ def sample_direct_law(f: EdgeStepFunction, t: int, reps: int, seed: int) -> dict
     hi = pairs.max(axis=2)
     packed = np.sort(lo * (t + 2) + hi, axis=1)
     rows = np.concatenate([z.astype(np.int64), packed], axis=1)
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
+    # one key per replicate in mixed radix, most significant column first
+    # (base 2 per coin, (t + 2)**2 per pair), so keys sort as rows do
+    bases = [2] * (t - 1) + [(t + 2) ** 2] * t
+    assert math.prod(bases) <= 2**63  # 2**41 at t = MAX_ENUM_T = 6
+    key = np.zeros(reps, dtype=np.int64)
+    for col, base in zip(rows.T, bases):
+        key *= base
+        key += col
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
 
     out: dict = {}
-    for row, cnt in zip(uniq, counts):
+    for row, cnt in zip(rows[first], counts):
         zt = tuple(bool(x) for x in row[: t - 1])
         pk = row[t - 1 :]
         edges = tuple((int(p // (t + 2)), int(p % (t + 2))) for p in pk)

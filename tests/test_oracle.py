@@ -2,9 +2,11 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from edgepa import edgestep as es
+from edgepa import graphs as gr
 from edgepa import oracle as orc
 
 from reference import dump_law
@@ -62,6 +64,29 @@ def test_sampled_frequencies_track_law():
         pf = float(p)
         sd = math.sqrt(reps * pf * (1 - pf))
         assert abs(counts.get(key, 0) - reps * pf) <= 5 * sd
+
+
+
+@pytest.mark.parametrize("t", range(1, orc.MAX_ENUM_T + 1))
+def test_sampled_counts_match_row_wise_unique(t):
+    # the same dict, in the same order, as np.unique(rows, axis=0) over each
+    # replicate's coins and sorted packed birth-time pairs, read off extract
+    f, reps, seed = es.constant(0.5), 400, 7
+    batch = gr.evolve_batch(f, t, reps, seed)
+    rows = []
+    for r in range(reps):
+        g = batch.extract(r)
+        pairs = g.birth_time[g.endpoints - 1].reshape(-1, 2).astype(np.int64)
+        packed = np.sort(pairs.min(axis=1) * (t + 2) + pairs.max(axis=1))
+        rows.append(np.concatenate([g.step_type[1:], packed]))
+    uniq, counts = np.unique(np.array(rows, dtype=np.int64), axis=0, return_counts=True)
+    want = {
+        (tuple(bool(x) for x in row[: t - 1]), tuple((int(p // (t + 2)), int(p % (t + 2))) for p in row[t - 1 :])): int(c)
+        for row, c in zip(uniq, counts)
+    }
+    got = orc.sample_direct_law(f, t, reps, seed)
+    assert list(got.items()) == list(want.items())
+    assert len(got) > 1 or t <= 2
 
 
 def test_dump_law_format():
