@@ -66,4 +66,4 @@ from .theory import (
     vertex_path_prob_ub,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -103,8 +103,10 @@ class ExperimentSpec:
             raise ValueError("jobs must be >= 1")
 
     def spec_hash(self) -> str:
-        """Digest of the fields that determine the records' measurement columns."""
+        """Digest of the fields that determine the records' measurement
+        columns, and of the bit generator that draws them."""
         identity = {k: v for k, v in asdict(self).items() if k not in _NOT_IDENTITY}
+        identity["bit_generator"] = _rng.BIT_GENERATOR
         blob = json.dumps(identity, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -137,7 +137,8 @@ def _draw_slots(gen: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarra
     """Two slots per step ``s = 2..t``, each uniform over the ``2(s-1)`` filled ones.
 
     The values of one ``gen.random((t - 1, 2))`` call, drawn in chunks of
-    steps (Philox is sequential) so no float temporary spans the run.
+    steps (consecutive calls continue the stream) so no float temporary
+    spans the run.
     """
     a = np.empty(t - 1, dtype=_id_dtype(t))
     b = np.empty_like(a)
@@ -164,7 +165,7 @@ def _presample(f: EdgeStepFunction, t: int, seed: int):
     """Coins and slot indices for steps 2..t, in the documented stream layout.
 
     The coins compare the values of one ``gen.random(t - 1)`` call with
-    ``f``, drawn chunk by chunk (the same Philox stream).
+    ``f``, drawn chunk by chunk (the same stream values).
     """
     gen = _rng.stream(seed, _rng.COINS)
     z = np.empty(t - 1, dtype=bool)
@@ -316,9 +317,10 @@ class BatchRun:
     matrices ``evolve_batch`` builds, read as row ``r`` of their transposed
     views: ``endpoints.T`` and ``z.T`` are C-contiguous, and the endpoints
     keep the working type ``np.min_scalar_type(t)``.  With ``reps=1`` the
-    draws coincide exactly with ``evolve`` under the same seed.  Replicates
-    occupy disjoint counter blocks of the keyed streams, so they are
-    mutually independent and the whole batch is reproducible from the seed.
+    draws coincide exactly with ``evolve`` under the same seed.  Each step
+    draws its coins and slots for all replicates at once, and replicate
+    ``r`` takes column ``r`` of them, so the replicates are independent
+    and the whole batch is reproducible from the seed.
     """
 
     endpoints: np.ndarray  # (reps, 2t) np.min_scalar_type(t)
@@ -353,7 +355,7 @@ def evolve_batch(
     Endpoints are built slot-major, in the narrowest type that holds ``t``
     (ids never exceed it), and handed back as transposed views, uncopied.
     Coins and slot uniforms are drawn ``max(1, _DRAW_CHUNK // reps)`` steps
-    at a time into buffers made once (the same Philox values as per-step
+    at a time into buffers made once (the same stream values as per-step
     calls), and the chunk's flat positions ``slot * reps + col`` are
     computed in one pass.  A row past the last slot holds each replicate's
     newest id, one add per step; a vertex-step's second position points

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import tracemalloc
@@ -44,7 +45,9 @@ def test_sample_preferential_matches_degrees():
 
 
 def test_sample_preferential_multinomial_on_fixed_graph():
-    g = gr.evolve(es.constant(0.5), 18, seed=124)  # fixed 10-vertex graph
+    # a fixed 10-vertex graph: seed 0 is the smallest seed whose
+    # const:0.5 run has 10 vertices at t=18 (searched upward from 0)
+    g = gr.evolve(es.constant(0.5), 18, seed=0)
     assert g.n_vertices == 10
     gen = _rng.stream(5, 0)
     n = 200000
@@ -319,6 +322,38 @@ def test_presample_keeps_the_stream_layout(chunk):
         got_z, got_a, got_b = gr._presample(f, t, seed)
     assert np.array_equal(got_z, z)
     assert np.array_equal(got_a, slots[:, 0]) and np.array_equal(got_b, slots[:, 1])
+
+
+def _digest(*arrays) -> str:
+    """sha256 of the values of ``arrays`` (integers as int64, floats as
+    float64), so that only the draws, not the storage types, move it."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(a.astype(np.float64 if a.dtype.kind == "f" else np.int64).tobytes())
+    return h.hexdigest()
+
+
+def test_draw_layout_is_pinned():
+    # Every record follows from these draws: a new bit generator, label or
+    # draw order changes a digest here, and that change must be declared
+    # with the new digests.  Together they cover COINS, SLOTS, TREE_SLOTS
+    # and TREE_ULABELS.
+    assert type(_rng.stream(0).bit_generator) is np.random.PCG64DXSM
+    g = gr.evolve(es.constant(0.5), 1000, 7)
+    tree = cp.grow_tree(1000, 7)
+    batch = gr.evolve_batch(es.constant(0.5), 50, 3, 7)
+    assert {
+        "evolve": _digest(g.step_type, g.endpoints),
+        "grow_tree w, ell": _digest(tree.w, tree.ell),
+        "grow_tree u": _digest(tree.u),
+        "evolve_batch": _digest(batch.z, batch.endpoints),
+    } == {
+        "evolve": "2552e2982e46127009b5591ad7d4ed2a80232aee1e6e28a82d30aa9dc5dc2256",
+        "grow_tree w, ell": "99d5528a6e91b2a56d4be7cb6a5a4de36035e13f17592518785c51d0b40d78b5",
+        "grow_tree u": "a696245a5d31435a84e045f216cc2fd421c57b1d92b6d46d5bbbce4bc5f584d3",
+        "evolve_batch": "ca2e07797b4fecb72d5d9188e7b8381c26d9759688e5214416e47c457ca5e953",
+    }
 
 
 def test_evolve_connected():

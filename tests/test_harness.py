@@ -9,7 +9,7 @@ import pytest
 
 from unittest import mock
 
-from edgepa import coupling, verify
+from edgepa import coupling, rng, verify
 from edgepa import experiments as ex
 from edgepa.cli import main
 from edgepa.edgestep import make_family
@@ -70,6 +70,16 @@ def test_run_smoke_and_determinism():
     assert rows[0]["error"] == ""
     again = ex.run(copy.deepcopy(spec))
     assert _strip_volatile(rows) == _strip_volatile(again)
+
+
+def test_spec_hash_names_the_bit_generator(monkeypatch):
+    # the same spec draws other records under another bit generator, so it
+    # must not keep its hash
+    spec = _spec()
+    before = spec.spec_hash()
+    assert _spec().spec_hash() == before
+    monkeypatch.setattr(rng, "BIT_GENERATOR", "Philox")
+    assert spec.spec_hash() != before
 
 
 def test_run_emits_theory_overlays():
