@@ -13,6 +13,7 @@ farmed to a worker pool coincide with serial execution up to row order.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +21,8 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import coupling, observables, rng as _rng, theory
 from .edgestep import make_family
@@ -140,13 +142,15 @@ def _row(cells: dict) -> dict:
     return row
 
 
-def _overlay(family_descriptor: str, t: int) -> dict:
+@functools.lru_cache
+def _overlay(family_descriptor: str, t: int) -> Mapping:
     """The theory columns of a family at ``t``; ``None`` where a bound does
-    not apply."""
+    not apply.  They depend on nothing else, so each ``(family, t)`` is
+    computed once per process and shared read-only by every replicate."""
     f = make_family(family_descriptor)
     out = dict.fromkeys(OVERLAY_FIELDS)
     if f.family == "tabulated":
-        return out
+        return MappingProxyType(out)
     out["expected_vertices"] = f.partial_sum(t)
     if t >= 16:
         gamma = f.params.get("gamma") if f.family == "rv_power" else None
@@ -160,7 +164,7 @@ def _overlay(family_descriptor: str, t: int) -> dict:
             theory_clique_exponent=bs.clique_exponent,
             theory_clique_upper=round(bs.clique_upper, 6),
         )
-    return out
+    return MappingProxyType(out)
 
 
 def _run_task(args: tuple) -> list[dict]:

@@ -66,25 +66,33 @@ def simple_view(g: MultiGraph) -> SimpleView:
     return _view_from_pairs(g.n_vertices, a[off_loop] - 1, b[off_loop] - 1)
 
 
+# sorted arc keys read per piece while the rows are counted
+_ROW_PIECE = 1 << 16
+
+
 def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
     """Simple view on vertices ``0 .. n-1`` with the edges ``a[i] -- b[i]``,
     ``a != b``, repeats dropped.
 
-    Each edge gives the int64 arc keys ``a * n + b`` and ``b * n + a``
-    (widened before the product: int32 ids times ``n`` stay int32 and
-    overflow once ``n > 46340``).  One in-place sort of them, with repeats
+    Each edge gives the int64 arc keys ``(a << s) | b`` and ``(b << s) |
+    a``, with ``s = max(1, (n - 1).bit_length())`` bits for the column
+    (widened before the shift: int32 ids shifted in int32 overflow once
+    the keys pass ``2**31``).  One in-place sort of them, with repeats
     dropped, lists the CSR rows in order (numpy's ``np.unique`` hashes,
-    which is far slower here); row ``v`` starts at the first key ``>= v *
-    n``, and the column of a key is its remainder by ``n``.  ``a`` and
-    ``b`` are released once the keys are built, so a caller that passes
-    temporaries does not hold them through the sort.
+    which is far slower here).  The rows are counted from the keys' high
+    fields one piece of ``_ROW_PIECE`` sorted keys at a time: a piece
+    spans a short run of rows, and no row array as long as the keys is
+    made.  The columns are the low fields.  ``a`` and ``b`` are released
+    once the keys are built, so a caller that passes temporaries does not
+    hold them through the sort.
     """
+    s = max(1, (n - 1).bit_length())
     m = len(a)
     keys = np.empty(2 * m, dtype=np.int64)
-    np.multiply(a, n, out=keys[:m], dtype=np.int64)
-    keys[:m] += b
-    np.multiply(b, n, out=keys[m:], dtype=np.int64)
-    keys[m:] += a
+    np.left_shift(a, s, out=keys[:m], dtype=np.int64)
+    keys[:m] |= b
+    np.left_shift(b, s, out=keys[m:], dtype=np.int64)
+    keys[m:] |= a
     del a, b
     keys.sort()
     if keys.size:
@@ -93,12 +101,16 @@ def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         keys = keys[first]
         del first
-    row_starts = np.arange(n + 1, dtype=np.int64)
-    row_starts *= n
-    indptr = np.searchsorted(keys, row_starts)
-    del row_starts
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, keys.size, _ROW_PIECE):
+        rows = keys[lo : lo + _ROW_PIECE] >> s
+        top = int(rows[0])
+        rows -= top
+        counts = np.bincount(rows)
+        indptr[top + 1 : top + 1 + counts.size] += counts
+    np.cumsum(indptr, out=indptr)
     indices = np.empty(keys.size, dtype=np.int32 if n <= 2**31 else np.int64)
-    np.remainder(keys, n, out=indices)
+    np.bitwise_and(keys, (1 << s) - 1, out=indices)
     return SimpleView(n=n, indptr=indptr, indices=indices)
 
 
@@ -348,22 +360,34 @@ def _core(view: SimpleView, q: int) -> SimpleView:
     """The ``q``-core: what is left after repeatedly dropping every vertex
     with fewer than ``q`` surviving neighbours.
 
-    The peel starts from the forward arcs ``a < b`` of the rows, one per
+    Only a vertex of degree ``>= q`` can survive, so the peel starts from
+    the CSR rows of those vertices alone (:func:`_row_arcs`), keeping
+    their forward arcs ``a < b`` that end at another such vertex, one per
     edge.  Each round relabels the survivors compactly and keeps only the
     edges between them, so the edge list shrinks as the peel goes on.  The
     core comes back labelled by descending degree (ties in the old order),
     which keeps the colour bounds of the clique search tight.
     """
     deg = view.degrees()
-    a = np.repeat(np.arange(view.n, dtype=view.indices.dtype), deg)
-    forward = a < view.indices
-    a, b = a[forward], view.indices[forward]
-    while not (keep := deg >= q).all():
+    keep = deg >= q
+    hubs = np.flatnonzero(keep)
+    counts = deg[hubs]
+    a = np.repeat(hubs.astype(view.indices.dtype), counts)
+    if a.size:
+        b = _row_arcs(view.indices, view.indptr[hubs], counts, a.size)
+        inside = (a < b) & keep[b]
+        a, b = a[inside], b[inside]
+    else:
+        b = a
+    while True:
         label = np.cumsum(keep, dtype=a.dtype) - 1
-        inside = keep[a] & keep[b]
-        a, b = label[a[inside]], label[b[inside]]
+        a, b = label[a], label[b]
         k = label[-1] + 1
         deg = np.bincount(a, minlength=k) + np.bincount(b, minlength=k)
+        if (keep := deg >= q).all():
+            break
+        inside = keep[a] & keep[b]
+        a, b = a[inside], b[inside]
     rank = np.empty(deg.size, dtype=np.int64)
     rank[np.argsort(-deg, kind="stable")] = np.arange(deg.size)
     return _view_from_pairs(deg.size, rank[a], rank[b])

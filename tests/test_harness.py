@@ -9,7 +9,7 @@ import pytest
 
 from unittest import mock
 
-from edgepa import coupling, rng, verify
+from edgepa import coupling, rng, theory, verify
 from edgepa import experiments as ex
 from edgepa.cli import main
 from edgepa.edgestep import make_family
@@ -89,6 +89,22 @@ def test_run_emits_theory_overlays():
     assert row["theory_rv_upper"] == 202.0
     assert row["expected_vertices"] > 0
     assert row["spec_hash"]
+
+
+def test_overlay_is_computed_once_per_family_and_horizon():
+    ex._overlay.cache_clear()
+    grid = dict(families=["const:0.5", "rv:0.5"], horizons=[60, 200], reps=3,
+                diameter=False, clique=False, paths=False)
+    with mock.patch.object(theory, "diameter_theory", wraps=theory.diameter_theory) as spy:
+        rows = ex.run(_spec(**grid))
+    calls = sorted((c.args[0].family, c.args[1]) for c in spy.call_args_list)
+    assert calls == [("constant", 60), ("constant", 200), ("rv_power", 60), ("rv_power", 200)]
+    assert len(rows) == 12
+    for row in rows:
+        fresh = ex._overlay.__wrapped__(row["family"], row["t"])
+        assert {k: row[k] for k in ex.OVERLAY_FIELDS} == {k: "" if v is None else v for k, v in fresh.items()}
+    with pytest.raises(TypeError):
+        ex._overlay("const:0.5", 60)["expected_vertices"] = 0
 
 
 def test_parallel_matches_serial():

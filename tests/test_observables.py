@@ -77,14 +77,32 @@ def test_simple_view_matches_reference():
 
 @pytest.mark.parametrize("desc,t", [("ba", 60_000), ("const:0.5", 200_000)])
 def test_simple_view_rows_past_the_int32_arc_keys(desc, t):
-    # with n > 46341, n * n passes 2**31: int32 ids must be widened before
-    # the arc keys a * n + b are formed
+    # with n > 46341 the column field takes s >= 16 bits and the arc keys
+    # (a << s) | b pass 2**31: int32 ids must be widened before the shift
     g = gr.evolve(es.make_family(desc), t, 5)
     assert g.endpoints.dtype == np.int32 and g.n_vertices > 46341
     _, indptr, indices = _reference_view(g)  # Python ints, which cannot wrap
     view = ob.simple_view(g)
     assert view.indptr.tolist() == indptr.tolist()
     assert view.indices.tolist() == indices
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 2**16, 2**16 + 1])
+def test_view_from_pairs_where_the_column_field_changes_width(n):
+    # the column field takes max(1, (n - 1).bit_length()) bits: one more
+    # from n = 3, 5 and 2**16 + 1 on; pairs repeat, both ways round
+    rng = np.random.default_rng(n)
+    a, b = rng.integers(0, n, size=(2, 3 * n + 20))
+    a, b = a[a != b], b[a != b]
+    a, b = np.concatenate([a, b, a[: a.size // 2]]), np.concatenate([b, a, b[: b.size // 2]])
+    rows = [set() for _ in range(n)]
+    for x, y in zip(a.tolist(), b.tolist()):
+        rows[x].add(y)
+        rows[y].add(x)
+    view = ob._view_from_pairs(n, a.astype(np.int32), b.astype(np.int32))
+    assert view.indptr.dtype == np.int64 and view.indices.dtype == np.int32
+    assert view.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+    assert view.indices.tolist() == [v for r in rows for v in sorted(r)]
 
 
 # Peak numpy allocations over the bytes of the result, measured at t = 2e5
@@ -482,16 +500,45 @@ def _peel_by_queue(view, q):
 
 
 def test_core_matches_queue_peel():
+    # ba with q = 1 keeps every vertex; q = 10**6 keeps none; const:0.99
+    # is the sparse class whose 2-core is large
     for desc, t, q in [("const:0.5", 3000, 3), ("log:1", 2000, 6), ("rv:0.5", 2000, 4),
-                       ("ba", 500, 2), ("const:0.3", 1000, 30)]:
+                       ("ba", 500, 2), ("const:0.3", 1000, 30), ("ba", 500, 1),
+                       ("const:0.5", 3000, 10**6), ("const:0.99", 20_000, 2)]:
         view = ob.simple_view(gr.evolve(es.make_family(desc), t, 4))
         core = ob._core(view, q)
         alive, pairs = _peel_by_queue(view, q)
         assert core.n == len(alive) and core.n_edges == len(pairs)
+        if q == 1:
+            assert core.n == view.n
+        if q == 10**6:
+            assert core.n == 0 and core.indptr.tolist() == [0] and core.indices.size == 0
         deg = core.degrees()
         assert (deg >= q).all() and (np.diff(deg) <= 0).all()
         want = sorted(sum(1 for p in pairs if v in p) for v in alive)
         assert sorted(deg.tolist()) == want
+
+
+# Peak numpy allocations of the peel over the bytes of the view, measured
+# at t = 2e5 (1.49) and pinned 25 % higher.
+CORE_PEAK_RATIO = 1.86
+
+
+def test_core_peak_memory():
+    f = es.make_family("const:0.5")
+    ob._core(ob.simple_view(gr.evolve(f, 1000, 0)), 2)  # first-call allocations stay out of the count
+    g = gr.evolve(f, 200_000, 5)
+    view = ob.simple_view(g)
+    q = ob.clique_greedy(view, g.degrees())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        core = ob._core(view, q)
+        core_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < core.n < view.n
+    assert core_peak <= CORE_PEAK_RATIO * (view.indptr.nbytes + view.indices.nbytes)
 
 
 def test_clique_greedy_never_beats_exact():
