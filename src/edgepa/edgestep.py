@@ -107,10 +107,6 @@ class EdgeStepFunction:
             return 1.0 + (t - 1) * self.params["p"]
         if self.family == "ba":
             return float(t)
-        if self.family == "tabulated" and t > len(self.params["values"]) + 1:
-            raise ValueError(
-                f"tabulated function covers t in [2, {len(self.params['values']) + 1}], got t={t}"
-            )
         if t == 1:
             return 1.0
         return float(1.0 + np.cumsum(self.eval_array(np.arange(2, t + 1)))[-1])

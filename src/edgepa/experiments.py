@@ -90,11 +90,8 @@ class ExperimentSpec:
             raise ValueError("a coupled run needs at least two families")
         for d in self.families:
             f = make_family(d)
-            if f.family == "tabulated" and self.horizons[-1] > len(f.params["values"]) + 1:
-                raise ValueError(
-                    f"{d} covers t in [2, {len(f.params['values']) + 1}], "
-                    f"got horizon {self.horizons[-1]}"
-                )
+            if self.horizons[-1] >= 2:
+                f.eval(self.horizons[-1])  # raises past the family's domain
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.reps < 1:

@@ -420,8 +420,11 @@ def canonical_key(g: MultiGraph) -> bytes:
     multigraphs exactly when their keys are equal; no isomorphism search
     is ever needed.
     """
-    pairs = np.sort(g.birth_time[g.endpoints - 1].reshape(-1, 2), axis=1).astype(np.int64)
-    packed = np.sort(pairs[:, 0] * (g.t + 2) + pairs[:, 1])
+    ends = g.birth_time[g.endpoints - 1].reshape(-1, 2)
+    packed = np.minimum(ends[:, 0], ends[:, 1], dtype=np.int64)
+    packed *= g.t + 2
+    packed += np.maximum(ends[:, 0], ends[:, 1])
+    packed.sort()
     return g.t.to_bytes(8, "little") + np.ascontiguousarray(g.step_type).tobytes() + packed.tobytes()
 
 

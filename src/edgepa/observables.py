@@ -272,8 +272,6 @@ def diameter_bounds(view: SimpleView, refine_budget: int = 256) -> tuple[int, in
     Raises on disconnected input, which generated graphs never are.
     """
     n = view.n
-    if n == 1:
-        return (0, 0)
     if (parent := view.tree_parents) is not None:
         d = _tree_diameter(parent)
         return (d, d)
@@ -328,8 +326,6 @@ def clique_greedy(view: SimpleView, degrees: np.ndarray) -> int:
     stored, or the row of the first vertex of largest ``degrees`` by stable
     descending degree.  The result is re-checked pairwise.
     """
-    if view.n == 1:
-        return 1
     adjacent = np.zeros(view.n, dtype=bool)
 
     def greedy(members: list[int], alive: np.ndarray) -> list[int]:
@@ -546,8 +542,6 @@ def vertex_path_depths(g: MultiGraph, t0: int) -> np.ndarray:
 
 def max_vertex_path(g: MultiGraph, t0: int) -> int:
     """Maximal first-connection chain length among vertices born at >= ``t0``."""
-    if g.n_vertices == 1:
-        return 0
     return int(vertex_path_depths(g, t0).max())
 
 
@@ -555,8 +549,6 @@ def count_vertex_paths(g: MultiGraph, t0: int, k: int) -> int:
     """Number of chains of length exactly ``k`` (one per vertex of depth >= k)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if g.n_vertices == 1:
-        return 0
     return int(np.count_nonzero(vertex_path_depths(g, t0) >= k))
 
 

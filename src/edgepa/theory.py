@@ -139,6 +139,11 @@ def vertex_path_mean_ub(f: EdgeStepFunction, t0: int, t: int, k: int) -> float:
     return math.exp(log_val)
 
 
+def clique_ceiling(t: int) -> float:
+    """The clique-number ceiling ``7 sqrt(t)`` at horizon ``t``."""
+    return 7.0 * math.sqrt(t)
+
+
 def clique_theory(t: int, gamma: float) -> tuple[float, float]:
     """Clique-number predictions ``((1-gamma)/2, 7 sqrt(t))`` for regularly
     varying schedules with index ``-gamma``, ``gamma`` in ``[0, 1)``.
@@ -149,7 +154,7 @@ def clique_theory(t: int, gamma: float) -> tuple[float, float]:
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return ((1.0 - gamma) / 2.0, 7.0 * math.sqrt(t))
+    return ((1.0 - gamma) / 2.0, clique_ceiling(t))
 
 
 def _pittel_gamma() -> float:
@@ -254,5 +259,5 @@ def diameter_theory(
         rv_diameter_lower=rv_lower,
         rv_diameter_upper=rv_upper,
         clique_exponent=clique_exponent,
-        clique_upper=7.0 * math.sqrt(t),
+        clique_upper=clique_ceiling(t),
     )

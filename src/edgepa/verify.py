@@ -27,6 +27,8 @@ bands) is fixed here and never tuned at run time.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import time
 from collections import Counter
@@ -59,15 +61,35 @@ class CriterionResult:
         )
 
 
-def _result(cid, name, passed, measured, expected, started) -> CriterionResult:
-    return CriterionResult(
-        cid=cid,
-        name=name,
-        passed=bool(passed),
-        measured=measured,
-        expected=expected,
-        seconds=time.perf_counter() - started,
-    )
+#: The verdict a criterion's body returns: ``(passed, measured, expected)``.
+Verdict = tuple[bool, str, str]
+
+#: Suite name -> its criteria, in declaration order; ``"all"`` holds every
+#: criterion in cid order.  Filled by :func:`criterion`.
+SUITES: dict[str, list] = {"all": []}
+
+
+def criterion(cid: str, name: str, suite: str):
+    """Register the decorated body as criterion ``cid`` of ``suite``.
+
+    The body takes the seed and returns its :data:`Verdict`; the
+    registered function, under the body's name, times it and returns the
+    :class:`CriterionResult`.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(seed: int = DEFAULT_SEED) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, measured, expected = body(seed)
+            return CriterionResult(cid, name, bool(passed), measured, expected, time.perf_counter() - t0)
+
+        run.cid = cid
+        SUITES.setdefault(suite, []).append(run)
+        bisect.insort(SUITES["all"], run, key=lambda fn: int(fn.cid[1:]))
+        return run
+
+    return register
 
 
 def _diameter(view: ob.SimpleView) -> int:
@@ -79,35 +101,35 @@ def _diameter(view: ob.SimpleView) -> int:
 # -- C1 / C2: oracle ----------------------------------------------------------
 
 
-def c01_oracle_law_equality(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C1", "oracle-law-equality", "oracle")
+def c01_oracle_law_equality(seed: int = DEFAULT_SEED) -> Verdict:
     worst = 0.0
     for f in (constant(0.5), constant(1.0), log_class(1.0)):
         for t in (2, 3, 4):
             a = oracle.enumerate_direct_law(f, t)
             b = oracle.enumerate_collapse_law(f, t)
             if a.total() != 1 or b.total() != 1:
-                return _result(
-                    "C1", "oracle-law-equality", False,
-                    f"law mass {float(a.total())}/{float(b.total())}", "mass exactly 1", started,
+                return (
+                    False,
+                    f"law mass {float(a.total())}/{float(b.total())}", "mass exactly 1",
                 )
             worst = max(worst, oracle.law_distance(a, b))
-    return _result(
-        "C1", "oracle-law-equality", worst < 1e-10,
-        f"max TV {worst:.2e}", "TV < 1e-10 on all 9 (f, t) pairs", started,
+    return (
+        worst < 1e-10,
+        f"max TV {worst:.2e}", "TV < 1e-10 on all 9 (f, t) pairs",
     )
 
 
-def c02_generator_vs_oracle(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C2", "generator-vs-oracle", "oracle")
+def c02_generator_vs_oracle(seed: int = DEFAULT_SEED) -> Verdict:
     f, t, reps = constant(0.5), 4, 10**6
     law = oracle.enumerate_direct_law(f, t)
     counts = oracle.sample_direct_law(f, t, reps, _rng.child_seed(seed, 2))
     foreign = set(counts) - set(law.probs)
     if foreign:
-        return _result(
-            "C2", "generator-vs-oracle", False,
-            f"{len(foreign)} outcomes outside the exact support", "no foreign outcomes", started,
+        return (
+            False,
+            f"{len(foreign)} outcomes outside the exact support", "no foreign outcomes",
         )
     worst = 0.0
     for key, p in law.probs.items():
@@ -115,10 +137,10 @@ def c02_generator_vs_oracle(seed: int = DEFAULT_SEED) -> CriterionResult:
         sd = math.sqrt(reps * pf * (1.0 - pf))
         if sd > 0:
             worst = max(worst, abs(counts.get(key, 0) - reps * pf) / sd)
-    return _result(
-        "C2", "generator-vs-oracle", worst <= 4.0,
+    return (
+        worst <= 4.0,
         f"worst outcome z={worst:.2f} over {law.support_size()} outcomes",
-        "every canonical-graph frequency within 4 sigma", started,
+        "every canonical-graph frequency within 4 sigma",
     )
 
 
@@ -135,8 +157,8 @@ def _frozen_state() -> MultiGraph:
     )
 
 
-def c03_increment_law(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C3", "increment-law", "process")
+def c03_increment_law(seed: int = DEFAULT_SEED) -> Verdict:
     g = _frozen_state()
     g.validate()
     v, fnext, trials = 2, 0.5, 10**6
@@ -167,15 +189,15 @@ def c03_increment_law(seed: int = DEFAULT_SEED) -> CriterionResult:
             for fv in fr:
                 if sum(theory.transition_probs(Fraction(int(d)), int(t), fv)) != 1:
                     exact_ok = False
-    return _result(
-        "C3", "increment-law", empirical_ok and exact_ok,
+    return (
+        empirical_ok and exact_ok,
         f"freqs {tuple(round(float(x), 5) for x in freqs)}, worst z={worst:.2f}, grid exact={exact_ok}",
-        f"{expected} within 3 sigma; grid sums exactly 1", started,
+        f"{expected} within 3 sigma; grid sums exactly 1",
     )
 
 
-def c04_expected_degree(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C4", "expected-degree", "process")
+def c04_expected_degree(seed: int = DEFAULT_SEED) -> Verdict:
     f, t0, t, reps = constant(0.5), 10, 2000, 10**4
     batch = evolve_batch(f, t, reps, _rng.child_seed(seed, 4), force_coin={t0: True})
     vid = 1 + batch.z[:, : t0 - 1].sum(axis=1)
@@ -184,15 +206,15 @@ def c04_expected_degree(seed: int = DEFAULT_SEED) -> CriterionResult:
     sem = float(degs.std(ddof=1)) / math.sqrt(reps)
     want = theory.expected_degree(f, t0, t)
     z = abs(mean - want) / sem
-    return _result(
-        "C4", "expected-degree", z <= 3.0,
+    return (
+        z <= 3.0,
         f"mean {mean:.3f} vs product {want:.3f} (z={z:.2f})",
-        "sample mean within 3 standard errors of the exact product", started,
+        "sample mean within 3 standard errors of the exact product",
     )
 
 
-def c05_vertex_count(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C5", "vertex-count", "process")
+def c05_vertex_count(seed: int = DEFAULT_SEED) -> Verdict:
     f, t, reps = constant(0.5), 10**5, 200
     base = _rng.child_seed(seed, 5)
     counts = np.array(
@@ -201,18 +223,18 @@ def c05_vertex_count(seed: int = DEFAULT_SEED) -> CriterionResult:
     want = f.partial_sum(t)
     sigma = math.sqrt((t - 1) * 0.25 / reps)
     z = abs(counts.mean() - want) / sigma
-    return _result(
-        "C5", "vertex-count", z <= 4.0,
+    return (
+        z <= 4.0,
         f"mean V {counts.mean():.1f} vs F(t) {want:.1f} (z={z:.2f})",
-        "mean within 4 sigma of the prefix sum", started,
+        "mean within 4 sigma of the prefix sum",
     )
 
 
 # -- C6 / C7: coupling -----------------------------------------------------------
 
 
-def c06_tv_coupling(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C6", "tv-coupling", "coupling")
+def c06_tv_coupling(seed: int = DEFAULT_SEED) -> Verdict:
     t, reps = 10**3, 10**4
     f = constant(0.3)
     values = np.full(t - 1, 0.3)
@@ -221,15 +243,15 @@ def c06_tv_coupling(seed: int = DEFAULT_SEED) -> CriterionResult:
     tv = coupling.tv_upper_bound(f, h, t)
     bound = tv + 3.0 * math.sqrt(tv * (1 - tv) / reps)
     frac = coupling.empirical_disagreement(f, h, t, reps, _rng.child_seed(seed, 6))
-    return _result(
-        "C6", "tv-coupling", frac <= bound and abs(tv - 0.1) < 1e-9,
+    return (
+        frac <= bound and abs(tv - 0.1) < 1e-9,
         f"disagreement {frac:.4f}, truncated L1 {tv:.4f}",
-        f"disagreement <= {bound:.4f}", started,
+        f"disagreement <= {bound:.4f}",
     )
 
 
-def c07_samplewise_monotonicity(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C7", "samplewise-monotonicity", "coupling")
+def c07_samplewise_monotonicity(seed: int = DEFAULT_SEED) -> Verdict:
     t, reps = 10**4, 10**3
     f, h = constant(0.3), constant(0.7)
     base = _rng.child_seed(seed, 7)
@@ -242,25 +264,26 @@ def c07_samplewise_monotonicity(seed: int = DEFAULT_SEED) -> CriterionResult:
         if ok:
             ok = _diameter(ob.simple_view(gf)) <= _diameter(ob.simple_view(gh))
         bad += not ok
-    return _result(
-        "C7", "samplewise-monotonicity", bad == 0,
+    return (
+        bad == 0,
         f"{reps - bad}/{reps} samples ordered (diam, Dmax, V)",
-        "orderings hold in 100% of coupled samples", started,
+        "orderings hold in 100% of coupled samples",
     )
 
 
 # -- C8 / C9 / C10 / C11 / C15: scaling ------------------------------------------
 
 
-def c08_ba_diameter_envelope(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C8", "ba-diameter-envelope", "scaling")
+def c08_ba_diameter_envelope(seed: int = DEFAULT_SEED) -> Verdict:
     t, reps = 10**5, 50
     f = ba()
     base = _rng.child_seed(seed, 8)
+    bounds = theory.diameter_theory(f, t)
     # the paper's O(log t) with the constant it carries for the tree
     c = theory.TREE_DIAMETER_CONSTANT
-    upper = c * math.log(t)
-    lower = math.log(t) / math.log(math.log(t)) / 3.0
+    upper = c * bounds.diameter_upper_a
+    lower = bounds.diameter_lower
     diams = []
     for r in range(reps):
         g = evolve(f, t, _rng.child_seed(base, r))
@@ -268,28 +291,29 @@ def c08_ba_diameter_envelope(seed: int = DEFAULT_SEED) -> CriterionResult:
     diams = np.array(diams)
     n_upper = int(np.count_nonzero(diams <= upper))
     n_lower = int(np.count_nonzero(diams >= lower))
-    return _result(
-        "C8", "ba-diameter-envelope", n_upper >= 49 and n_lower == reps,
+    return (
+        n_upper >= 49 and n_lower == reps,
         f"diam in [{diams.min()}, {diams.max()}], <= {c:.2f} log t in {n_upper}/{reps}",
         f"<= {c:.2f} log t = {upper:.1f} in >=49/50 and >= {lower:.2f} in 50/50",
-        started,
     )
 
 
-def _clique_feasible(k: int, simple_edges: int, t: int) -> bool:
-    return k * (k - 1) // 2 <= simple_edges and k <= 7.0 * math.sqrt(t)
+def _clique_feasible(k: int, simple_edges: int, bounds: theory.BoundSet) -> bool:
+    return k * (k - 1) // 2 <= simple_edges and k <= bounds.clique_upper
 
 
-def c09_rv_bounded_diameter(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C9", "rv-bounded-diameter", "scaling")
+def c09_rv_bounded_diameter(seed: int = DEFAULT_SEED) -> Verdict:
     f = rv_power(0.5)
     horizons = [10**4, 10**5, 10**6]
     reps = 20
     base = _rng.child_seed(seed, 9)
+    bounds = {t: theory.diameter_theory(f, t, gamma=f.params["gamma"]) for t in horizons}
     ds: dict[int, list[int]] = {t: [] for t in horizons}
     all_in_band = True
     feasible = True
-    lo_band, hi_band = 1.0, 100.0 / 0.5 + 2.0
+    # the constant band of a regularly varying schedule is the same at every t
+    lo_band, hi_band = 1.0, bounds[horizons[0]].rv_diameter_upper
     for r in range(reps):
         # each shorter horizon's graph is a prefix of the longest one
         whole = evolve(f, horizons[-1], _rng.child_seed(base, r))
@@ -300,44 +324,46 @@ def c09_rv_bounded_diameter(seed: int = DEFAULT_SEED) -> CriterionResult:
             ds[t].append(d)
             if not lo_band <= d <= hi_band:
                 all_in_band = False
-            if not _clique_feasible(ob.clique_greedy(view, g.degrees()), view.n_edges, t):
+            if not _clique_feasible(ob.clique_greedy(view, g.degrees()), view.n_edges, bounds[t]):
                 feasible = False
     medians = {t: float(np.median(ds[t])) for t in horizons}
     drift_ok = medians[10**6] <= medians[10**4] + 1.0
-    return _result(
-        "C9", "rv-bounded-diameter", all_in_band and drift_ok and feasible,
+    return (
+        all_in_band and drift_ok and feasible,
         f"medians {medians}, band ok={all_in_band}",
-        f"diameters within [1, {hi_band:.0f}], median drift <= 1 per two decades", started,
+        f"diameters within [1, {hi_band:.0f}], median drift <= 1 per two decades",
     )
 
 
-def c10_clique_upper_bound(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C10", "clique-upper-bound", "scaling")
+def c10_clique_upper_bound(seed: int = DEFAULT_SEED) -> Verdict:
     base = _rng.child_seed(seed, 10)
     families = [constant(0.3), constant(0.7), rv_power(0.5), log_class(1.0), ba(), oscillating(10)]
     checked, violations = 0, 0
     for i, f in enumerate(families):
         for j, t in enumerate((10**3, 10**4)):
+            bounds = theory.diameter_theory(f, t)
             for r in range(3):
                 g = evolve(f, t, _rng.child_seed(base, 100 * i + 10 * j + r))
                 view = ob.simple_view(g)
                 k = ob.clique_greedy(view, g.degrees())
                 checked += 1
-                if not _clique_feasible(k, view.n_edges, t):
+                if not _clique_feasible(k, view.n_edges, bounds):
                     violations += 1
-    return _result(
-        "C10", "clique-upper-bound", violations == 0,
+    return (
+        violations == 0,
         f"{checked - violations}/{checked} graphs satisfy k(k-1)/2 <= simple edges",
-        "every reported clique feasible, hence k <= 7 sqrt(t)", started,
+        "every reported clique feasible, hence k <= 7 sqrt(t)",
     )
 
 
-def c11_clique_growth_slope(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C11", "clique-growth-slope", "scaling")
+def c11_clique_growth_slope(seed: int = DEFAULT_SEED) -> Verdict:
     f = rv_power(0.5)
     horizons = [10**4, 10**5, 10**6]
     reps = 10
     base = _rng.child_seed(seed, 11)
+    bounds = {t: theory.diameter_theory(f, t) for t in horizons}
     greedy = np.zeros((len(horizons), reps))
     exact = np.zeros((len(horizons), reps))
     n_exact = 0
@@ -349,7 +375,7 @@ def c11_clique_growth_slope(seed: int = DEFAULT_SEED) -> CriterionResult:
             g = whole.prefix(t)
             view = ob.simple_view(g)
             k = ob.clique_greedy(view, g.degrees())
-            if not _clique_feasible(k, view.n_edges, t):
+            if not _clique_feasible(k, view.n_edges, bounds[t]):
                 feasible = False
             omega, status, _ = ob.clique_exact(view)
             n_exact += status == "exact"
@@ -358,16 +384,16 @@ def c11_clique_growth_slope(seed: int = DEFAULT_SEED) -> CriterionResult:
     xs = np.repeat([math.log(t) for t in horizons], reps)
     slope = float(np.polyfit(xs, greedy.ravel(), 1)[0])
     exact_slope = float(np.polyfit(xs, exact.ravel(), 1)[0])
-    return _result(
-        "C11", "clique-growth-slope", 0.15 <= slope <= 0.35 and feasible,
+    return (
+        0.15 <= slope <= 0.35 and feasible,
         f"log-log slope {slope:.3f} (exact omega: {exact_slope:.3f}, "
         f"{n_exact}/{exact.size} searches exact)",
-        "slope within [0.15, 0.35] (theory exponent 0.25)", started,
+        "slope within [0.15, 0.35] (theory exponent 0.25)",
     )
 
 
-def c15_oscillating_regime(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C15", "oscillating-regime", "scaling")
+def c15_oscillating_regime(seed: int = DEFAULT_SEED) -> Verdict:
     f = oscillating(30)
     t_dense = 30 * 30 - 1      # last step of the edge-only plateau
     t_tree = 30**4             # last step of the following vertex plateau
@@ -386,19 +412,19 @@ def c15_oscillating_regime(seed: int = DEFAULT_SEED) -> CriterionResult:
         lb, _ = ob.diameter_bounds(ob.simple_view(g2), refine_budget=0)
         tree_lbs.append(lb)
         tree_pass += lb >= threshold
-    return _result(
-        "C15", "oscillating-regime", dense_pass >= 9 and tree_pass >= 9,
+    return (
+        dense_pass >= 9 and tree_pass >= 9,
         f"dense diam {sorted(dense_diams)} (<=3 in {dense_pass}/10), "
         f"tree lb {sorted(tree_lbs)} (>= {threshold:.2f} in {tree_pass}/10)",
-        "dense plateau diam <= 3 and tree plateau diam >= threshold, each >= 9/10", started,
+        "dense plateau diam <= 3 and tree plateau diam >= threshold, each >= 9/10",
     )
 
 
 # -- C12 / C13: path moments -------------------------------------------------------
 
 
-def c12_isolated_path_moment(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C12", "isolated-path-moment", "paths")
+def c12_isolated_path_moment(seed: int = DEFAULT_SEED) -> Verdict:
     f, t, l, xi, reps = constant(0.5), 2000, 2, 0.5, 10**3
     base = _rng.child_seed(seed, 12)
     counts = np.array(
@@ -411,15 +437,15 @@ def c12_isolated_path_moment(seed: int = DEFAULT_SEED) -> CriterionResult:
     lb = theory.isolated_path_mean_lb(f, t, l, xi)
     sem = counts.std(ddof=1) / math.sqrt(reps)
     ok = counts.mean() >= lb - 3.0 * sem
-    return _result(
-        "C12", "isolated-path-moment", ok,
+    return (
+        ok,
         f"mean count {counts.mean():.4f} (sem {sem:.4f}) vs bound {lb:.4f}",
-        "empirical mean >= lower bound - 3 sigma (one-sided)", started,
+        "empirical mean >= lower bound - 3 sigma (one-sided)",
     )
 
 
-def c13_vertex_path_moment(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C13", "vertex-path-moment", "paths")
+def c13_vertex_path_moment(seed: int = DEFAULT_SEED) -> Verdict:
     f, t, k, reps = constant(0.3), 10**4, 4, 10**3
     t0 = theory.t13(t)
     base = _rng.child_seed(seed, 13)
@@ -433,10 +459,10 @@ def c13_vertex_path_moment(seed: int = DEFAULT_SEED) -> CriterionResult:
     ub = theory.vertex_path_mean_ub(f, t0, t, k)
     sem = counts.std(ddof=1) / math.sqrt(reps)
     ok = counts.mean() <= ub + 3.0 * sem
-    return _result(
-        "C13", "vertex-path-moment", ok,
+    return (
+        ok,
         f"mean count {counts.mean():.1f} (sem {sem:.2f}) vs bound {ub:.1f} at t0={t0}",
-        "empirical mean <= upper bound + 3 sigma (one-sided)", started,
+        "empirical mean <= upper bound + 3 sigma (one-sided)",
     )
 
 
@@ -484,8 +510,8 @@ def exhaustive_clique_upto(view: ob.SimpleView, kmax: int = 6) -> int:
     return best
 
 
-def c14_observable_oracles(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C14", "observable-oracles", "observables")
+def c14_observable_oracles(seed: int = DEFAULT_SEED) -> Verdict:
     gen = np.random.default_rng(_rng.child_seed(seed, 14))
 
     diam_bad = 0
@@ -524,19 +550,19 @@ def c14_observable_oracles(seed: int = DEFAULT_SEED) -> CriterionResult:
         and ob.isolated_paths(loops, loops.degrees()) == Counter()
     )
     ok = diam_bad == 0 and clique_bad == 0 and fixtures_ok
-    return _result(
-        "C14", "observable-oracles", ok,
+    return (
+        ok,
         f"diameter mismatches {diam_bad}/100, clique mismatches {clique_bad}/50, "
         f"fixtures ok={fixtures_ok}",
-        "all oracle comparisons exact", started,
+        "all oracle comparisons exact",
     )
 
 
 # -- C16: performance -----------------------------------------------------------------
 
 
-def c16_performance(seed: int = DEFAULT_SEED) -> CriterionResult:
-    started = time.perf_counter()
+@criterion("C16", "performance", "performance")
+def c16_performance(seed: int = DEFAULT_SEED) -> Verdict:
     f = constant(0.5)
     evolve(f, 10**4, seed)  # warm-up
     t0 = time.perf_counter()
@@ -545,34 +571,14 @@ def c16_performance(seed: int = DEFAULT_SEED) -> CriterionResult:
     t0 = time.perf_counter()
     evolve(f, 10**7, _rng.child_seed(seed, 160))
     t_big = time.perf_counter() - t0
-    return _result(
-        "C16", "performance", t_small < 5.0 and t_big < 60.0,
+    return (
+        t_small < 5.0 and t_big < 60.0,
         f"t=1e6 in {t_small:.2f}s, t=1e7 in {t_big:.2f}s",
-        "under 5s and 60s single-worker", started,
+        "under 5s and 60s single-worker",
     )
 
 
 # -- suites ------------------------------------------------------------------
-
-
-SUITES = {
-    "oracle": [c01_oracle_law_equality, c02_generator_vs_oracle],
-    "process": [c03_increment_law, c04_expected_degree, c05_vertex_count],
-    "coupling": [c06_tv_coupling, c07_samplewise_monotonicity],
-    "scaling": [
-        c08_ba_diameter_envelope,
-        c09_rv_bounded_diameter,
-        c10_clique_upper_bound,
-        c11_clique_growth_slope,
-        c15_oscillating_regime,
-    ],
-    "paths": [c12_isolated_path_moment, c13_vertex_path_moment],
-    "observables": [c14_observable_oracles],
-    "performance": [c16_performance],
-}
-
-# criterion order: the function names sort as c01 .. c16
-SUITES["all"] = sorted((fn for suite in SUITES.values() for fn in suite), key=lambda fn: fn.__name__)
 
 
 def suite_criteria(name: str) -> list:

@@ -210,3 +210,16 @@ def test_tree_validate_rejects_future_targets():
     )
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_tree_validate_rejects_bad_ghosts_and_marks():
+    def tree(ell, u):
+        return cp.DoublyLabeledTree(w=np.array([0, 0, 1, 2]), ell=np.array(ell), u=np.array(u), seed=0)
+
+    tree([0, 0, 1, 1], [0.0, 0.5, 1.0, 0.2]).validate()
+    with pytest.raises(ValueError, match="ghost targets must be strictly older"):
+        tree([0, 0, 1, 3], [0.0, 0.5, 1.0, 0.2]).validate()
+    with pytest.raises(ValueError, match="ghost targets must be strictly older"):
+        tree([0, 0, 0, 1], [0.0, 0.5, 1.0, 0.2]).validate()
+    with pytest.raises(ValueError, match="uniform marks must lie in"):
+        tree([0, 0, 1, 1], [0.0, 0.5, 1.5, 0.2]).validate()

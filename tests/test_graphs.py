@@ -492,6 +492,39 @@ def test_dump_round_trip_bit_exact():
     assert g2.seed == g.seed and g2.family == g.family
 
 
+# t = 4: vertices born at steps 1, 2 and 4; step 3 is an edge-step
+_VALID_ARRAYS = dict(
+    endpoints=[1, 1, 1, 2, 2, 1, 2, 3],
+    step_type=[True, True, False, True],
+    birth_time=[1, 2, 4],
+    parent=[0, 1, 2],
+)
+
+
+@pytest.mark.parametrize(
+    "field, index, value, message",
+    [
+        ("endpoints", slice(6, None), None, "length 2t"),
+        ("step_type", 0, False, "step 1 must be the seed vertex"),
+        ("step_type", 2, True, "vertex count does not match"),
+        ("endpoints", 4, 5, "endpoint ids out of range"),
+        ("birth_time", 2, 2, "birth times must start at 1"),
+        ("parent", 0, 1, "the root has no parent"),
+        ("parent", 2, 3, "parents must be strictly older"),
+        ("endpoints", 7, 2, "vertex-step slots must hold the new vertex id"),
+    ],
+)
+def test_validate_rejects_inconsistent_arrays(field, index, value, message):
+    arrays = {k: np.array(v) for k, v in _VALID_ARRAYS.items()}
+    gr.MultiGraph(**arrays).validate()
+    if value is None:
+        arrays[field] = np.delete(arrays[field], index)
+    else:
+        arrays[field][index] = value
+    with pytest.raises(ValueError, match=message):
+        gr.MultiGraph(**arrays).validate()
+
+
 def test_load_rejects_corrupt_dump():
     g = gr.evolve(es.ba(), 5, seed=1)
     lines = dumps_graph(g).splitlines()
@@ -503,6 +536,10 @@ def test_load_rejects_corrupt_dump():
     lines = dumps_graph(g).splitlines()
     lines[1] = lines[1][:-1] + "0"  # step 1 not a vertex-step
     with pytest.raises(ValueError, match="step 1"):
+        gr.load_graph(io.StringIO("\n".join(lines) + "\n"))
+    lines = dumps_graph(g).splitlines()
+    lines[0] = lines[0].replace(" 5 ", " 4 ", 1)  # the header's vertex count
+    with pytest.raises(ValueError, match="header claims 4 vertices, lines imply 5"):
         gr.load_graph(io.StringIO("\n".join(lines) + "\n"))
 
 

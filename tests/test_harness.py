@@ -2,6 +2,7 @@ import copy
 import importlib.util
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,12 @@ def test_overlay_is_computed_once_per_family_and_horizon():
         assert {k: row[k] for k in ex.OVERLAY_FIELDS} == {k: "" if v is None else v for k, v in fresh.items()}
     with pytest.raises(TypeError):
         ex._overlay("const:0.5", 60)["expected_vertices"] = 0
+
+
+def test_tabulated_overlay_is_blank():
+    rows = ex.run(_spec(families=["tab:1,0.5,0.5"], horizons=[4], reps=1))
+    assert rows[0]["error"] == "" and rows[0]["n_vertices"] > 0
+    assert all(rows[0][k] == "" for k in ex.OVERLAY_FIELDS)
 
 
 def test_parallel_matches_serial():
@@ -258,6 +265,13 @@ def test_sweep_grid(tmp_path):
     assert _strip_volatile(single) == _strip_volatile(direct)
 
 
+def test_write_records_removes_its_temp_file_on_failure(tmp_path):
+    path = tmp_path / "rows.json"
+    with pytest.raises(TypeError):
+        ex.write_records([{"cell": object()}], str(path), fmt="json")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_output(tmp_path):
     out = tmp_path / "rows.json"
     ex.run(_spec(out=str(out), fmt="json"))
@@ -361,9 +375,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "endpoint ids out of range" in capsys.readouterr().err
 
 
-def test_cli_rejects_bad_horizons():
+def test_cli_rejects_bad_horizons(capsys):
     assert main(["generate", "--family", "const:0.5", "--t", "0", "--seed", "7"]) == 2
     assert main(["generate", "--family", "tab:1,0.5", "--t", "10", "--seed", "7"]) == 2
+    assert "covers t in [2, 3], got t=10" in capsys.readouterr().err
     grid = ["--family", "const:0.5", "--family", "tab:1,0.5"]
     assert main(["generate", *grid, "--t", "4", "--seed", "7"]) == 2
     assert main(["couple", "--family", "const:0.5", "--family", "tab:1", "--t", "3", "--seed", "7"]) == 2
@@ -383,6 +398,20 @@ def test_cli_reads_horizons_in_scientific_notation(tmp_path):
     off = ["--no-diameter", "--no-clique", "--no-paths", "--out", str(out)]
     assert main(["generate", "--family", "ba", "--t", "1e2,2E2", "--seed", "1", *off]) == 0
     assert [r["t"] for r in ex.read_records(str(out))] == ["100", "200"]
+
+
+def test_cli_requires_horizons_and_a_suite(capsys):
+    assert main(["generate", "--family", "ba", "--seed", "1"]) == 2
+    assert "--t is required" in capsys.readouterr().err
+    assert main(["verify"]) == 2
+    assert "--suite is required" in capsys.readouterr().err
+
+
+def test_cli_generate_prints_json_without_out(capsys):
+    assert main(["generate", "--family", "ba", "--t", "30,60", "--seed", "1"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["family"], r["t"], r["n_vertices"]) for r in rows] == [("ba", 30, 30), ("ba", 60, 60)]
+    assert list(rows[0]) == ex.RECORD_FIELDS
 
 
 def test_cli_rejects_sweep():
@@ -480,6 +509,17 @@ def test_cli_verify_json(capsys, monkeypatch):
     monkeypatch.setattr(ex.observables, "clique_exact", lambda view: (failing(view)[0] + 1, "exact", 0))
     assert main(["verify", "--suite", "observables", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)[0]["passed"] is False
+
+
+def test_criteria_registry():
+    suites = {name: fns for name, fns in verify.SUITES.items() if name != "all"}
+    cids = [fn.cid for fns in suites.values() for fn in fns]
+    # each criterion is in exactly one suite, and C1 .. C16 are all there
+    assert sorted(cids, key=lambda cid: int(cid[1:])) == [f"C{i}" for i in range(1, 17)]
+    assert [fn.cid for fn in verify.SUITES["all"]] == [f"C{i}" for i in range(1, 17)]
+    assert {fn for fns in suites.values() for fn in fns} == set(verify.SUITES["all"])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert set(re.findall(r"edgepa verify --suite (\w+)", readme)) == set(verify.SUITES)
 
 
 def test_every_traced_metric_has_a_live_target():

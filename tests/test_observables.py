@@ -228,6 +228,33 @@ def test_tallies():
     assert sum(hist.values()) == 100
 
 
+def test_one_vertex_graphs_need_no_special_case():
+    # the root alone, and a run of loops on it
+    for g in (new_initial(), gr.evolve(es.constant(0.0), 50, seed=1)):
+        view = ob.simple_view(g)
+        assert ob.diameter_bounds(view) == (0, 0)
+        assert ob.clique_greedy(view, g.degrees()) == 1
+        assert ob.max_vertex_path(g, 2) == 0
+        assert ob.count_vertex_paths(g, 2, 1) == 0
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (dict(degree_histogram={2: 2}), "must count every vertex"),
+        (dict(diameter_lower=3, diameter_upper=2), "lower bound exceeds upper"),
+        (dict(clique_greedy=4, clique_exact=3, clique_exact_status="exact"), "cannot exceed"),
+    ],
+)
+def test_report_check_rejects_inconsistent_cells(cells, message):
+    base = dict(n_vertices=1, max_degree=2, simple_edges=0, degree_histogram={2: 1})
+    ob.ObservableReport(**base).check()
+    # a greedy clique above a mere lower bound is no contradiction
+    ob.ObservableReport(**base, clique_greedy=4, clique_exact=3, clique_exact_status="lower_bound").check()
+    with pytest.raises(ValueError, match=message):
+        ob.ObservableReport(**{**base, **cells}).check()
+
+
 def test_max_degree_grows_for_decaying_schedules():
     # with a vanishing vertex rate the hub keeps nearly everything:
     # max degree reaches t^0.8 in at least 19 of 20 runs at t = 1e5

@@ -193,6 +193,16 @@ def test_diameter_theory_lower_below_upper_a(f):
         assert bs.diameter_lower <= bs.diameter_upper_a
 
 
+def test_diameter_theory_with_no_vertex_steps():
+    # f(t) = 0: the decay branch of the lower bound is 0, and the tail sum
+    # is 0, so the tail regime applies with its branch 0 as well
+    for t in (16, 10**4):
+        bs = th.diameter_theory(es.constant(0.0), t)
+        assert bs.diameter_lower == 0.0
+        assert bs.diameter_upper_b == 2.0
+        assert bs.diameter_upper_a == math.log(t)
+
+
 def test_diameter_theory_rejects_small_t():
     with pytest.raises(ValueError):
         th.diameter_theory(es.ba(), 15)
