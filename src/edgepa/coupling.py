@@ -29,7 +29,6 @@ from .graphs import (
     _draw_slots,
     _finish,
     _id_dtype,
-    _schedule_chunks,
     canonical_key,
     keep_where,
     resolve_backward_links,
@@ -122,7 +121,7 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
     """
     t = tree.t
     keep = np.ones(t + 1, dtype=bool)
-    for lo, fs in _schedule_chunks(f, t):
+    for lo, fs in f.eval_chunks(2, t):
         np.less_equal(tree.u[lo + 2 : lo + 2 + len(fs)], fs, out=keep[lo + 2 : lo + 2 + len(fs)])
     dtype = _id_dtype(t)
     rep = np.arange(t + 1, dtype=dtype)

@@ -24,6 +24,8 @@ from typing import Sequence
 import numpy as np
 
 _TOWER_LIMIT = 1 << 62
+# Values per piece of :meth:`EdgeStepFunction.eval_chunks` (512 KB of float64).
+_EVAL_CHUNK = 1 << 16
 
 
 class EdgeStepFunction:
@@ -71,6 +73,13 @@ class EdgeStepFunction:
             raise ValueError(f"edge-step functions are defined for t >= 2, got t={ts.min()}")
         return np.clip(self._raw(ts), 0.0, 1.0)
 
+    def eval_chunks(self, a: int, b: int):
+        """``f(s)`` for ``s = a..b`` in pieces of ``_EVAL_CHUNK`` values, each
+        as ``(lo, values)`` with ``values[i] = f(a + lo + i)``, so that no
+        float or int64 temporary spans the range."""
+        for lo in range(0, b - a + 1, _EVAL_CHUNK):
+            yield lo, self.eval_array(np.arange(a + lo, min(a + lo + _EVAL_CHUNK, b + 1), dtype=np.int64))
+
     def _raw(self, ts: np.ndarray) -> np.ndarray:
         fam, p = self.family, self.params
         if fam == "constant":
@@ -107,9 +116,12 @@ class EdgeStepFunction:
             return 1.0 + (t - 1) * self.params["p"]
         if self.family == "ba":
             return float(t)
-        if t == 1:
-            return 1.0
-        return float(1.0 + np.cumsum(self.eval_array(np.arange(2, t + 1)))[-1])
+        # each chunk's first value carries the sum so far: one running cumsum
+        total = 0.0
+        for _, fs in self.eval_chunks(2, t):
+            fs[0] += total
+            total = np.cumsum(fs)[-1]
+        return float(1.0 + total)
 
     def weighted_tail_sum(self, a: int, b: int) -> float:
         """``sum_{s=a..b} f(s) / (s - 1)`` for ``2 <= a <= b``."""
@@ -117,8 +129,10 @@ class EdgeStepFunction:
             raise ValueError(f"weighted_tail_sum needs a >= 2, got a={a}")
         if a > b:
             raise ValueError(f"weighted_tail_sum needs a <= b, got a={a}, b={b}")
-        s = np.arange(a, b + 1, dtype=np.int64)
-        return float(np.sum(self.eval_array(s) / (s - 1)))
+        total = 0.0
+        for lo, fs in self.eval_chunks(a, b):
+            total += np.sum(fs / np.arange(a + lo - 1, a + lo - 1 + len(fs)))
+        return float(total)
 
 
 # -- constructors ---------------------------------------------------------

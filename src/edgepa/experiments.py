@@ -150,8 +150,7 @@ def _overlay(family_descriptor: str, t: int) -> Mapping:
         return MappingProxyType(out)
     out["expected_vertices"] = f.partial_sum(t)
     if t >= 16:
-        gamma = f.params.get("gamma") if f.family == "rv_power" else None
-        bs = theory.diameter_theory(f, t, gamma=gamma)
+        bs = theory.diameter_theory(f, t)
         out.update(
             theory_diam_lower=round(bs.diameter_lower, 6),
             theory_diam_upper_a=round(bs.diameter_upper_a, 6),

@@ -153,14 +153,6 @@ def _draw_slots(gen: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarra
     return a, b
 
 
-def _schedule_chunks(f: EdgeStepFunction, t: int):
-    """``f(s)`` for ``s = 2..t`` in pieces of ``_DRAW_CHUNK`` steps, each as
-    ``(lo, values)`` with ``values[i] = f(lo + 2 + i)``, so that no float or
-    int64 temporary spans the run."""
-    for lo in range(0, t - 1, _DRAW_CHUNK):
-        yield lo, f.eval_array(np.arange(lo + 2, min(lo + _DRAW_CHUNK, t - 1) + 2, dtype=np.int64))
-
-
 def _presample(f: EdgeStepFunction, t: int, seed: int):
     """Coins and slot indices for steps 2..t, in the documented stream layout.
 
@@ -169,7 +161,7 @@ def _presample(f: EdgeStepFunction, t: int, seed: int):
     """
     gen = _rng.stream(seed, _rng.COINS)
     z = np.empty(t - 1, dtype=bool)
-    for lo, fs in _schedule_chunks(f, t):
+    for lo, fs in f.eval_chunks(2, t):
         np.less(gen.random(len(fs)), fs, out=z[lo : lo + len(fs)])
     return (z, *_draw_slots(_rng.stream(seed, _rng.SLOTS), t))
 

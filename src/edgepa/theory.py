@@ -207,11 +207,7 @@ class BoundSet:
     clique_upper: float
 
 
-def diameter_theory(
-    f: EdgeStepFunction,
-    t: int,
-    gamma: Optional[float] = None,
-) -> BoundSet:
+def diameter_theory(f: EdgeStepFunction, t: int) -> BoundSet:
     """Evaluate every applicable diameter/clique bound for ``f`` at horizon ``t``.
 
     The lower bound is ``(1/3) min(log t / log log t, log t / -log f(t))``
@@ -220,8 +216,9 @@ def diameter_theory(
     unspecified, see :class:`BoundSet`), the tail-sum regime
     ``2 + 6 min(log t / -log W, log t / log log t)`` with
     ``W = sum_{s=ceil(t^(1/13))}^{t} f(s)/(s-1)`` when ``W < 1``.
-    A supplied ``gamma`` adds the constant band ``[1/(4 gamma),
-    100/gamma + 2]`` and, below 1, the clique exponent.
+    A regularly varying ``f`` (``rv_power``, index ``-gamma``) adds the
+    constant band ``[1/(4 gamma), 100/gamma + 2]`` and, for ``gamma < 1``,
+    the clique exponent.
     """
     if t < 16:
         raise ValueError(f"need t >= 16, got {t}")
@@ -243,9 +240,8 @@ def diameter_theory(
         upper_b = 2.0 + 6.0 * min(tail_branch, log_t / loglog_t)
 
     rv_lower = rv_upper = clique_exponent = None
-    if gamma is not None:
-        if gamma <= 0:
-            raise ValueError(f"gamma must be > 0 for the constant band, got {gamma}")
+    if f.family == "rv_power":
+        gamma = f.params["gamma"]
         rv_lower = 1.0 / (4.0 * gamma)
         rv_upper = 100.0 / gamma + 2.0
         if gamma < 1.0:

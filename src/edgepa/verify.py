@@ -2,7 +2,8 @@
 
 Each criterion generates its own data from a fixed seed, compares a
 measurement against an exact value or a statistical band stated up front,
-and returns a result line.  Suites group related criteria::
+and returns a result line; C7-C11 and C15 read it, bounds included, from
+the rows that ``experiments`` writes.  Suites group related criteria::
 
     oracle       C1  exact law equality of the direct process and the collapse
                  C2  generator frequencies vs the exact law
@@ -37,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import coupling, observables as ob, oracle, rng as _rng, theory
+from . import coupling, experiments, observables as ob, oracle, rng as _rng, theory
 from .edgestep import ba, constant, log_class, oscillating, rv_power, tabulated
 from .graphs import MultiGraph, evolve, evolve_batch
 
@@ -92,10 +93,18 @@ def criterion(cid: str, name: str, suite: str):
     return register
 
 
-def _diameter(view: ob.SimpleView) -> int:
-    """Exact diameter.  The certified bracket searches each vertex at most
-    once, so a budget of ``n`` searches always closes it."""
-    return ob.diameter_bounds(view, refine_budget=view.n)[0]
+def _records(families: list[str], horizons: list[int], reps: int, seed: int, **toggles) -> list[dict]:
+    """The rows of one :func:`experiments.run` (``toggles`` as for
+    :class:`experiments.ExperimentSpec`), in (family, t, rep) order; raises
+    on a row with an ``error``.  A horizon-``t`` graph has at most ``t``
+    vertices, and the certified bracket searches each at most once, so a
+    budget of the last horizon makes every diameter exact."""
+    spec = experiments.ExperimentSpec(families, horizons, reps, seed, refine_budget=horizons[-1], **toggles)
+    rows = experiments.run(spec)
+    for row in rows:
+        if row["error"]:
+            raise RuntimeError(f"record {row['family']} t={row['t']} rep {row['rep']}: {row['error']}")
+    return rows
 
 
 # -- C1 / C2: oracle ----------------------------------------------------------
@@ -253,17 +262,14 @@ def c06_tv_coupling(seed: int = DEFAULT_SEED) -> Verdict:
 @criterion("C7", "samplewise-monotonicity", "coupling")
 def c07_samplewise_monotonicity(seed: int = DEFAULT_SEED) -> Verdict:
     t, reps = 10**4, 10**3
-    f, h = constant(0.3), constant(0.7)
-    base = _rng.child_seed(seed, 7)
-    bad = 0
-    for r in range(reps):
-        tree = coupling.grow_tree(t, _rng.child_seed(base, r))
-        gf = coupling.collapse(tree, f)
-        gh = coupling.collapse(tree, h)
-        ok = gf.n_vertices <= gh.n_vertices and gf.degrees().max() >= gh.degrees().max()
-        if ok:
-            ok = _diameter(ob.simple_view(gf)) <= _diameter(ob.simple_view(gh))
-        bad += not ok
+    rows = _records(
+        ["const:0.3", "const:0.7"], [t], reps, _rng.child_seed(seed, 7),
+        coupled=True, clique=False, paths=False,
+    )
+    # const:0.3's rows come first: row 0 of each column is f, row 1 is h
+    keys = ("n_vertices", "max_degree", "diameter_lower")
+    v, dmax, diam = (np.reshape([row[k] for row in rows], (2, reps)) for k in keys)
+    bad = int(np.count_nonzero((v[0] > v[1]) | (dmax[0] < dmax[1]) | (diam[0] > diam[1])))
     return (
         bad == 0,
         f"{reps - bad}/{reps} samples ordered (diam, Dmax, V)",
@@ -277,18 +283,12 @@ def c07_samplewise_monotonicity(seed: int = DEFAULT_SEED) -> Verdict:
 @criterion("C8", "ba-diameter-envelope", "scaling")
 def c08_ba_diameter_envelope(seed: int = DEFAULT_SEED) -> Verdict:
     t, reps = 10**5, 50
-    f = ba()
-    base = _rng.child_seed(seed, 8)
-    bounds = theory.diameter_theory(f, t)
+    rows = _records(["ba"], [t], reps, _rng.child_seed(seed, 8), clique=False, paths=False)
     # the paper's O(log t) with the constant it carries for the tree
     c = theory.TREE_DIAMETER_CONSTANT
-    upper = c * bounds.diameter_upper_a
-    lower = bounds.diameter_lower
-    diams = []
-    for r in range(reps):
-        g = evolve(f, t, _rng.child_seed(base, r))
-        diams.append(_diameter(ob.simple_view(g)))
-    diams = np.array(diams)
+    upper = c * rows[0]["theory_diam_upper_a"]
+    lower = rows[0]["theory_diam_lower"]
+    diams = np.array([row["diameter_lower"] for row in rows])
     n_upper = int(np.count_nonzero(diams <= upper))
     n_lower = int(np.count_nonzero(diams >= lower))
     return (
@@ -298,35 +298,20 @@ def c08_ba_diameter_envelope(seed: int = DEFAULT_SEED) -> Verdict:
     )
 
 
-def _clique_feasible(k: int, simple_edges: int, bounds: theory.BoundSet) -> bool:
-    return k * (k - 1) // 2 <= simple_edges and k <= bounds.clique_upper
+def _clique_feasible(row: dict) -> bool:
+    k = row["clique_greedy"]
+    return k * (k - 1) // 2 <= row["simple_edges"] and k <= row["theory_clique_upper"]
 
 
 @criterion("C9", "rv-bounded-diameter", "scaling")
 def c09_rv_bounded_diameter(seed: int = DEFAULT_SEED) -> Verdict:
-    f = rv_power(0.5)
     horizons = [10**4, 10**5, 10**6]
-    reps = 20
-    base = _rng.child_seed(seed, 9)
-    bounds = {t: theory.diameter_theory(f, t, gamma=f.params["gamma"]) for t in horizons}
-    ds: dict[int, list[int]] = {t: [] for t in horizons}
-    all_in_band = True
-    feasible = True
+    rows = _records(["rv:0.5"], horizons, 20, _rng.child_seed(seed, 9), paths=False)
     # the constant band of a regularly varying schedule is the same at every t
-    lo_band, hi_band = 1.0, bounds[horizons[0]].rv_diameter_upper
-    for r in range(reps):
-        # each shorter horizon's graph is a prefix of the longest one
-        whole = evolve(f, horizons[-1], _rng.child_seed(base, r))
-        for t in horizons:
-            g = whole.prefix(t)
-            view = ob.simple_view(g)
-            d = _diameter(view)
-            ds[t].append(d)
-            if not lo_band <= d <= hi_band:
-                all_in_band = False
-            if not _clique_feasible(ob.clique_greedy(view, g.degrees()), view.n_edges, bounds[t]):
-                feasible = False
-    medians = {t: float(np.median(ds[t])) for t in horizons}
+    lo_band, hi_band = 1.0, rows[0]["theory_rv_upper"]
+    all_in_band = all(lo_band <= row["diameter_lower"] <= hi_band for row in rows)
+    feasible = all(_clique_feasible(row) for row in rows)
+    medians = {t: float(np.median([r["diameter_lower"] for r in rows if r["t"] == t])) for t in horizons}
     drift_ok = medians[10**6] <= medians[10**4] + 1.0
     return (
         all_in_band and drift_ok and feasible,
@@ -339,17 +324,12 @@ def c09_rv_bounded_diameter(seed: int = DEFAULT_SEED) -> Verdict:
 def c10_clique_upper_bound(seed: int = DEFAULT_SEED) -> Verdict:
     base = _rng.child_seed(seed, 10)
     families = [constant(0.3), constant(0.7), rv_power(0.5), log_class(1.0), ba(), oscillating(10)]
-    checked, violations = 0, 0
-    for i, f in enumerate(families):
-        for j, t in enumerate((10**3, 10**4)):
-            bounds = theory.diameter_theory(f, t)
-            for r in range(3):
-                g = evolve(f, t, _rng.child_seed(base, 100 * i + 10 * j + r))
-                view = ob.simple_view(g)
-                k = ob.clique_greedy(view, g.degrees())
-                checked += 1
-                if not _clique_feasible(k, view.n_edges, bounds):
-                    violations += 1
+    rows = [
+        experiments.record({}, evolve(f, t, _rng.child_seed(base, 100 * i + 10 * j + r)), f.name,
+                           diameter=False, paths=False)
+        for i, f in enumerate(families) for j, t in enumerate((10**3, 10**4)) for r in range(3)
+    ]
+    checked, violations = len(rows), sum(not _clique_feasible(row) for row in rows)
     return (
         violations == 0,
         f"{checked - violations}/{checked} graphs satisfy k(k-1)/2 <= simple edges",
@@ -359,35 +339,22 @@ def c10_clique_upper_bound(seed: int = DEFAULT_SEED) -> Verdict:
 
 @criterion("C11", "clique-growth-slope", "scaling")
 def c11_clique_growth_slope(seed: int = DEFAULT_SEED) -> Verdict:
-    f = rv_power(0.5)
     horizons = [10**4, 10**5, 10**6]
     reps = 10
-    base = _rng.child_seed(seed, 11)
-    bounds = {t: theory.diameter_theory(f, t) for t in horizons}
-    greedy = np.zeros((len(horizons), reps))
-    exact = np.zeros((len(horizons), reps))
-    n_exact = 0
-    feasible = True
-    for r in range(reps):
-        # each shorter horizon's graph is a prefix of the longest one
-        whole = evolve(f, horizons[-1], _rng.child_seed(base, r))
-        for i, t in enumerate(horizons):
-            g = whole.prefix(t)
-            view = ob.simple_view(g)
-            k = ob.clique_greedy(view, g.degrees())
-            if not _clique_feasible(k, view.n_edges, bounds[t]):
-                feasible = False
-            omega, status, _ = ob.clique_exact(view)
-            n_exact += status == "exact"
-            greedy[i, r], exact[i, r] = math.log(k), math.log(omega)
-    # the fit sees the points t-major, as (log t, log k) pairs
+    rows = _records(
+        ["rv:0.5"], horizons, reps, _rng.child_seed(seed, 11),
+        diameter=False, paths=False, clique_exact=True,
+    )
+    feasible = all(_clique_feasible(row) for row in rows)
+    n_exact = sum(row["clique_exact_status"] == "exact" for row in rows)
+    # the rows, and so the fit's points, are t-major (log t, log k) pairs
     xs = np.repeat([math.log(t) for t in horizons], reps)
-    slope = float(np.polyfit(xs, greedy.ravel(), 1)[0])
-    exact_slope = float(np.polyfit(xs, exact.ravel(), 1)[0])
+    slope = float(np.polyfit(xs, [math.log(r["clique_greedy"]) for r in rows], 1)[0])
+    exact_slope = float(np.polyfit(xs, [math.log(r["clique_exact"]) for r in rows], 1)[0])
     return (
         0.15 <= slope <= 0.35 and feasible,
         f"log-log slope {slope:.3f} (exact omega: {exact_slope:.3f}, "
-        f"{n_exact}/{exact.size} searches exact)",
+        f"{n_exact}/{len(rows)} searches exact)",
         "slope within [0.15, 0.35] (theory exponent 0.25)",
     )
 
@@ -400,18 +367,16 @@ def c15_oscillating_regime(seed: int = DEFAULT_SEED) -> Verdict:
     threshold = math.log(t_tree) / math.log(math.log(t_tree)) / 4.0
     reps = 10
     base = _rng.child_seed(seed, 15)
-    dense_pass = tree_pass = 0
     dense_diams, tree_lbs = [], []
     for r in range(reps):
         rseed = _rng.child_seed(base, r)
-        g1 = evolve(f, t_dense, rseed)
-        d1 = _diameter(ob.simple_view(g1))
-        dense_diams.append(d1)
-        dense_pass += d1 <= 3
-        g2 = evolve(f, t_tree, rseed)
-        lb, _ = ob.diameter_bounds(ob.simple_view(g2), refine_budget=0)
-        tree_lbs.append(lb)
-        tree_pass += lb >= threshold
+        # exact on the dense plateau; the tree plateau's lower bound needs no search
+        for out, t, budget in ((dense_diams, t_dense, t_dense), (tree_lbs, t_tree, 0)):
+            g = evolve(f, t, rseed)
+            row = experiments.record({}, g, f.name, clique=False, paths=False, refine_budget=budget)
+            out.append(row["diameter_lower"])
+    dense_pass = sum(d <= 3 for d in dense_diams)
+    tree_pass = sum(lb >= threshold for lb in tree_lbs)
     return (
         dense_pass >= 9 and tree_pass >= 9,
         f"dense diam {sorted(dense_diams)} (<=3 in {dense_pass}/10), "

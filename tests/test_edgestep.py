@@ -87,6 +87,14 @@ def test_weighted_tail_sum():
         one.weighted_tail_sum(1, 5)
 
 
+@pytest.mark.parametrize("desc", ["rv:0.5", "log:1", "osc:base=10"])
+def test_partial_sum_in_chunks_is_one_cumsum(desc):
+    # three full chunks and a short one: the carried sum keeps every addition
+    f = es.make_family(desc)
+    t = 3 * 2**16 + 5
+    assert f.partial_sum(t) == 1.0 + np.cumsum(f.eval_array(np.arange(2, t + 1)))[-1]
+
+
 @given(
     a=st.integers(2, 50),
     mid=st.integers(0, 50),

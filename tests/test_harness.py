@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import importlib.util
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,13 @@ import pytest
 
 from unittest import mock
 
-from edgepa import coupling, rng, theory, verify
+from edgepa import coupling, observables, rng, theory, verify
 from edgepa import experiments as ex
 from edgepa.cli import main
 from edgepa.edgestep import make_family
 from edgepa.graphs import dump_graph, evolve, load_graph
 from edgepa.rng import child_seed
+from reference import all_pairs_diameter
 
 
 def _spec(**overrides):
@@ -106,6 +109,17 @@ def test_overlay_is_computed_once_per_family_and_horizon():
         assert {k: row[k] for k in ex.OVERLAY_FIELDS} == {k: "" if v is None else v for k, v in fresh.items()}
     with pytest.raises(TypeError):
         ex._overlay("const:0.5", 60)["expected_vertices"] = 0
+
+
+def test_overlay_memory_does_not_grow_with_t():
+    # f is summed chunk by chunk, so no array spans the 1e7 steps
+    tracemalloc.start()
+    try:
+        ex._overlay.__wrapped__("log:1", 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_tabulated_overlay_is_blank():
@@ -215,6 +229,30 @@ def test_one_generation_per_replicate(monkeypatch):
     assert len(rows) == 27
     assert grow_calls.call_count == 3 and evolve_calls.call_count == 6
     assert {c.args[0] for c in grow_calls.call_args_list} == {300}
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_a_budget_of_the_last_horizon_makes_every_diameter_exact(coupled):
+    # the premise of the criteria that read diameters from records
+    horizons = [300, 2000]
+    spec = _spec(families=["const:0.5", "rv:0.5", "log:1"], horizons=horizons, coupled=coupled,
+                 reps=1, clique=False, paths=False, refine_budget=horizons[-1])
+    for row in ex.run(spec):
+        f, rep_seed = make_family(row["family"]), child_seed(spec.seed, row["rep"])
+        g = coupling.collapse(coupling.grow_tree(row["t"], rep_seed), f) if coupled else evolve(f, row["t"], rep_seed)
+        assert row["diameter_method"] == "exact"
+        assert row["diameter_lower"] == all_pairs_diameter(observables.simple_view(g))
+    starved = ex.run(dataclasses.replace(spec, refine_budget=0))
+    assert "bounds" in {row["diameter_method"] for row in starved}
+
+
+def test_a_failed_record_fails_its_criterion_loudly(monkeypatch):
+    def fail(*args):
+        raise RuntimeError("evolve broke")
+
+    monkeypatch.setattr(ex, "evolve", fail)
+    with pytest.raises(RuntimeError, match="evolve broke"):
+        verify.c08_ba_diameter_envelope()
 
 
 @pytest.mark.parametrize("coupled", [False, True])

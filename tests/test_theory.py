@@ -157,7 +157,7 @@ def test_diameter_theory_tree_case():
 
 
 def test_diameter_theory_rv_band():
-    bs = th.diameter_theory(es.rv_power(0.5), 10**4, gamma=0.5)
+    bs = th.diameter_theory(es.rv_power(0.5), 10**4)
     assert (bs.rv_diameter_lower, bs.rv_diameter_upper) == (0.5, 202.0)
     assert bs.rv_diameter_lower is not None and bs.rv_diameter_upper is not None
     assert bs.clique_exponent is not None
@@ -168,7 +168,7 @@ def test_diameter_theory_rv_band():
 
 
 def test_diameter_theory_tail_regime_applies_for_fast_decay():
-    bs = th.diameter_theory(es.rv_power(3.0), 10**4, gamma=3.0)
+    bs = th.diameter_theory(es.rv_power(3.0), 10**4)
     assert bs.diameter_upper_b is not None
     assert bs.clique_exponent is None  # the clique band needs an index below 1
     tail = es.rv_power(3.0).weighted_tail_sum(3, 10**4)
