@@ -24,8 +24,10 @@ from typing import Sequence
 import numpy as np
 
 _TOWER_LIMIT = 1 << 62
-# Values per piece of :meth:`EdgeStepFunction.eval_chunks` (512 KB of float64).
-_EVAL_CHUNK = 1 << 16
+# Steps per chunk of f's values (:meth:`EdgeStepFunction.eval_chunks`) and
+# of ``graphs``' draws and vertex-step selection, so their temporaries,
+# about 3 MB, grow with neither t nor reps (``evolve_batch`` divides it).
+STEP_CHUNK = 1 << 16
 
 
 class EdgeStepFunction:
@@ -74,11 +76,11 @@ class EdgeStepFunction:
         return np.clip(self._raw(ts), 0.0, 1.0)
 
     def eval_chunks(self, a: int, b: int):
-        """``f(s)`` for ``s = a..b`` in pieces of ``_EVAL_CHUNK`` values, each
+        """``f(s)`` for ``s = a..b`` in pieces of ``STEP_CHUNK`` values, each
         as ``(lo, values)`` with ``values[i] = f(a + lo + i)``, so that no
         float or int64 temporary spans the range."""
-        for lo in range(0, b - a + 1, _EVAL_CHUNK):
-            yield lo, self.eval_array(np.arange(a + lo, min(a + lo + _EVAL_CHUNK, b + 1), dtype=np.int64))
+        for lo in range(0, b - a + 1, STEP_CHUNK):
+            yield lo, self.eval_array(np.arange(a + lo, min(a + lo + STEP_CHUNK, b + 1), dtype=np.int64))
 
     def _raw(self, ts: np.ndarray) -> np.ndarray:
         fam, p = self.family, self.params

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import edgestep as _es
 from . import rng as _rng
 from .edgestep import EdgeStepFunction
 
@@ -105,11 +106,9 @@ class MultiGraph:
 
 # -- full-trajectory generation -------------------------------------------
 
-# Steps per chunk of coin and slot draws (``evolve_batch`` divides it by
-# its replicates), so their float temporaries, about 3 MB, do not grow
-# with t or reps; and entries per block of the link resolver (int32 ids:
-# 256 KB per local array, so a block stays in cache).
-_DRAW_CHUNK = 1 << 16
+# Entries per block of the link resolver (int32 ids: 256 KB per local
+# array, so a block stays in cache).  Draws and f are taken in chunks of
+# ``edgestep.STEP_CHUNK`` steps.
 _RESOLVE_BLOCK = 1 << 16
 
 
@@ -142,8 +141,9 @@ def _draw_slots(gen: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarra
     """
     a = np.empty(t - 1, dtype=_id_dtype(t))
     b = np.empty_like(a)
-    for lo in range(0, t - 1, _DRAW_CHUNK):
-        raw = gen.random((min(_DRAW_CHUNK, t - 1 - lo), 2))
+    chunk = _es.STEP_CHUNK
+    for lo in range(0, t - 1, chunk):
+        raw = gen.random((min(chunk, t - 1 - lo), 2))
         width = 2.0 * np.arange(lo + 1, lo + 1 + len(raw))
         for col, out in ((0, a), (1, b)):
             x = raw[:, col] * width
@@ -234,7 +234,7 @@ def resolve_backward_links(ptr: np.ndarray, w) -> np.ndarray:
 def _finish(seed, family, z, endpoints) -> MultiGraph:
     """The graph of coins ``z`` (steps 2..t) and ``endpoints``; its birth
     times and parents take the endpoints' type.  The vertex-steps are
-    found ``_DRAW_CHUNK`` coins at a time, so no index array spans the run."""
+    found ``STEP_CHUNK`` coins at a time, so no index array spans the run."""
     step_type = np.concatenate([[True], z])
     n = 1 + int(np.count_nonzero(z))
     birth_time = np.empty(n, dtype=endpoints.dtype)
@@ -242,10 +242,11 @@ def _finish(seed, family, z, endpoints) -> MultiGraph:
     birth_time[0], parent[0] = 1, 0
     first = endpoints[2::2]  # slot 2s - 2 of step s >= 2
     k = 1
-    for lo in range(0, len(z), _DRAW_CHUNK):
-        at = np.flatnonzero(z[lo : lo + _DRAW_CHUNK])
+    chunk = _es.STEP_CHUNK
+    for lo in range(0, len(z), chunk):
+        at = np.flatnonzero(z[lo : lo + chunk])
         birth_time[k : k + len(at)] = at + (lo + 2)
-        first[lo : lo + _DRAW_CHUNK].take(at, out=parent[k : k + len(at)])
+        first[lo : lo + chunk].take(at, out=parent[k : k + len(at)])
         k += len(at)
     return MultiGraph(
         endpoints=endpoints,
@@ -346,7 +347,7 @@ def evolve_batch(
 
     Endpoints are built slot-major, in the narrowest type that holds ``t``
     (ids never exceed it), and handed back as transposed views, uncopied.
-    Coins and slot uniforms are drawn ``max(1, _DRAW_CHUNK // reps)`` steps
+    Coins and slot uniforms are drawn ``max(1, STEP_CHUNK // reps)`` steps
     at a time into buffers made once (the same stream values as per-step
     calls), and the chunk's flat positions ``slot * reps + col`` are
     computed in one pass.  A row past the last slot holds each replicate's
@@ -368,7 +369,7 @@ def evolve_batch(
     flat = ends.reshape(-1)
     z = np.zeros((t - 1, reps), dtype=bool)
     cols = np.arange(reps)
-    steps = max(1, _DRAW_CHUNK // reps)
+    steps = max(1, _es.STEP_CHUNK // reps)
     coins = np.empty((steps, reps))
     raw = np.empty((steps, reps, 2))
     at = np.empty((steps, 2, reps), dtype=np.intp)  # flat positions of both slots

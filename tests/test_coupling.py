@@ -195,13 +195,23 @@ def test_collapse_prefix_is_the_shorter_trees_collapse(horizon, data, seed, fam)
     assert_same_graph(prefix, cp.collapse(cp.grow_tree(t, seed), f))
 
 
+def _assert_collapse_unchunked(fam, chunk, t):
+    # the marks are compared with f chunk by chunk; the pieces must not show
+    f, tree = es.make_family(fam), cp.grow_tree(t, 4)
+    with mock.patch.object(es, "STEP_CHUNK", 1 << 20):
+        whole = cp.collapse(tree, f)
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
+        assert_same_graph(cp.collapse(tree, f), whole)
+
+
 @pytest.mark.parametrize("fam", ["const:0.3", "log:1", "osc:base=10"])
 def test_collapse_marks_compared_in_chunks(fam):
-    # the marks are compared with f chunk by chunk; the pieces must not show
-    f, tree = es.make_family(fam), cp.grow_tree(300, 4)
-    whole = cp.collapse(tree, f)
-    with mock.patch.object(gr, "_DRAW_CHUNK", 7):
-        assert_same_graph(cp.collapse(tree, f), whole)
+    _assert_collapse_unchunked(fam, 7, 300)
+
+
+@pytest.mark.parametrize("fam", ["const:0.3", "log:1", "osc:base=10"])
+def test_collapse_marks_compared_across_the_shipped_seam(fam):
+    _assert_collapse_unchunked(fam, es.STEP_CHUNK, es.STEP_CHUNK + 100)
 
 
 def test_tree_validate_rejects_future_targets():

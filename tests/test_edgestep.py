@@ -91,7 +91,7 @@ def test_weighted_tail_sum():
 def test_partial_sum_in_chunks_is_one_cumsum(desc):
     # three full chunks and a short one: the carried sum keeps every addition
     f = es.make_family(desc)
-    t = 3 * 2**16 + 5
+    t = 3 * es.STEP_CHUNK + 5
     assert f.partial_sum(t) == 1.0 + np.cumsum(f.eval_array(np.arange(2, t + 1)))[-1]
 
 

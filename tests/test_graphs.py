@@ -132,7 +132,7 @@ def test_prefix_is_the_shorter_horizons_graph(horizon, data, seed, fam, chunk):
     # small draw chunks and resolver blocks put their seams inside the prefix
     t = data.draw(st.integers(1, horizon), label="t")
     f = es.make_family(fam)
-    with mock.patch.object(gr, "_DRAW_CHUNK", chunk), mock.patch.object(gr, "_RESOLVE_BLOCK", chunk):
+    with mock.patch.object(es, "STEP_CHUNK", chunk), mock.patch.object(gr, "_RESOLVE_BLOCK", chunk):
         full = gr.evolve(f, horizon, seed)
     prefix = full.prefix(t)
     prefix.validate()
@@ -309,19 +309,27 @@ def test_resolve_backward_links_rejects_forward_links(ones):
         gr.resolve_backward_links(ptr, w)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
-def test_presample_keeps_the_stream_layout(chunk):
+def _assert_presample_layout(t):
     # one coin per step, then one (t-1, 2) block of slot uniforms scaled to 2(s-1)
-    f, t, seed = es.make_family("log:1"), 300, 21
+    f, seed = es.make_family("log:1"), 21
     s = np.arange(2, t + 1)
     z = _rng.stream(seed, _rng.COINS).random(t - 1) < f.eval_array(s)
     raw = _rng.stream(seed, _rng.SLOTS).random((t - 1, 2))
     width = 2 * (s - 1)
     slots = np.minimum((raw * width[:, None]).astype(np.int64), (width - 1)[:, None])
-    with mock.patch.object(gr, "_DRAW_CHUNK", chunk):
-        got_z, got_a, got_b = gr._presample(f, t, seed)
+    got_z, got_a, got_b = gr._presample(f, t, seed)
     assert np.array_equal(got_z, z)
     assert np.array_equal(got_a, slots[:, 0]) and np.array_equal(got_b, slots[:, 1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_presample_keeps_the_stream_layout(chunk):
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
+        _assert_presample_layout(300)
+
+
+def test_presample_keeps_the_stream_layout_across_the_shipped_seam():
+    _assert_presample_layout(es.STEP_CHUNK + 100)
 
 
 def _digest(*arrays) -> str:
@@ -429,7 +437,7 @@ def test_evolve_batch_rows_match_per_step_loop_across_chunks(fam, t, chunk, reps
     steps = max(1, chunk // reps)
     # a chunk's first step, another chunk's last step, and the last step of the run
     force = {2 + 5 * steps: False, 1 + 9 * steps: True, t: False} if fam == "rv:0.5" else None
-    with mock.patch.object(gr, "_DRAW_CHUNK", chunk):
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
         _assert_batch_matches_per_step_loop(es.make_family(fam), t, reps, 4, force)
 
 
@@ -467,7 +475,7 @@ def test_finish_selects_vertex_steps_across_chunk_seams(chunk, fam):
     f, t, seed = es.make_family(fam), 150, 9
     tree = cp.grow_tree(t, seed)
     g = gr.evolve(f, t, seed)
-    with mock.patch.object(gr, "_DRAW_CHUNK", chunk):
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
         graphs = [
             gr.evolve(f, t, seed),
             cp.collapse(tree, f),
