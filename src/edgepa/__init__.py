@@ -57,7 +57,6 @@ from .oracle import (
 )
 from .theory import (
     BoundSet,
-    clique_theory,
     diameter_theory,
     expected_degree,
     isolated_path_mean_lb,

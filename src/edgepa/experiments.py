@@ -31,16 +31,8 @@ from .graphs import MultiGraph, dump_graph, evolve
 SCHEMA_VERSION = 4
 
 ID_FIELDS = ["schema", "spec_hash", "family", "t", "rep", "rep_seed"]
-OVERLAY_FIELDS = [
-    "expected_vertices",
-    "theory_diam_lower",
-    "theory_diam_upper_a",
-    "theory_diam_upper_b",
-    "theory_rv_lower",
-    "theory_rv_upper",
-    "theory_clique_exponent",
-    "theory_clique_upper",
-]
+# the overlay columns are the theory bound set's fields, in order
+OVERLAY_FIELDS = [f.name for f in fields(theory.BoundSet)]
 # the measurement columns are the report's fields, in order
 RECORD_FIELDS = [
     *ID_FIELDS,
@@ -139,28 +131,14 @@ def _row(cells: dict) -> dict:
     return row
 
 
-@functools.lru_cache
+@functools.cache
 def _overlay(family_descriptor: str, t: int) -> Mapping:
-    """The theory columns of a family at ``t``; ``None`` where a bound does
-    not apply.  They depend on nothing else, so each ``(family, t)`` is
-    computed once per process and shared read-only by every replicate."""
-    f = make_family(family_descriptor)
-    out = dict.fromkeys(OVERLAY_FIELDS)
-    if f.family == "tabulated":
-        return MappingProxyType(out)
-    out["expected_vertices"] = f.partial_sum(t)
-    if t >= 16:
-        bs = theory.diameter_theory(f, t)
-        out.update(
-            theory_diam_lower=round(bs.diameter_lower, 6),
-            theory_diam_upper_a=round(bs.diameter_upper_a, 6),
-            theory_diam_upper_b=None if bs.diameter_upper_b is None else round(bs.diameter_upper_b, 6),
-            theory_rv_lower=bs.rv_diameter_lower,
-            theory_rv_upper=bs.rv_diameter_upper,
-            theory_clique_exponent=bs.clique_exponent,
-            theory_clique_upper=round(bs.clique_upper, 6),
-        )
-    return MappingProxyType(out)
+    """The theory columns of a family at ``t`` (see :class:`theory.BoundSet`).
+    They depend on nothing else, so each ``(family, t)`` is computed once per
+    process and shared read-only by every replicate.  The cache is unbounded
+    because a coupled task walks the whole grid before the next replicate
+    starts, so any bound smaller than the grid would miss every time."""
+    return MappingProxyType(asdict(theory.diameter_theory(make_family(family_descriptor), t)))
 
 
 def _run_task(args: tuple) -> list[dict]:

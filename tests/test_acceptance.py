@@ -1,8 +1,11 @@
-"""Acceptance suite: one test per criterion, each printing its pass/fail line.
+"""Acceptance suite: one test per registered criterion, each printing its
+pass/fail line.
 
 Every tolerance (sigma multipliers, pass fractions, bands, runtime caps)
 is pinned inside ``edgepa.verify``; the tests only execute the criteria
-and assert their verdicts.  Run ``pytest -s tests/test_acceptance.py`` to
+and assert their verdicts.  Each criterion of ``verify.SUITES["all"]``
+becomes ``test_<its function name>``, so one registered later runs here
+with no edit to this file.  Run ``pytest -s tests/test_acceptance.py`` to
 see the lines stream, or ``edgepa verify --suite all`` for the same
 checks outside pytest.
 
@@ -16,71 +19,16 @@ height asymptotics ``H_t ~ log t / (2 gamma*)`` together with
 from edgepa import verify as vf
 
 
-def _check(result):
-    print()
-    print(result.line())
-    assert result.passed, result.line()
+def _acceptance_test(criterion):
+    def test():
+        result = criterion()
+        print()
+        print(result.line())
+        assert result.passed, result.line()
+
+    test.__name__ = test.__qualname__ = f"test_{criterion.__name__}"
+    return test
 
 
-def test_c01_oracle_law_equality():
-    _check(vf.c01_oracle_law_equality())
-
-
-def test_c02_generator_vs_oracle():
-    _check(vf.c02_generator_vs_oracle())
-
-
-def test_c03_increment_law():
-    _check(vf.c03_increment_law())
-
-
-def test_c04_expected_degree():
-    _check(vf.c04_expected_degree())
-
-
-def test_c05_vertex_count():
-    _check(vf.c05_vertex_count())
-
-
-def test_c06_tv_coupling():
-    _check(vf.c06_tv_coupling())
-
-
-def test_c07_samplewise_monotonicity():
-    _check(vf.c07_samplewise_monotonicity())
-
-
-def test_c08_ba_diameter_envelope():
-    _check(vf.c08_ba_diameter_envelope())
-
-
-def test_c09_rv_bounded_diameter():
-    _check(vf.c09_rv_bounded_diameter())
-
-
-def test_c10_clique_upper_bound():
-    _check(vf.c10_clique_upper_bound())
-
-
-def test_c11_clique_growth_slope():
-    _check(vf.c11_clique_growth_slope())
-
-
-def test_c12_isolated_path_moment():
-    _check(vf.c12_isolated_path_moment())
-
-
-def test_c13_vertex_path_moment():
-    _check(vf.c13_vertex_path_moment())
-
-
-def test_c14_observable_oracles():
-    _check(vf.c14_observable_oracles())
-
-
-def test_c15_oscillating_regime():
-    _check(vf.c15_oscillating_regime())
-
-
-def test_c16_performance():
-    _check(vf.c16_performance())
+for _criterion in vf.SUITES["all"]:
+    globals()[f"test_{_criterion.__name__}"] = _acceptance_test(_criterion)

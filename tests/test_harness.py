@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -109,6 +110,30 @@ def test_overlay_is_computed_once_per_family_and_horizon():
         assert {k: row[k] for k in ex.OVERLAY_FIELDS} == {k: "" if v is None else v for k, v in fresh.items()}
     with pytest.raises(TypeError):
         ex._overlay("const:0.5", 60)["expected_vertices"] = 0
+
+
+def test_overlay_cache_holds_every_family_and_horizon():
+    # a coupled task visits each (family, t) in turn, so a bounded cache
+    # smaller than the grid would miss on every lookup of the next replicate
+    ex._overlay.cache_clear()
+    grid = dict(families=["const:0.3", "const:0.7"], horizons=list(range(16, 81)), reps=2,
+                coupled=True, diameter=False, clique=False, paths=False)
+    with mock.patch.object(theory, "diameter_theory", wraps=theory.diameter_theory) as spy:
+        rows = ex.run(_spec(**grid))
+    assert len(rows) == 260
+    assert spy.call_count == 130
+
+
+def test_overlay_is_pinned():
+    # every overlay column's value, on both sides of the t = 16 seam and for a
+    # tabulated schedule; a change to any bound or its rounding moves this
+    grid = [(d, t) for d in ("const:0.5", "ba", "rv:0.5", "rv:3", "log:1", "exp_class:0.9", "osc:base=10")
+            for t in (1, 15, 16, 17, 10**4, 10**6)] + [("tab:1,0.5,0.5,0.2", 5)]
+    h = hashlib.sha256()
+    for d, t in grid:
+        for value in ex._overlay.__wrapped__(d, t).values():
+            h.update(repr(value).encode())
+    assert h.hexdigest() == "db8fff6813d6f189aa2242f058cd2512fa9f1d3615cdcb1fa1551edc26889b30"
 
 
 def test_overlay_memory_does_not_grow_with_t():

@@ -130,16 +130,6 @@ def test_vertex_path_mean_ub_brute_pair_sum():
     assert th.vertex_path_mean_ub(f, t0, t, k) == pytest.approx(want, rel=1e-9)
 
 
-def test_clique_theory():
-    exponent, hi = th.clique_theory(10**4, 0.5)
-    assert exponent == 0.25
-    assert hi == 7.0 * 100.0
-    assert th.clique_theory(10**6, 0.0) == (0.5, 7000.0)
-    assert th.clique_theory(10**4, 0.1)[0] == pytest.approx(0.45)
-    with pytest.raises(ValueError):
-        th.clique_theory(10**4, 1.0)
-
-
 def test_tree_diameter_constant():
     g = 1 / th.TREE_DIAMETER_CONSTANT
     assert abs(g * math.exp(1 + g) - 1) < 1e-12
@@ -150,47 +140,55 @@ def test_tree_diameter_constant():
 
 def test_diameter_theory_tree_case():
     bs = th.diameter_theory(es.ba(), 10**5)
-    assert bs.diameter_lower == pytest.approx(math.log(1e5) / math.log(math.log(1e5)) / 3)
-    assert bs.diameter_upper_a == pytest.approx(math.log(1e5))
-    assert bs.diameter_upper_b is None  # tail sum diverges past 1
-    assert bs.clique_exponent is None
+    assert bs.theory_diam_lower == pytest.approx(math.log(1e5) / math.log(math.log(1e5)) / 3)
+    assert bs.theory_diam_upper_a == pytest.approx(math.log(1e5))
+    assert bs.theory_diam_upper_b is None  # tail sum diverges past 1
+    assert bs.theory_clique_exponent is None
 
 
 def test_diameter_theory_rv_band():
     bs = th.diameter_theory(es.rv_power(0.5), 10**4)
-    assert (bs.rv_diameter_lower, bs.rv_diameter_upper) == (0.5, 202.0)
-    assert bs.rv_diameter_lower is not None and bs.rv_diameter_upper is not None
-    assert bs.clique_exponent is not None
+    assert (bs.theory_rv_lower, bs.theory_rv_upper) == (0.5, 202.0)
     # the weighted tail sum still exceeds 1 at this horizon for gamma = 0.5
-    assert bs.diameter_upper_b is None
-    assert bs.clique_upper == 7.0 * math.sqrt(10**4)
-    assert bs.clique_exponent == 0.25
+    assert bs.theory_diam_upper_b is None
+    assert bs.theory_clique_upper == 7.0 * math.sqrt(10**4)
+    assert bs.theory_clique_exponent == 0.25
+
+
+def test_clique_theory():
+    # the exponent (1 - gamma)/2 needs an index below 1; the ceiling 7 sqrt(t)
+    # applies to every family
+    assert th.diameter_theory(es.rv_power(0.1), 10**4).theory_clique_exponent == pytest.approx(0.45)
+    assert th.diameter_theory(es.rv_power(1.0), 10**4).theory_clique_exponent is None
+    for f in (es.rv_power(0.5), es.ba(), es.constant(0.5)):
+        assert th.diameter_theory(f, 10**6).theory_clique_upper == 7000.0
+        assert th.diameter_theory(f, 10**3).theory_clique_upper == round(7.0 * math.sqrt(10**3), 6)
 
 
 def test_diameter_theory_tail_regime_applies_for_fast_decay():
     bs = th.diameter_theory(es.rv_power(3.0), 10**4)
-    assert bs.diameter_upper_b is not None
-    assert bs.clique_exponent is None  # the clique band needs an index below 1
+    assert bs.theory_diam_upper_b is not None
+    assert bs.theory_clique_exponent is None  # the clique band needs an index below 1
     tail = es.rv_power(3.0).weighted_tail_sum(3, 10**4)
     want = 2 + 6 * min(
         math.log(10**4) / -math.log(tail),
         math.log(10**4) / math.log(math.log(10**4)),
     )
-    assert bs.diameter_upper_b == pytest.approx(want)
+    assert bs.theory_diam_upper_b == pytest.approx(want)
 
 
 def test_diameter_theory_log_class_branch():
     t = 10**6
     bs = th.diameter_theory(es.log_class(1.0), t)
     # -log f(t) = log log t, so both branches of the minimum coincide
-    assert bs.diameter_lower == pytest.approx(math.log(t) / math.log(math.log(t)) / 3)
+    assert bs.theory_diam_lower == pytest.approx(math.log(t) / math.log(math.log(t)) / 3)
 
 
 @pytest.mark.parametrize("f", [es.ba(), es.constant(0.5), es.rv_power(0.5), es.log_class(1.0)])
 def test_diameter_theory_lower_below_upper_a(f):
     for t in (16, 100, 10**4, 10**6):
         bs = th.diameter_theory(f, t)
-        assert bs.diameter_lower <= bs.diameter_upper_a
+        assert bs.theory_diam_lower <= bs.theory_diam_upper_a
 
 
 def test_diameter_theory_with_no_vertex_steps():
@@ -198,11 +196,12 @@ def test_diameter_theory_with_no_vertex_steps():
     # is 0, so the tail regime applies with its branch 0 as well
     for t in (16, 10**4):
         bs = th.diameter_theory(es.constant(0.0), t)
-        assert bs.diameter_lower == 0.0
-        assert bs.diameter_upper_b == 2.0
-        assert bs.diameter_upper_a == math.log(t)
+        assert bs.theory_diam_lower == 0.0
+        assert bs.theory_diam_upper_b == 2.0
+        assert bs.theory_diam_upper_a == round(math.log(t), 6)
 
 
-def test_diameter_theory_rejects_small_t():
-    with pytest.raises(ValueError):
-        th.diameter_theory(es.ba(), 15)
+def test_diameter_theory_below_16_gives_only_expected_vertices():
+    f = es.ba()
+    assert th.diameter_theory(f, 15) == th.BoundSet(expected_vertices=f.partial_sum(15))
+    assert th.diameter_theory(f, 16).theory_diam_lower is not None
