@@ -11,9 +11,11 @@ checkout:
 ``--before`` names a second checkout (its ``src`` is imported) whose
 records are run the same way, alternating with this checkout's
 (``after``), so both sets come from the same machine.  The result is
-written to ``BENCH_memory.json``: one entry per checkout, family and
-repetition, with ``ru_maxrss`` in MB, the seconds to generate and to
-measure, and the edgepa, numpy and python versions each process ran on.
+written to ``BENCH_memory.json`` (or ``--out``): one entry per checkout,
+family and repetition, with ``ru_maxrss`` in MB both right after
+``evolve`` (``generate_maxrss_mb``, the generator alone) and at the end
+of the record, the seconds to generate and to measure, and the edgepa,
+numpy and python versions each process ran on.
 
 Every child runs with glibc's mmap threshold fixed at
 ``MALLOC_MMAP_THRESHOLD``, recorded in each entry: left adaptive, the
@@ -48,11 +50,13 @@ family, t, seed = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 start = time.perf_counter()
 g = graphs.evolve(make_family(family), t, seed)
 generate_s = time.perf_counter() - start
+generate_maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 start = time.perf_counter()
 report = observables.measure_graph(g, want_clique_exact=True)
 measure_s = time.perf_counter() - start
 print(json.dumps({
     "family": family, "t": t, "seed": seed,
+    "generate_maxrss_mb": round(generate_maxrss / 1024, 1),
     "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "generate_s": round(generate_s, 3), "measure_s": round(measure_s, 3),
     "n_vertices": report.n_vertices, "diameter": [report.diameter_lower, report.diameter_upper],

@@ -22,16 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import edgestep as _es
 from . import rng as _rng
 from .edgestep import EdgeStepFunction
 from .graphs import (
     MultiGraph,
-    _draw_slots,
+    _BlockResolver,
     _finish,
     _id_dtype,
+    _slots,
     canonical_key,
     keep_where,
-    resolve_backward_links,
 )
 
 
@@ -72,36 +73,39 @@ def grow_tree(t: int, seed: int) -> DoublyLabeledTree:
     Per step the draws are: one slot for the real edge, one independent
     slot for the ghost label (both uniform over the 2(j-1) endpoint slots
     of the pre-step tree), plus one uniform mark per vertex from its own
-    stream, so mark ``j`` is the ``j``-th entry of that stream.
+    stream, so mark ``j`` is the ``j``-th entry of that stream.  The slots
+    are drawn, linked and resolved ``STEP_CHUNK`` vertices at a time, in
+    one pass.
     """
     if t < 1:
         raise ValueError(f"tree size must be >= 1, got {t}")
     u = np.zeros(t + 1)
     _rng.stream(seed, _rng.TREE_ULABELS).random(out=u[1:])
-    w_slot, l_slot = _draw_slots(_rng.stream(seed, _rng.TREE_SLOTS), t)
-
-    # Every step is a vertex-step, so odd slot 2j-1 holds j and even slot
-    # 2j-2 holds w(j) (slot 0 holds the root).  A slot's value is thus a
-    # terminal or the attachment of an older vertex: links over vertices.
-    odd = (w_slot & 1) == 1
-    w_slot >>= 1
-    w_slot += 1  # the vertex whose edge holds the slot
-    ptr = np.arange(t + 1, dtype=w_slot.dtype)
-    keep_where(ptr[2:], odd, w_slot)
-    val = np.ones(t + 1, dtype=w_slot.dtype)  # vertex 1 stands for slot 0
-    np.multiply(w_slot, odd, out=val[2:])  # zero at the links: each takes its root's value
-    del w_slot, odd
-    w = resolve_backward_links(ptr, val)  # w[j] = w(j) for j >= 2, w[1] = 1
-    del ptr, val
-
-    # ghost slot k lies on the edge of vertex (k >> 1) + 1: it holds that
-    # vertex if k is odd, its attachment (the root's 1 for k = 0) if even
-    even = (l_slot & 1) == 0
-    l_slot >>= 1
-    l_slot += 1
-    ell = np.zeros(t + 1, dtype=w.dtype)
-    ell[2:] = w[l_slot]
-    keep_where(ell[2:], even, l_slot)
+    draws = _rng.stream(seed, _rng.TREE_SLOTS)
+    dtype = _id_dtype(t)
+    w = np.zeros(t + 1, dtype=dtype)  # zeros, as the kernel reads them
+    w[:2] = 1  # vertex 1 stands for slot 0
+    ell = np.zeros(t + 1, dtype=dtype)
+    chunk = _es.STEP_CHUNK
+    kernel = _BlockResolver(min(chunk, t), dtype, dtype)
+    for lo in range(0, t - 1, chunk):
+        k, j = min(chunk, t - 1 - lo), lo + 2  # vertices in the block, its first
+        slot = _slots(draws, lo, k, dtype)  # the real and the ghost slot
+        # Every step is a vertex-step, so odd slot 2v-1 holds v and even
+        # slot 2v-2 holds w(v) (slot 0 holds the root).  A slot's value is
+        # thus a terminal or the attachment of an older vertex: links over
+        # vertices.
+        odd = (slot & 1).astype(bool)
+        slot >>= 1
+        slot += 1  # v, the vertex whose edge holds the slot
+        link = np.arange(j, j + k, dtype=dtype)
+        keep_where(link, odd[:, 0], slot[:, 0])
+        # zero at the links: each takes its root's value
+        kernel.resolve(w, j, link, slot[:, 0] * odd[:, 0])
+        # the ghost holds v if its slot is odd, else w(v), resolved: v < j + k
+        ghost = ell[j : j + k]
+        w.take(slot[:, 1], out=ghost, mode="wrap")
+        keep_where(ghost, ~odd[:, 1], slot[:, 1])
     w[:2] = 0
     return DoublyLabeledTree(w=w, ell=ell, u=u, seed=seed)
 
@@ -112,31 +116,40 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
     Vertex ``j`` survives iff ``U_j <= f(j)`` (the root always survives);
     a collapsed vertex is merged into the surviving representative reached
     by following ghost targets through collapsed vertices.  Ghost chains
-    strictly decrease the birth index, so :func:`resolve_backward_links`
-    maps every vertex to its representative's survivor rank in one pass
-    -- the same answer a path-compressed union-find keyed by birth index
-    would give.  Each tree edge ``{w(j), j}`` is remapped to the
-    representatives of its endpoints; birth times and step types carry
-    over so every observable applies to the result.
+    strictly decrease the birth index, so the kernel of
+    :func:`resolve_backward_links` maps every vertex to its
+    representative's survivor rank in index order -- the same answer a
+    path-compressed union-find keyed by birth index would give.  Each tree
+    edge ``{w(j), j}`` is remapped to the representatives of its
+    endpoints, both resolved since ``w(j) < j``; birth times and step
+    types carry over so every observable applies to the result.  The
+    marks are compared, linked, resolved and remapped ``STEP_CHUNK``
+    vertices at a time, in one pass.
     """
     t = tree.t
-    keep = np.ones(t + 1, dtype=bool)
-    for lo, fs in f.eval_chunks(2, t):
-        np.less_equal(tree.u[lo + 2 : lo + 2 + len(fs)], fs, out=keep[lo + 2 : lo + 2 + len(fs)])
     dtype = _id_dtype(t)
-    rep = np.arange(t + 1, dtype=dtype)
-    keep_where(rep, keep, tree.ell)
-    rank = np.cumsum(keep, dtype=dtype)
-    rank -= 1
-    rank *= keep  # zero at the links, so each takes its representative's rank
-    rr = resolve_backward_links(rep, rank)
-    del rep, rank
-
-    endpoints = np.empty(2 * t, dtype=dtype)
-    endpoints[:2] = 1
-    endpoints[2::2] = rr[tree.w[2:]]
-    endpoints[3::2] = rr[2:]
-    return _finish(tree.seed, f.name, keep[2:], endpoints)
+    keep = np.ones(t + 1, dtype=bool)
+    rr = np.zeros(t + 1, dtype=dtype)  # zeros, as the kernel reads them
+    rr[1] = 1  # the root's rank
+    endpoints = np.empty((t, 2), dtype=dtype)  # row j - 1 is the edge of vertex j
+    endpoints[0] = 1
+    kernel = _BlockResolver(min(_es.STEP_CHUNK, t), dtype, dtype)
+    kept = 1  # the newest survivor's rank
+    for lo, fs in f.eval_chunks(2, t):
+        k, j = len(fs), lo + 2  # vertices in the block, its first
+        kb = keep[j : j + k]
+        np.less_equal(tree.u[j : j + k], fs, out=kb)
+        del fs  # spent, and freed before the kernel's peak
+        link = np.arange(j, j + k, dtype=dtype)
+        keep_where(link, kb, tree.ell[j : j + k])
+        rank = np.cumsum(kb, dtype=dtype)
+        rank += kept
+        kept = int(rank[-1])
+        rank *= kb  # zero at the links, so each takes its representative's rank
+        kernel.resolve(rr, j, link, rank)
+        endpoints[j - 1 : j - 1 + k, 0] = rr.take(tree.w[j : j + k], mode="wrap")
+        endpoints[j - 1 : j - 1 + k, 1] = rr[j : j + k]
+    return _finish(tree.seed, f.name, keep[1:], endpoints.reshape(-1))
 
 
 def tv_upper_bound(f: EdgeStepFunction, h: EdgeStepFunction, horizon: int) -> float:

@@ -12,9 +12,15 @@ a coin with success probability ``f(s)`` decides between a vertex-step
 (one new edge between two independently degree-proportional endpoints,
 both drawn on the pre-step graph; loops and parallel edges allowed).
 
-``evolve`` builds the whole trajectory with a vectorized slot-link
-resolution that is draw-for-draw identical to the sequential definition
-(see ``_evolve_sequential``, kept as the reference implementation).
+``evolve`` builds the trajectory in one pass over blocks of
+``edgestep.STEP_CHUNK`` steps.  Each block draws its coins and slots,
+stores each slot as a link to the earlier slot it copies (or as a
+terminal holding a new vertex id), and resolves those links while the
+block is in cache: a gather from the resolved prefix, then pointer
+doubling over the few links inside the block.  The result is
+draw-for-draw identical to the sequential definition
+(``_evolve_sequential``, kept as the reference implementation), and the
+scratch is a few blocks, whatever ``t``.
 """
 
 from __future__ import annotations
@@ -106,11 +112,6 @@ class MultiGraph:
 
 # -- full-trajectory generation -------------------------------------------
 
-# Entries per block of the link resolver (int32 ids: 256 KB per local
-# array, so a block stays in cache).  Draws and f are taken in chunks of
-# ``edgestep.STEP_CHUNK`` steps.
-_RESOLVE_BLOCK = 1 << 16
-
 
 def keep_where(x: np.ndarray, mask: np.ndarray, y: np.ndarray) -> None:
     """``x[~mask] = y[~mask]`` in place, for integer ``x`` and ``y`` and a
@@ -132,38 +133,112 @@ def _id_dtype(t: int):
     return np.int32 if 2 * t < 2**31 else np.int64
 
 
-def _draw_slots(gen: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two slots per step ``s = 2..t``, each uniform over the ``2(s-1)`` filled ones.
+def _slots(gen: np.random.Generator, lo: int, k: int, dtype) -> np.ndarray:
+    """Two slots for each step ``s = lo + 2 .. lo + k + 1``, each uniform over
+    the ``2(s - 1)`` filled ones, as a ``(k, 2)`` array of ``dtype``.
 
-    The values of one ``gen.random((t - 1, 2))`` call, drawn in chunks of
-    steps (consecutive calls continue the stream) so no float temporary
-    spans the run.
+    They are the next ``2k`` values of ``gen.random``, so consecutive calls
+    continue one stream, each scaled by ``2(s - 1)``, truncated, and
+    clamped to ``2(s - 1) - 1`` (truncation commutes with that clamp).
+    The passes run over flat arrays: broadcasting a per-step width over
+    the two columns took 60 % longer at t = 1e7 (2 shared CPUs, numpy
+    2.4.6).
     """
-    a = np.empty(t - 1, dtype=_id_dtype(t))
-    b = np.empty_like(a)
+    x = gen.random(2 * k)
+    width = np.arange(2 * lo + 2, 2 * (lo + k) + 2, dtype=dtype)
+    width &= ~1  # 2(s - 1), once for each of the step's two slots
+    x *= width
+    slots = x.astype(dtype)
+    width -= 1
+    np.minimum(slots, width, out=slots)
+    return slots.reshape(k, 2)
+
+
+def _draw_slots(gen: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two slot columns of steps ``s = 2..t``: the values of one
+    ``gen.random((t - 1, 2))`` call, converted by :func:`_slots` chunk by chunk."""
+    slots = np.empty((t - 1, 2), dtype=_id_dtype(t))
     chunk = _es.STEP_CHUNK
     for lo in range(0, t - 1, chunk):
-        raw = gen.random((min(chunk, t - 1 - lo), 2))
-        width = 2.0 * np.arange(lo + 1, lo + 1 + len(raw))
-        for col, out in ((0, a), (1, b)):
-            x = raw[:, col] * width
-            # clamp, then truncate on assignment: floor commutes with min(., width - 1)
-            np.minimum(x, width - 1, out=x)
-            out[lo : lo + len(raw)] = x
-    return a, b
+        k = min(chunk, t - 1 - lo)
+        slots[lo : lo + k] = _slots(gen, lo, k, slots.dtype)
+    return slots[:, 0], slots[:, 1]
 
 
 def _presample(f: EdgeStepFunction, t: int, seed: int):
     """Coins and slot indices for steps 2..t, in the documented stream layout.
 
     The coins compare the values of one ``gen.random(t - 1)`` call with
-    ``f``, drawn chunk by chunk (the same stream values).
+    ``f``, drawn chunk by chunk (the same stream values).  Only the
+    reference ``_evolve_sequential`` reads the draws whole; ``evolve``
+    takes the same values block by block.
     """
     gen = _rng.stream(seed, _rng.COINS)
     z = np.empty(t - 1, dtype=bool)
     for lo, fs in f.eval_chunks(2, t):
         np.less(gen.random(len(fs)), fs, out=z[lo : lo + len(fs)])
     return (z, *_draw_slots(_rng.stream(seed, _rng.SLOTS), t))
+
+
+class _BlockResolver:
+    """The kernel of :func:`resolve_backward_links`, for blocks of up to
+    ``width`` entries, with its scratch allocated once.
+
+    ``resolve(out, lo, p, w)`` writes the path sums of entries
+    ``lo .. lo + len(p) - 1`` into ``out``, from their links ``p`` (indices
+    into ``out``) and weights ``w``.  ``out[:lo]`` must already hold its
+    sums, and the block of ``out`` zeros.  One gather then reads the sum
+    at a link into the prefix and 0 at every other entry, and ``w`` is
+    added.  Only the block's in-block links (``lo <= p[i] < lo + i``,
+    about 1 % of the generator's links) are left; they are numbered from
+    1, with 0 standing for every root, and pointer doubling over arrays as
+    long as their count sums the weights each jump passes over.  A forward
+    link raises ``ValueError``: every cycle has one, and the doubling
+    would follow a cycle forever, or, on one whose length is a power of
+    two, settle on a wrong root.
+    """
+
+    def __init__(self, width: int, dtype, w_dtype):
+        self.own = np.arange(width, dtype=dtype)  # a block entry's own local index
+        self.pos = np.zeros(width, dtype=dtype)  # an in-block link's number, while its block runs
+        self.rel = np.empty(width, dtype=dtype)
+        self.mask = np.empty(width, dtype=bool)
+        self.got = np.empty(width, dtype=w_dtype)
+
+    def resolve(self, out: np.ndarray, lo: int, p: np.ndarray, w) -> None:
+        n = len(p)
+        own, r, m, got = self.own[:n], self.rel[:n], self.mask[:n], self.got[:n]
+        np.subtract(p, lo, out=r)
+        if np.greater(r, own, out=m).any():
+            i = int(np.argmax(m))
+            raise ValueError(f"link at {lo + i} points forward, to {p[i]}")
+        # 0 <= r < own at an in-block link; read unsigned, a link into the
+        # prefix (r < 0) is larger than every own index
+        unsigned = np.dtype(f"u{r.itemsize}")
+        inner = np.flatnonzero(np.less(r.view(unsigned), own.view(unsigned), out=m))
+        # every index lies in [0, lo + n), and mode="wrap" spares take the
+        # copy of ``got`` that mode="raise" makes
+        out.take(p, out=got, mode="wrap")
+        block = out[lo : lo + n]
+        np.add(got, w, out=block)  # final but at the in-block links
+        k = len(inner)
+        if not k:
+            return
+        tgt = r.take(inner).astype(np.intp)
+        self.pos[inner] = np.arange(1, k + 1)
+        jump = np.zeros(k + 1, dtype=np.intp)  # the number of each link's target, 0 at a root
+        jump[1:] = self.pos[tgt]
+        self.pos[inner] = 0
+        total = np.zeros(k + 1, dtype=block.dtype)
+        total[1:] = block[inner]  # the weights, as the gather read 0 there
+        block[inner] = 0
+        total[1:] += block[tgt]  # a root's final sum, else 0
+        # each round, every link adds its target's total and jumps to its
+        # target's target
+        while jump.any():
+            total += total.take(jump)
+            jump = jump.take(jump)
+        block[inner] = total[1:]
 
 
 def resolve_backward_links(ptr: np.ndarray, w) -> np.ndarray:
@@ -174,72 +249,31 @@ def resolve_backward_links(ptr: np.ndarray, w) -> np.ndarray:
     root (1 + the depth, for parent links), and weights that are zero at
     every link copy each root's weight down its links.
 
-    Blocks of ``_RESOLVE_BLOCK`` entries are resolved in index order.
-    ``out`` starts at zero, so one gather reads ``out[ptr[i]]`` at a link
-    into the resolved prefix and 0 at every other entry of the block, and
-    ``w`` is added.  Only the block's in-block links (``ptr[i] >= lo`` and
-    ``ptr[i] != i``; about 1 % of the generator's links) are left; they
-    are numbered from 1, with 0 standing for every root, and pointer
-    doubling over arrays as long as their count sums the weights each jump
-    passes over.  The block-sized local arrays are allocated once per call and
-    written with ``out=``.  A forward link raises ``ValueError``: every
-    cycle has one, and the doubling would follow a cycle forever, or, on
-    one whose length is a power of two, settle on a wrong root.
+    The array is resolved in index order, ``edgestep.STEP_CHUNK`` entries
+    at a time, by the kernel ``_BlockResolver.resolve`` (a gather from the
+    resolved prefix, then pointer doubling over the few links inside the
+    block); the generators call that kernel on each block as they draw
+    it.  A forward link, and so every cycle, raises ``ValueError``.
     """
     w = np.broadcast_to(w, ptr.shape)
-    width = min(len(ptr), _RESOLVE_BLOCK)
-    own = np.arange(width, dtype=ptr.dtype)  # a block entry's own local index
-    pos = np.zeros_like(own)  # an in-block link's number, while its block runs
-    rel = np.empty_like(own)
-    mask = np.empty(width, dtype=bool)
-    linked = np.empty(width, dtype=bool)  # not a terminal
     out = np.zeros(len(ptr), dtype=w.dtype)
-    got = np.empty(width, dtype=w.dtype)
-    for lo in range(0, len(ptr), _RESOLVE_BLOCK):
-        n = min(_RESOLVE_BLOCK, len(ptr) - lo)
-        p, r, m = ptr[lo : lo + n], rel[:n], mask[:n]
-        np.subtract(p, lo, out=r)
-        if np.greater(r, own[:n], out=m).any():
-            i = int(np.argmax(m))
-            raise ValueError(f"link at {lo + i} points forward, to {p[i]}")
-        np.greater_equal(r, 0, out=m)
-        m &= np.not_equal(r, own[:n], out=linked[:n])
-        inner = np.flatnonzero(m)
-        # every index lies in [0, lo + n), and mode="wrap" spares take the
-        # copy of ``out`` that mode="raise" makes
-        out.take(p, out=got[:n], mode="wrap")
-        out_block = out[lo : lo + n]
-        np.add(got[:n], w[lo : lo + n], out=out_block)  # final but at the in-block links
-        if not len(inner):
-            continue
-        k = len(inner)
-        tgt = r.take(inner).astype(np.intp)
-        pos[inner] = np.arange(1, k + 1)
-        jump = np.zeros(k + 1, dtype=np.intp)  # the number of each link's target, 0 at a root
-        jump[1:] = pos[tgt]
-        pos[inner] = 0
-        total = np.zeros(k + 1, dtype=w.dtype)
-        total[1:] = out_block[inner]  # the weights, as the gather read 0 there
-        out_block[inner] = 0
-        total[1:] += out_block[tgt]  # a root's final sum, else 0
-        # each round, every link adds its target's total and jumps to its
-        # target's target
-        while jump.any():
-            total += total.take(jump)
-            jump = jump.take(jump)
-        out_block[inner] = total[1:]
+    chunk = _es.STEP_CHUNK
+    kernel = _BlockResolver(min(len(ptr), chunk), ptr.dtype, w.dtype)
+    for lo in range(0, len(ptr), chunk):
+        kernel.resolve(out, lo, ptr[lo : lo + chunk], w[lo : lo + chunk])
     return out
 
 
-def _finish(seed, family, z, endpoints) -> MultiGraph:
-    """The graph of coins ``z`` (steps 2..t) and ``endpoints``; its birth
-    times and parents take the endpoints' type.  The vertex-steps are
-    found ``STEP_CHUNK`` coins at a time, so no index array spans the run."""
-    step_type = np.concatenate([[True], z])
-    n = 1 + int(np.count_nonzero(z))
+def _finish(seed, family, step_type, endpoints) -> MultiGraph:
+    """The graph of ``step_type`` (step 1 a vertex-step) and ``endpoints``,
+    both kept uncopied; its birth times and parents take the endpoints'
+    type.  The vertex-steps are found ``STEP_CHUNK`` steps at a time, so
+    no index array spans the run."""
+    n = int(np.count_nonzero(step_type))
     birth_time = np.empty(n, dtype=endpoints.dtype)
     parent = np.empty(n, dtype=endpoints.dtype)
     birth_time[0], parent[0] = 1, 0
+    z = step_type[1:]  # steps 2..t
     first = endpoints[2::2]  # slot 2s - 2 of step s >= 2
     k = 1
     chunk = _es.STEP_CHUNK
@@ -261,27 +295,41 @@ def _finish(seed, family, z, endpoints) -> MultiGraph:
 def evolve(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
     """Generate the graph at horizon ``t``; deterministic given ``(f, t, seed)``.
 
-    Each slot is stored as a link to the earlier slot it copies (or as a
-    terminal holding a new vertex id) and the links are resolved block by
-    block by :func:`resolve_backward_links`, so the whole trajectory costs
-    a few vectorized passes instead of ``t`` Python-level steps.
+    One pass over blocks of ``STEP_CHUNK`` steps: each block draws its
+    coins and slots (the next values of the two streams, so the draws are
+    those of ``_presample``), stores each slot as a link to the earlier
+    slot it copies or as a terminal holding a new vertex id, and resolves
+    its ``2 * STEP_CHUNK`` slots, ``STEP_CHUNK`` at a time, while they are
+    in cache.  The newest vertex id carries from block to block.
     """
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {t}")
-    z, slot_a, slot_b = _presample(f, t, seed)
-    ptr = np.arange(2 * t, dtype=slot_a.dtype)
-    ptr[2::2] = slot_a
-    keep_where(ptr[3::2], z, slot_b)
-    del slot_a, slot_b
-    val = np.zeros(2 * t, dtype=ptr.dtype)  # the endpoint type, so no copy follows
-    val[:2] = 1
-    born = val[3::2]
-    np.cumsum(z, dtype=val.dtype, out=born)
-    born += 1
-    born *= z  # the new vertex's id at a vertex-step, else 0
-    endpoints = resolve_backward_links(ptr, val)
-    del ptr, val, born
-    return _finish(seed, f.name, z, endpoints)
+    coins = _rng.stream(seed, _rng.COINS)
+    draws = _rng.stream(seed, _rng.SLOTS)
+    dtype = _id_dtype(t)
+    step_type = np.ones(t, dtype=bool)
+    endpoints = np.zeros(2 * t, dtype=dtype)  # zeros, as the kernel reads them
+    endpoints[:2] = 1
+    chunk = _es.STEP_CHUNK
+    kernel = _BlockResolver(min(chunk, 2 * t), dtype, dtype)
+    newest = 1  # the newest vertex id
+    for lo, fs in f.eval_chunks(2, t):
+        k, at = len(fs), 2 * lo + 2  # steps in the block, its first slot
+        z = step_type[lo + 1 : lo + 1 + k]
+        np.less(coins.random(k), fs, out=z)
+        link = _slots(draws, lo, k, dtype)
+        # a vertex-step's second slot is a terminal holding the new id
+        keep_where(link[:, 1], ~z, np.arange(at + 1, at + 2 * k, 2, dtype=dtype))
+        val = np.zeros_like(link)
+        born = val[:, 1]
+        np.cumsum(z, dtype=dtype, out=born)
+        born += newest
+        newest = int(born[-1])
+        born *= z  # the new vertex's id at a vertex-step, else 0
+        link, val = link.reshape(-1), val.reshape(-1)
+        for a in range(0, 2 * k, chunk):
+            kernel.resolve(endpoints, at + a, link[a : a + chunk], val[a : a + chunk])
+    return _finish(seed, f.name, step_type, endpoints)
 
 
 def _evolve_sequential(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
@@ -299,7 +347,7 @@ def _evolve_sequential(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
         else:
             e[lo] = e[slot_a[i]]
             e[lo + 1] = e[slot_b[i]]
-    return _finish(seed, f.name, z, e)
+    return _finish(seed, f.name, np.concatenate([[True], z]), e)
 
 
 @dataclass
@@ -333,7 +381,8 @@ class BatchRun:
 
     def extract(self, r: int, family: str = "") -> MultiGraph:
         """Replicate ``r`` as a graph with contiguous ``_id_dtype(t)`` ids of its own."""
-        return _finish(self.seed, family, self.z[r], self.endpoints[r].astype(_id_dtype(self.t)))
+        step_type = np.concatenate([[True], self.z[r]])
+        return _finish(self.seed, family, step_type, self.endpoints[r].astype(_id_dtype(self.t)))
 
 
 def evolve_batch(
@@ -385,7 +434,8 @@ def evolve_batch(
         width = np.arange(2 * lo + 2, 2 * (lo + k) + 2, 2)[:, None, None]
         x = gen_s.random(out=raw[:k])
         x *= width
-        # clamp, then truncate on assignment, as in _draw_slots
+        # clamp, then truncate on assignment: the slots of _slots, which
+        # truncates, then clamps
         np.minimum(x, width - 1, out=x)
         ak = at[:k]
         ak[...] = x.transpose(0, 2, 1)
@@ -469,8 +519,8 @@ def load_graph(fh) -> MultiGraph:
 
     if not step_type[0]:
         raise ValueError("graph dump line 2: step 1 must be the seed vertex")
-    g = _finish(seed, family, step_type[1:], endpoints)
+    g = _finish(seed, family, step_type, endpoints)
     if g.n_vertices != n:
         raise ValueError(f"graph dump header claims {n} vertices, lines imply {g.n_vertices}")
     g.validate()  # on the int64 ids, so an out-of-range id is reported, never wrapped
-    return _finish(seed, family, step_type[1:], endpoints.astype(_id_dtype(t)))
+    return _finish(seed, family, step_type, endpoints.astype(_id_dtype(t)))

@@ -214,6 +214,28 @@ def test_collapse_marks_compared_across_the_shipped_seam(fam):
     _assert_collapse_unchunked(fam, es.STEP_CHUNK, es.STEP_CHUNK + 100)
 
 
+def _assert_same_tree(tree, want):
+    for name in ("w", "ell", "u"):
+        got, exp = getattr(tree, name), getattr(want, name)
+        assert got.dtype == exp.dtype and np.array_equal(got, exp), name
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20])
+@pytest.mark.parametrize("t", [1, 2, 3, 300])
+def test_grow_tree_slots_drawn_in_chunks(chunk, t):
+    # the slots are drawn, linked and resolved chunk by chunk; the seams must not show
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
+        tree = cp.grow_tree(t, 4)
+    _assert_same_tree(tree, cp.grow_tree(t, 4))
+
+
+def test_grow_tree_slots_drawn_across_the_shipped_seam():
+    t = es.STEP_CHUNK + 100
+    with mock.patch.object(es, "STEP_CHUNK", 1 << 20):
+        whole = cp.grow_tree(t, 4)
+    _assert_same_tree(cp.grow_tree(t, 4), whole)
+
+
 def test_tree_validate_rejects_future_targets():
     bad = cp.DoublyLabeledTree(
         w=np.array([0, 0, 2]), ell=np.array([0, 0, 1]), u=np.zeros(3), seed=0

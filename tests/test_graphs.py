@@ -129,10 +129,10 @@ def test_evolve_horizon_prefix_consistency():
 )
 @settings(max_examples=80, deadline=None)
 def test_prefix_is_the_shorter_horizons_graph(horizon, data, seed, fam, chunk):
-    # small draw chunks and resolver blocks put their seams inside the prefix
+    # small blocks put the seams of the draws and the resolver inside the prefix
     t = data.draw(st.integers(1, horizon), label="t")
     f = es.make_family(fam)
-    with mock.patch.object(es, "STEP_CHUNK", chunk), mock.patch.object(gr, "_RESOLVE_BLOCK", chunk):
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
         full = gr.evolve(f, horizon, seed)
     prefix = full.prefix(t)
     prefix.validate()
@@ -195,7 +195,7 @@ def test_resolve_backward_links_matches_loop(n, seed, terminal, reach, block, dt
     w = rng.integers(-10**6, 10**6, n).astype(dtype)  # negative weights too
     roots = w * (ptr == np.arange(n))  # zero at every link
     one = ptr.dtype.type(1)
-    with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+    with mock.patch.object(es, "STEP_CHUNK", block):
         sums = gr.resolve_backward_links(ptr, w)
         copied = gr.resolve_backward_links(ptr, roots)
         counted = gr.resolve_backward_links(ptr, one)
@@ -223,7 +223,7 @@ def test_hops_only_resolve_matches_count_mode(block, dtype):
     hops = np.zeros(n, dtype=np.int64)
     for i in range(n):
         hops[i] = 0 if ptr[i] == i else hops[ptr[i]] + 1
-    with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+    with mock.patch.object(es, "STEP_CHUNK", block):
         counted = gr.resolve_backward_links(ptr, np.broadcast_to(ptr.dtype.type(1), n))
         scalar = gr.resolve_backward_links(ptr, ptr.dtype.type(1))
         ones = gr.resolve_backward_links(ptr, np.ones(n, dtype=dtype))
@@ -246,14 +246,14 @@ def test_depth_walk_matches_loop(n, seed, reach, block):
     want = np.zeros(n, dtype=np.int64)
     for v in range(1, n):
         want[v] = want[parent[v]] + 1
-    with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+    with mock.patch.object(es, "STEP_CHUNK", block):
         depth = gr.resolve_backward_links(parent, 1)
     assert np.array_equal(depth - 1, want)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_resolve_backward_links_edge_cases(dtype):
-    n = 3 * gr._RESOLVE_BLOCK + 5
+    n = 3 * es.STEP_CHUNK + 5
     idx = np.arange(n, dtype=dtype)
     val = (7 * idx + 3).astype(dtype)
     assert np.array_equal(gr.resolve_backward_links(idx, val), val)  # all terminal
@@ -261,7 +261,7 @@ def test_resolve_backward_links_edge_cases(dtype):
     at_root = np.where(idx == 0, val, 0).astype(dtype)
     assert np.array_equal(gr.resolve_backward_links(chain, at_root), np.full(n, val[0]))
     # chains that jump back across block boundaries, to one of four terminals
-    hop = np.maximum(idx - 4 * (gr._RESOLVE_BLOCK // 8 + 1), idx % 4).astype(dtype)
+    hop = np.maximum(idx - 4 * (es.STEP_CHUNK // 8 + 1), idx % 4).astype(dtype)
     at_roots = np.where(idx < 4, val, 0).astype(dtype)
     assert np.array_equal(gr.resolve_backward_links(hop, at_roots), val[idx % 4])
     assert np.array_equal(gr.resolve_backward_links(chain, dtype(1)), idx + 1)
@@ -280,7 +280,7 @@ def test_resolve_backward_links_block_sizes(block, dtype):
     n = 5 * block + 37 if block < 1000 else 2 * block + 37
     ptr = _backward_links(rng, n, 0.3, 3 * block, dtype)
     w = rng.integers(-1000, 1000, n).astype(dtype)
-    with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+    with mock.patch.object(es, "STEP_CHUNK", block):
         out = gr.resolve_backward_links(ptr, w)
     assert out.dtype == dtype and np.array_equal(out, _path_sums_by_loop(ptr, w))
 
@@ -296,7 +296,7 @@ def test_resolve_backward_links_rejects_cycles(cycle, block, ones):
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         ptr[a] = b
     w = ptr.dtype.type(1) if ones else np.arange(20) - 7
-    with mock.patch.object(gr, "_RESOLVE_BLOCK", block), pytest.raises(ValueError):
+    with mock.patch.object(es, "STEP_CHUNK", block), pytest.raises(ValueError):
         gr.resolve_backward_links(ptr, w)
 
 

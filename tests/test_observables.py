@@ -153,6 +153,36 @@ def test_grow_tree_and_collapse_peak_memory():
     assert collapse_peak <= COLLAPSE_PEAK_RATIO * graph_bytes
 
 
+# Scratch of a generator: its peak numpy allocations less the bytes of its
+# result.  Each block is drawn, linked and resolved in one pass, so the
+# scratch does not grow with t; full-array passes grew it by about 12
+# bytes per step (evolve) and 8 (grow_tree) between these horizons.
+SCRATCH_GROWTH_PER_STEP = 2
+
+
+def _scratch_bytes(make, parts) -> int:
+    tracemalloc.start()
+    try:
+        made = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in parts(made))
+
+
+def test_generator_scratch_does_not_grow_with_t():
+    f = es.make_family("const:0.5")
+    gr.evolve(f, 1000, 0), coupling.grow_tree(1000, 0)  # first-call allocations stay out of the count
+    generators = {
+        "evolve": (lambda t: gr.evolve(f, t, 5), lambda g: (g.endpoints, g.step_type, g.birth_time, g.parent)),
+        "grow_tree": (lambda t: coupling.grow_tree(t, 5), lambda tree: (tree.w, tree.ell, tree.u)),
+    }
+    small, large = 400_000, 1_600_000
+    for name, (make, parts) in generators.items():
+        growth = _scratch_bytes(lambda: make(large), parts) - _scratch_bytes(lambda: make(small), parts)
+        assert growth <= SCRATCH_GROWTH_PER_STEP * (large - small), name
+
+
 def _two_edges():
     """Two disjoint edges: a disconnected simple view."""
     return ob.SimpleView(
@@ -689,7 +719,7 @@ def test_chain_walks_match_references_across_block_seams(block):
     graphs.append(coupling.collapse(coupling.grow_tree(800, 3), es.constant(0.5)))
     for g in graphs:
         chains = isolated_chains(g)
-        with mock.patch.object(gr, "_RESOLVE_BLOCK", block):
+        with mock.patch.object(es, "STEP_CHUNK", block):
             assert ob.isolated_paths(g, g.degrees()) == Counter(len(c) for c in chains)
             for l, xi in [(1, 0.0), (2, 0.5), (3, 0.3), (4, 0.0)]:
                 want = sum(1 for c in chains if len(c) >= l and g.birth_time[c[-l] - 1] >= xi * g.t)
