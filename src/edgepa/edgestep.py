@@ -2,24 +2,24 @@
 
 An edge-step function maps a time index ``t >= 2`` to the probability
 ``f(t)`` that step ``t`` creates a new vertex (a vertex-step) instead of a
-new edge between existing vertices (an edge-step).  The built-in families
-cover the regimes studied by the experiments:
+new edge between existing vertices (an edge-step).  The families cover the
+regimes studied by the experiments: ``const:p`` (``ba`` is ``p = 1``),
+regularly varying ``rv:gamma,scale=c``, slowly varying ``log:alpha`` and
+``exp_class:alpha``, ``osc:base=b`` with 1/0 plateaus on a squared tower,
+and explicit values ``tab:v1,v2,...`` for ``t = 2 .. len(v) + 1``.
 
-* ``constant(p)``   -- fixed vertex rate ``p``; ``ba()`` is the ``p = 1`` tree case
-* ``rv_power(g)``   -- ``min(1, c * t**-g)``, regularly varying with index ``-g``
-* ``log_class(a)``  -- ``min(1, 1 / log(t)**a)``, slowly varying
-* ``exp_class(a)``  -- ``exp(-log(t)**a)`` with ``a`` in (0, 1), slowly varying
-* ``oscillating(b)``-- alternates 1/0 plateaus on a squared tower ``b, b**2, b**4, ...``
-* ``tabulated(v)``  -- explicit values for ``t = 2 .. len(v) + 1``
-
-Instances are immutable and safe to share across workers; the prefix sum
-``F(t) = 1 + sum_{s=2..t} f(s)`` is summed afresh on every call, so its
-value depends only on ``t``.
+Each family is one row of ``_FAMILIES``: its descriptor heads, its
+parameters in positional order with their domains and defaults, and its
+formula.  :func:`make_family` parses every descriptor by that table, and
+every function is named by a canonical descriptor: ``make_family(f.name)
+== f``, and functions compare by name.  Instances hold only the family,
+the parameters and the name, so they pickle and are safe to share across
+workers; ``F(t) = 1 + sum_{s=2..t} f(s)`` is summed afresh on every call.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,36 +31,42 @@ STEP_CHUNK = 1 << 16
 
 
 class EdgeStepFunction:
-    """A validated edge-step function.
+    """An edge-step function of one of the ``_FAMILIES``, with its
+    ``params`` validated and its canonical ``name``."""
 
-    Use the module-level constructors (:func:`constant`, :func:`rv_power`,
-    ...) or :func:`make_family` rather than instantiating directly.
-    """
-
-    def __init__(self, family: str, params: dict, name: str):
-        self.family = family
-        self.params = dict(params)
-        self.name = name
-        if family == "oscillating":
-            b = params["base"]
-            bounds = [b]
-            while bounds[-1] * bounds[-1] <= _TOWER_LIMIT:
-                bounds.append(bounds[-1] * bounds[-1])
-            self._bounds = np.array(bounds, dtype=np.int64)
+    def __init__(self, family: str, params: dict):
+        row = _FAMILIES.get(family)
+        if row is None:
+            raise ValueError(f"unknown family {family!r}")
+        unknown = set(params) - {p.name for p in row.params}
+        if unknown:
+            raise ValueError(f"unknown parameters {sorted(unknown)} for family {family!r}")
+        self.family, self.params, parts = family, {}, []
+        for p in row.params:
+            raw = params.get(p.name, p.default)
+            if raw is None:
+                raise ValueError(f"family {family!r} requires parameter {p.name!r}")
+            value = np.array(raw, dtype=float, ndmin=1) if p.kind is list else float(raw)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{p.name} must be finite, got {raw}")
+            if not p.test(value):
+                raise ValueError(f"{p.name} must {p.rule}, got {raw}")
+            self.params[p.name] = value = int(value) if p.kind is int else value
+            text = ",".join(map(_text, np.atleast_1d(value).tolist()))
+            if not p.named:
+                parts.append(text)
+            elif value != p.default:
+                parts.append(f"{p.name}={text}")
+        self.name = f"{row.heads[0]}:{','.join(parts)}" if parts else row.heads[0]
 
     def __repr__(self) -> str:
         return f"EdgeStepFunction({self.name})"
 
-    def _key(self):
-        if self.family == "tabulated":
-            return ("tabulated", self.params["values"].tobytes())
-        return (self.family, tuple(sorted(self.params.items())))
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeStepFunction) and self._key() == other._key()
+        return isinstance(other, EdgeStepFunction) and self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.name)
 
     # -- evaluation ------------------------------------------------------
 
@@ -73,7 +79,7 @@ class EdgeStepFunction:
         ts = np.asarray(ts, dtype=np.int64)
         if ts.size and ts.min() < 2:
             raise ValueError(f"edge-step functions are defined for t >= 2, got t={ts.min()}")
-        return np.clip(self._raw(ts), 0.0, 1.0)
+        return np.clip(_FAMILIES[self.family].formula(ts, **self.params), 0.0, 1.0)
 
     def eval_chunks(self, a: int, b: int):
         """``f(s)`` for ``s = a..b`` in pieces of ``STEP_CHUNK`` values, each
@@ -81,32 +87,6 @@ class EdgeStepFunction:
         float or int64 temporary spans the range."""
         for lo in range(0, b - a + 1, STEP_CHUNK):
             yield lo, self.eval_array(np.arange(a + lo, min(a + lo + STEP_CHUNK, b + 1), dtype=np.int64))
-
-    def _raw(self, ts: np.ndarray) -> np.ndarray:
-        fam, p = self.family, self.params
-        if fam == "constant":
-            return np.full(ts.shape, p["p"])
-        if fam == "ba":
-            return np.ones(ts.shape)
-        if fam == "rv_power":
-            return p["scale"] * np.asarray(ts, dtype=float) ** (-p["gamma"])
-        if fam == "log_class":
-            return np.log(ts) ** (-p["alpha"])
-        if fam == "exp_class":
-            return np.exp(-(np.log(ts) ** p["alpha"]))
-        if fam == "oscillating":
-            # One-plateaus are closed [.., bound], zero-plateaus are open.
-            below = np.searchsorted(self._bounds, ts, side="left")
-            on_bound = (below < len(self._bounds)) & (self._bounds[np.minimum(below, len(self._bounds) - 1)] == ts)
-            return np.where((below % 2 == 0) | on_bound, 1.0, 0.0)
-        if fam == "tabulated":
-            values = p["values"]
-            if ts.size and ts.max() - 2 >= len(values):
-                raise ValueError(
-                    f"tabulated function covers t in [2, {len(values) + 1}], got t={ts.max()}"
-                )
-            return values[ts - 2]
-        raise AssertionError(f"unknown family {fam!r}")
 
     # -- sums ------------------------------------------------------------
 
@@ -137,126 +117,137 @@ class EdgeStepFunction:
         return float(total)
 
 
+def _text(v: float) -> str:
+    """A float as ``:g`` writes it where that text is exact, else (and an
+    int) as its shortest exact text."""
+    short = f"{v:g}"
+    return short if isinstance(v, float) and float(short) == v else repr(v)
+
+
+# -- the families ---------------------------------------------------------
+
+
+class _Param(NamedTuple):
+    """A parameter, required where ``default`` is None; its value passes
+    ``test``, which ``rule`` states, and is a ``kind`` (a ``list`` one takes
+    every positional value from its place on, as one float array).  A
+    function's name writes a ``named`` one ``name=value``, left out at its
+    default."""
+
+    name: str
+    rule: str
+    test: Callable
+    default: float | None = None
+    named: bool = False
+    kind: type = float
+
+
+class _Family(NamedTuple):
+    heads: tuple  # descriptor heads; the first one starts the family's names
+    params: tuple  # _Param rows, in positional order
+    formula: Callable  # f(ts, **params) on int64 ``ts``, before the clamp into [0, 1]
+
+
+def _oscillating(ts, base):
+    # One-plateaus are closed [.., bound], zero-plateaus are open.
+    bounds = [base]
+    while bounds[-1] * bounds[-1] <= _TOWER_LIMIT:
+        bounds.append(bounds[-1] * bounds[-1])
+    bounds = np.array(bounds, dtype=np.int64)
+    below = np.searchsorted(bounds, ts, side="left")
+    on_bound = (below < len(bounds)) & (bounds[np.minimum(below, len(bounds) - 1)] == ts)
+    return np.where((below % 2 == 0) | on_bound, 1.0, 0.0)
+
+
+def _tabulated(ts, values):
+    if ts.size and ts.max() - 2 >= len(values):
+        raise ValueError(f"tabulated function covers t in [2, {len(values) + 1}], got t={ts.max()}")
+    return values[ts - 2]
+
+
+def _positive(name, default=None, named=False):
+    return _Param(name, "be > 0", lambda v: v > 0, default, named)
+
+
+_FAMILIES = {
+    "constant": _Family(("const", "constant"), (_Param("p", "lie in [0, 1]", lambda v: 0 <= v <= 1),),
+                        lambda ts, p: np.full(ts.shape, p)),
+    "ba": _Family(("ba",), (), lambda ts: np.ones(ts.shape)),
+    "rv_power": _Family(("rv", "rv_power", "rvpower"),
+                        (_positive("gamma"), _positive("scale", 1.0, named=True)),
+                        lambda ts, gamma, scale: scale * np.asarray(ts, dtype=float) ** (-gamma)),
+    "log_class": _Family(("log", "log_class"), (_positive("alpha"),), lambda ts, alpha: np.log(ts) ** (-alpha)),
+    "exp_class": _Family(("exp_class", "exp"), (_Param("alpha", "lie in (0, 1)", lambda v: 0 < v < 1),),
+                         lambda ts, alpha: np.exp(-(np.log(ts) ** alpha))),
+    "oscillating": _Family(
+        ("osc", "oscillating"),
+        (_Param("base", "be an integer > 1", lambda v: v == int(v) and v > 1, named=True, kind=int),),
+        _oscillating,
+    ),
+    "tabulated": _Family(("tab", "tabulated"),
+                         (_Param("values", "be a non-empty 1-d sequence in [0, 1]", kind=list,
+                                 test=lambda v: v.ndim == 1 and v.size > 0 and ((v >= 0) & (v <= 1)).all()),),
+                         _tabulated),
+}
+
+
 # -- constructors ---------------------------------------------------------
 
 
 def constant(p: float) -> EdgeStepFunction:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return EdgeStepFunction("constant", {"p": float(p)}, f"const:{p:g}")
+    return EdgeStepFunction("constant", {"p": p})
 
 
 def ba() -> EdgeStepFunction:
     """The all-vertex-steps schedule ``f == 1`` (pure preferential tree)."""
-    return EdgeStepFunction("ba", {}, "ba")
+    return EdgeStepFunction("ba", {})
 
 
 def rv_power(gamma: float, scale: float = 1.0) -> EdgeStepFunction:
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    name = f"rv:{gamma:g}" if scale == 1.0 else f"rv:{gamma:g},scale={scale:g}"
-    return EdgeStepFunction("rv_power", {"gamma": float(gamma), "scale": float(scale)}, name)
+    return EdgeStepFunction("rv_power", {"gamma": gamma, "scale": scale})
 
 
 def log_class(alpha: float) -> EdgeStepFunction:
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    return EdgeStepFunction("log_class", {"alpha": float(alpha)}, f"log:{alpha:g}")
+    return EdgeStepFunction("log_class", {"alpha": alpha})
 
 
 def exp_class(alpha: float) -> EdgeStepFunction:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return EdgeStepFunction("exp_class", {"alpha": float(alpha)}, f"exp_class:{alpha:g}")
+    return EdgeStepFunction("exp_class", {"alpha": alpha})
 
 
 def oscillating(base: int) -> EdgeStepFunction:
-    if int(base) != base or base <= 1:
-        raise ValueError(f"base must be an integer > 1, got {base}")
-    return EdgeStepFunction("oscillating", {"base": int(base)}, f"osc:base={int(base)}")
+    return EdgeStepFunction("oscillating", {"base": base})
 
 
 def tabulated(values: Sequence[float]) -> EdgeStepFunction:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("values must be a non-empty 1-d sequence")
-    if np.any((arr < 0) | (arr > 1)):
-        raise ValueError("values must all lie in [0, 1]")
-    return EdgeStepFunction("tabulated", {"values": arr}, f"tab[{arr.size}]")
-
-
-_ALIASES = {
-    "const": "constant",
-    "constant": "constant",
-    "ba": "ba",
-    "rv": "rv_power",
-    "rv_power": "rv_power",
-    "rvpower": "rv_power",
-    "log": "log_class",
-    "log_class": "log_class",
-    "exp": "exp_class",
-    "exp_class": "exp_class",
-    "osc": "oscillating",
-    "oscillating": "oscillating",
-    "tab": "tabulated",
-    "tabulated": "tabulated",
-}
+    return EdgeStepFunction("tabulated", {"values": values})
 
 
 def make_family(descriptor: str) -> EdgeStepFunction:
-    """Parse a family descriptor string like ``const:0.3`` or ``osc:base=10``.
-
-    The same syntax is accepted by the CLI ``--family`` flag and by config
-    files.  Parameters may be positional (``rv:0.5,2``) or named
-    (``rv:gamma=0.5,scale=2``).
-    """
+    """Parse a descriptor such as ``const:0.3``, ``rv:0.5,2`` or
+    ``rv:gamma=0.5,scale=2`` (as ``--family`` and config files take it):
+    the head names a row of ``_FAMILIES``, and the i-th positional value is
+    its i-th parameter.  A surplus value, a parameter given twice, an
+    unknown or missing one, or a bad value raises ``ValueError``."""
     head, _, rest = descriptor.strip().partition(":")
-    fam = _ALIASES.get(head.strip().lower())
-    if fam is None:
+    family = next((fam for fam, row in _FAMILIES.items() if head.strip().lower() in row.heads), None)
+    if family is None:
         raise ValueError(f"unknown family {head!r} in descriptor {descriptor!r}")
-
-    positional: list[str] = []
-    named: dict[str, str] = {}
-    if rest.strip():
-        for piece in rest.split(","):
-            key, eq, val = piece.partition("=")
-            if eq:
-                named[key.strip().lower()] = val.strip()
-            else:
-                positional.append(piece.strip())
-
-    def grab(key: str, pos: int, default=None):
-        if key in named:
-            return named.pop(key)
-        if pos < len(positional):
-            return positional[pos]
-        if default is not None:
-            return default
-        raise ValueError(f"family {head!r} requires parameter {key!r} ({descriptor!r})")
-
+    params = _FAMILIES[family].params
     try:
-        if fam == "constant":
-            out = constant(float(grab("p", 0)))
-        elif fam == "ba":
-            out = ba()
-        elif fam == "rv_power":
-            out = rv_power(float(grab("gamma", 0)), float(grab("scale", 1, "1")))
-        elif fam == "log_class":
-            out = log_class(float(grab("alpha", 0)))
-        elif fam == "exp_class":
-            out = exp_class(float(grab("alpha", 0)))
-        elif fam == "oscillating":
-            out = oscillating(int(grab("base", 0)))
-        else:  # tabulated
-            if not positional:
-                raise ValueError(f"tabulated family requires values ({descriptor!r})")
-            out = tabulated([float(x) for x in positional])
-            positional = []
+        pieces = [piece.partition("=") for piece in rest.split(",")] if rest.strip() else []
+        positional = [key.strip() for key, eq, _ in pieces if not eq]
+        named = [(key.strip().lower(), val.strip()) for key, eq, val in pieces if eq]
+        last = len(params) - 1
+        if params and params[last].kind is list and len(positional) > last:
+            positional[last:] = [positional[last:]]
+        if len(positional) > len(params):
+            raise ValueError(f"surplus value {positional[len(params)]!r}")
+        given = dict(zip((p.name for p in params), positional))
+        for key, val in named:
+            if key in given:
+                raise ValueError(f"parameter {key!r} given twice")
+            given[key] = val
+        return EdgeStepFunction(family, given)
     except ValueError as exc:
         raise ValueError(f"bad descriptor {descriptor!r}: {exc}") from None
-    if named:
-        raise ValueError(f"unknown parameters {sorted(named)} in descriptor {descriptor!r}")
-    return out
-

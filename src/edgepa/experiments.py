@@ -80,8 +80,10 @@ class ExperimentSpec:
             raise ValueError(f"horizons must be >= 1, got {self.horizons[0]}")
         if self.coupled and len(self.families) < 2:
             raise ValueError("a coupled run needs at least two families")
-        for d in self.families:
-            f = make_family(d)
+        funcs = [make_family(d) for d in self.families]
+        for i, f in enumerate(funcs):
+            if f in funcs[:i]:  # equal functions have equal names
+                raise ValueError(f"family {self.families[i]!r} names {f.name} a second time")
             if self.horizons[-1] >= 2:
                 f.eval(self.horizons[-1])  # raises past the family's domain
         if self.seed < 0:

@@ -1,4 +1,7 @@
 import math
+import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgepa import edgestep as es
+from edgepa.cli import main
 
 FAMILIES = [
     es.constant(0.5),
@@ -70,10 +74,10 @@ def test_partial_sum_ignores_call_history(f):
     # one instance asked at increasing horizons gives each the value a
     # fresh instance gives, to the last bit
     last = len(f.params["values"]) + 1 if f.family == "tabulated" else 10**6
-    used = es.EdgeStepFunction(f.family, f.params, f.name)
+    used = es.EdgeStepFunction(f.family, f.params)
     for t in (2, 3, 17, 1000, 4099, 10**5, 10**6):
         if t <= last:
-            fresh = es.EdgeStepFunction(f.family, f.params, f.name)
+            fresh = es.EdgeStepFunction(f.family, f.params)
             assert used.partial_sum(t) == fresh.partial_sum(t)
 
 
@@ -127,6 +131,54 @@ def test_make_family_round_trips():
     assert es.make_family("rv:gamma=0.5,scale=2") == es.rv_power(0.5, 2.0)
     assert es.make_family("osc:base=10") == es.oscillating(10)
     assert es.make_family("tab:0.5,0.25") == es.tabulated([0.5, 0.25])
+    assert es.make_family("rv:scale=2,0.5") == es.make_family("rv:0.5,2")
+
+
+@pytest.mark.parametrize(
+    "f,name",
+    [
+        (es.constant(0.5), "const:0.5"),
+        (es.constant(0.3), "const:0.3"),
+        (es.rv_power(0.5), "rv:0.5"),
+        (es.rv_power(0.5, 2.0), "rv:0.5,scale=2"),
+        (es.log_class(1.0), "log:1"),
+        (es.exp_class(0.5), "exp_class:0.5"),
+        (es.oscillating(10), "osc:base=10"),
+        (es.ba(), "ba"),
+        # a table is named by its values, and a parameter that %g would
+        # round by its shortest exact text
+        (es.tabulated([1.0, 0.5, 0.5]), "tab:1,0.5,0.5"),
+        (es.constant(0.123456789), "const:0.123456789"),
+    ],
+)
+def test_names_are_canonical_descriptors(f, name):
+    assert f.name == name and es.make_family(name) == f
+
+
+_PARAMS = {
+    "constant": st.builds(es.constant, st.floats(0.0, 1.0)),
+    "ba": st.just(es.ba()),
+    "rv_power": st.builds(es.rv_power, st.floats(1e-3, 5.0), st.floats(1e-3, 1e3)),
+    "log_class": st.builds(es.log_class, st.floats(1e-3, 5.0)),
+    "exp_class": st.builds(es.exp_class, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    "oscillating": st.builds(es.oscillating, st.integers(2, 10**9)),
+    "tabulated": st.builds(es.tabulated, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)),
+}
+
+
+def test_round_trip_strategies_cover_every_family():
+    assert set(_PARAMS) == set(es._FAMILIES)
+
+
+@given(f=st.one_of(*_PARAMS.values()))
+@settings(max_examples=200, deadline=None)
+def test_name_parses_back_to_the_same_function(f):
+    g = es.make_family(f.name)
+    assert g == f and hash(g) == hash(f) and g.name == f.name
+    assert pickle.loads(pickle.dumps(f)) == f and set(vars(f)) == {"family", "params", "name"}
+    last = len(f.params["values"]) + 1 if f.family == "tabulated" else 5000
+    ts = np.arange(2, last + 1)
+    assert f.eval_array(ts).tobytes() == g.eval_array(ts).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -146,6 +198,51 @@ def test_make_family_round_trips():
 def test_make_family_names_bad_parameter(descriptor, needle):
     with pytest.raises(ValueError, match=needle):
         es.make_family(descriptor)
+
+
+STRICT = {
+    "const:0.5,rv:0.5,log:1,ba": "surplus value 'rv:0.5'",
+    "rv:0.5,gamma=0.7": "'gamma' given twice",
+    "const:p=0.3,0.5": "'p' given twice",
+    "ba:0.5": "surplus value '0.5'",
+    "log:1,2": "surplus value '2'",
+    "osc:10,20": "surplus value '20'",
+    "rv:nan": "gamma must be finite",
+    "rv:0.5,nan": "scale must be finite",
+    "log:inf": "alpha must be finite",
+    "tab:nan,0.5": "values must be finite",
+    "const": "requires parameter 'p'",
+}
+
+
+@pytest.mark.parametrize("descriptor", STRICT)
+def test_make_family_rejects_a_bad_descriptor(descriptor):
+    with pytest.raises(ValueError, match=f"bad descriptor .*{re.escape(STRICT[descriptor])}"):
+        es.make_family(descriptor)
+
+
+def test_cli_exits_2_on_a_strict_descriptor(capsys):
+    for descriptor in STRICT:
+        assert main(["generate", "--family", descriptor, "--t", "10", "--seed", "7"]) == 2
+        assert STRICT[descriptor] in capsys.readouterr().err
+
+
+def test_readme_descriptor_table_matches_the_families():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and cells[0].strip("`") in es._FAMILIES:
+            rows[cells[0].strip("`")] = [re.findall(r"`([^`]+)`", cell) for cell in cells[1:]]
+    assert set(rows) == set(es._FAMILIES)
+    for family, (heads, params, formula, names) in rows.items():
+        row = es._FAMILIES[family]
+        assert tuple(heads) == row.heads
+        assert params == [p.name if p.default is None else f"{p.name}={p.default:g}" for p in row.params]
+        assert formula and names
+        for name in names:  # each name shown is canonical
+            f = es.make_family(name)
+            assert f.family == family and f.name == name
 
 
 def test_tabulated_domain_is_bounded():

@@ -367,6 +367,32 @@ def test_cli_generate_observe_round_trip(tmp_path):
     assert str(observed["diameter_lower"]) == recorded["diameter_lower"]
 
 
+@pytest.mark.parametrize("family,t", [("tab:1,0.5,0.5", 4), ("const:0.123456789", 100)])
+def test_observe_reads_back_every_dump_generate_writes(tmp_path, family, t):
+    # the dump header carries the function's name, which parses back to the
+    # same function: a tab: table, and a parameter that :g would round
+    dumps, out, obs = tmp_path / "dumps", tmp_path / "gen.json", tmp_path / "obs.json"
+    assert main(["generate", "--family", family, "--t", str(t), "--reps", "1", "--seed", "3",
+                 "--format", "json", "--out", str(out), "--dump-graphs", str(dumps)]) == 0
+    assert main(["observe", str(next(dumps.iterdir())), "--format", "json", "--out", str(obs)]) == 0
+    generated, observed = json.loads(out.read_text())[0], json.loads(obs.read_text())[0]
+    assert observed["family"] == family
+    cells = [k for k in ex.RECORD_FIELDS if k not in ex.ID_FIELDS and k != "wall_time"]
+    assert {k: observed[k] for k in cells} == {k: generated[k] for k in cells}
+    if family.startswith("const"):
+        assert observed["expected_vertices"] == 1 + (t - 1) * 0.123456789
+
+
+def test_a_grid_that_names_one_schedule_twice_is_rejected(capsys):
+    base = ["--t", "50", "--reps", "1", "--seed", "7"]
+    assert main(["couple", "--family", "const:0.5", "--family", "constant:p=0.5", *base]) == 2
+    assert "names const:0.5 a second time" in capsys.readouterr().err
+    assert main(["generate", "--family", "const:0.5", "--family", "const:0.5", *base]) == 2
+    assert "names const:0.5 a second time" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="rv:0.5,scale=2 a second time"):
+        _spec(families=["rv:0.5,2", "const:0.5", "rv:scale=2,gamma=0.5"]).validate()
+
+
 def test_dumped_graphs_are_the_measured_graphs(tmp_path):
     dumps = tmp_path / "dumps"
     base = ["--t", "40,90", "--reps", "2", "--seed", "5", "--out", str(tmp_path / "r.csv")]
