@@ -25,6 +25,11 @@ FAMILIES = [
 ]
 
 
+def case_id(f):
+    """Test id of a family: its name, with a table shortened to its length."""
+    return f"tab[{len(f.params['values'])}]" if f.family == "tabulated" else f.name
+
+
 def test_eval_examples():
     assert es.constant(0.5).eval(7) == 0.5
     assert es.ba().eval(12345) == 1.0
@@ -40,7 +45,7 @@ def test_eval_rejects_small_t():
         es.ba().eval(1)
 
 
-@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("f", FAMILIES, ids=case_id)
 def test_eval_range(f):
     hi = 500 if f.family != "tabulated" else len(f.params["values"]) + 2
     vals = f.eval_array(np.arange(2, hi))
@@ -62,14 +67,14 @@ def test_partial_sum_constant_exact():
         assert f.partial_sum(t) == 1.0 + (t - 1) * 0.3
 
 
-@pytest.mark.parametrize("f", FAMILIES[:9], ids=lambda f: f.name)
+@pytest.mark.parametrize("f", FAMILIES[:9], ids=case_id)
 def test_partial_sum_increments_match_eval(f):
     for t in (2, 3, 10, 97, 256):
         got = f.partial_sum(t) - f.partial_sum(t - 1)
         assert got == pytest.approx(f.eval(t), abs=1e-9)
 
 
-@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("f", FAMILIES, ids=case_id)
 def test_partial_sum_ignores_call_history(f):
     # one instance asked at increasing horizons gives each the value a
     # fresh instance gives, to the last bit
@@ -254,7 +259,7 @@ def test_tabulated_domain_is_bounded():
         f.partial_sum(10)
 
 
-@pytest.mark.parametrize("f", FAMILIES[:8], ids=lambda f: f.name)
+@pytest.mark.parametrize("f", FAMILIES[:8], ids=case_id)
 def test_d0_implies_d_and_monotone_families_are_d(f):
     # condition D is a non-increasing schedule; D0 adds f(t) -> 0, so it implies D
     vals = f.eval_array(np.arange(2, 2001, dtype=np.int64))

@@ -17,7 +17,7 @@ from edgepa.observables import bfs_distances, simple_view
 
 from conftest import assert_same_graph
 from reference import EDGE, VERTEX, dumps_graph, evolve_step, new_initial, sample_preferential
-from test_edgestep import FAMILIES
+from test_edgestep import FAMILIES, case_id
 
 
 def test_new_initial():
@@ -563,7 +563,7 @@ def test_id_dtype_widens_only_past_int32_slots():
     assert gr._id_dtype(2**30) == np.int64
 
 
-@pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("f", FAMILIES, ids=case_id)
 def test_every_graph_holds_its_ids_in_the_id_dtype(f):
     t = len(f.params["values"]) + 1 if f.family == "tabulated" else 300
     g = gr.evolve(f, t, 3)
