@@ -169,17 +169,17 @@ def _run_task(args: tuple) -> list[dict]:
     tree_s = time.perf_counter() - started
     for desc in [family] if family else spec_dict["families"]:
         started = time.perf_counter()
+        f = make_family(desc)  # parsed once already, by the spec's validate
         try:
             if isinstance(tree, Exception):
                 raise tree
-            f = make_family(desc)
             g = evolve(f, horizons[-1], rep_seed) if tree is None else coupling.collapse(tree, f)
         except Exception as exc:
             g = exc
         generate_s = tree_s + time.perf_counter() - started
         for t in horizons:
             started = time.perf_counter()
-            ids = record_ids(spec_hash, desc, t, rep, rep_seed)
+            ids = record_ids(spec_hash, f.name, t, rep, rep_seed)
             try:
                 if isinstance(g, Exception):
                     raise g

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import MultiGraph, keep_where, resolve_backward_links
+from .graphs import MultiGraph, _id_dtype, keep_where, resolve_backward_links
 from .theory import t13
 
 
@@ -57,6 +57,12 @@ class SimpleView:
         if (parent[1:] >= np.arange(1, n, dtype=parent.dtype)).any():
             return None
         return parent
+
+    @cached_property
+    def leaves(self) -> tuple[np.ndarray, np.ndarray]:
+        """The degree-1 vertices and their single neighbours, in the ids' type."""
+        leaf = np.flatnonzero(self.degrees() == 1).astype(self.indices.dtype)
+        return leaf, self.indices[self.indptr[leaf]]
 
 
 def simple_view(g: MultiGraph) -> SimpleView:
@@ -131,25 +137,33 @@ def degree_histogram(degrees: np.ndarray) -> dict[int, int]:
 
 
 def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
-    """Unweighted distances from ``src``; unreachable vertices get -1.
+    """Unweighted distances from ``src``, int32 while ``2n < 2**31``
+    (``graphs._id_dtype``); unreachable vertices get -1.
+
+    Only ``src`` and the vertices of degree >= 2 are searched.  A leaf
+    (:attr:`SimpleView.leaves`) lies inside no shortest path: it holds
+    ``n``, which no level takes, until the search ends, then its
+    neighbour's distance + 1 where that neighbour was reached.
 
     Direction-optimizing (Beamer, Asanović & Patterson, SC 2012).  The
     search keeps two arc counts: the current level's, and ``left``, those
-    of the vertices not reached yet.  A level whose arcs are at most a
-    quarter of ``left`` is expanded top-down: every arc of the level is
-    gathered.  A wider one, such as the neighbours of a hub, is run
+    of the searched vertices not reached yet.  A level whose arcs are at
+    most a quarter of ``left`` is expanded top-down: every arc of the level
+    is gathered.  A wider one, such as the neighbours of a hub, is run
     bottom-up by :func:`_bottom_up_level`: each unvisited vertex of degree
-    >= 1 joins the next level if a neighbour lies on this one, and its
+    >= 2 joins the next level if a neighbour lies on this one, and its
     first neighbour is probed before any whole row is gathered.
     """
-    dist = np.full(view.n, -1, dtype=np.int64)
+    n, indptr, indices = view.n, view.indptr, view.indices
+    leaf, stem = view.leaves
+    left = len(indices) - leaf.size + int(indptr[src + 1] - indptr[src] == 1)
+    dist = np.full(n, -1, dtype=_id_dtype(n))
+    dist[leaf] = n
     dist[src] = 0
     frontier = np.array([src], dtype=np.int64)
-    owner = np.empty(view.n, dtype=np.int64)  # scratch space of the top-down levels
+    owner = np.empty(n, dtype=_id_dtype(view.n_edges))  # scratch space of the top-down levels
     d = 0
-    indptr, indices = view.indptr, view.indices
-    left = len(indices)
-    todo = None  # unvisited vertices of degree >= 1, kept from the last bottom-up level
+    todo = None  # unvisited vertices of degree >= 2, kept from the last bottom-up level
     while frontier.size:
         total = int((indptr[frontier + 1] - indptr[frontier]).sum())  # the level's arcs
         if total == 0:
@@ -165,6 +179,9 @@ def bfs_distances(view: SimpleView, src: int) -> np.ndarray:
             frontier = _top_down_level(indptr, indices, dist, owner, frontier, total)
         d += 1
         dist[frontier] = d
+    near = dist[stem]
+    dist[leaf] = np.where((near >= 0) & (near < n), near + 1, -1)
+    dist[src] = 0
     return dist
 
 
@@ -189,20 +206,18 @@ def _top_down_level(
 def _bottom_up_level(
     indptr: np.ndarray, indices: np.ndarray, dist: np.ndarray, todo: np.ndarray, d: int
 ) -> np.ndarray:
-    """The vertices of ``todo`` (unvisited, each of degree >= 1) with a
+    """The vertices of ``todo`` (unvisited, each of degree >= 2) with a
     neighbour on level ``d``.
 
     numpy cannot stop a row scan at its first hit, so each vertex's first
     neighbour (its oldest, often a hub) is probed alone, and only the
     vertices that probe misses have the rest of their rows gathered.
-    Rows must be non-empty: a degree-0 ``v``'s ``indices[indptr[v]]`` is
-    the next row's entry, and ``reduceat`` over an empty row returns the
-    next row's entry too.
+    Rows must have at least 2 entries, so that a row is left after the
+    probe: ``reduceat`` over an empty row returns the next row's entry.
     """
     hit = dist[indices[indptr[todo]].astype(np.int64)] == d  # int64 ids index 8-29 % faster
     found = todo[hit]
     rest = todo[~hit]
-    rest = rest[indptr[rest + 1] - indptr[rest] > 1]  # rows left after the probe
     if rest.size:
         starts = indptr[rest] + 1
         counts = indptr[rest + 1] - starts
@@ -277,7 +292,7 @@ def diameter_bounds(view: SimpleView, refine_budget: int = 256) -> tuple[int, in
         d = _tree_diameter(parent)
         return (d, d)
     lb = 0
-    ecc_ub = np.full(n, 2 * n, dtype=np.int64)
+    ecc_ub = np.full(n, 2 * n, dtype=_id_dtype(n))  # dist + ecc <= 2(n - 1)
 
     def probe(v: int) -> tuple[int, np.ndarray]:
         nonlocal lb

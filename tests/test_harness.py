@@ -367,16 +367,19 @@ def test_cli_generate_observe_round_trip(tmp_path):
     assert str(observed["diameter_lower"]) == recorded["diameter_lower"]
 
 
-@pytest.mark.parametrize("family,t", [("tab:1,0.5,0.5", 4), ("const:0.123456789", 100)])
+@pytest.mark.parametrize("family,t", [("tab:1,0.5,0.5", 4), ("const:0.123456789", 100), ("exp:0.5", 50)])
 def test_observe_reads_back_every_dump_generate_writes(tmp_path, family, t):
     # the dump header carries the function's name, which parses back to the
-    # same function: a tab: table, and a parameter that :g would round
+    # same function: a tab: table, and a parameter that :g would round; the
+    # generate row and the observe row both name the family by it, also
+    # where the descriptor typed is not that name (exp:0.5 is exp_class:0.5)
     dumps, out, obs = tmp_path / "dumps", tmp_path / "gen.json", tmp_path / "obs.json"
     assert main(["generate", "--family", family, "--t", str(t), "--reps", "1", "--seed", "3",
                  "--format", "json", "--out", str(out), "--dump-graphs", str(dumps)]) == 0
     assert main(["observe", str(next(dumps.iterdir())), "--format", "json", "--out", str(obs)]) == 0
     generated, observed = json.loads(out.read_text())[0], json.loads(obs.read_text())[0]
-    assert observed["family"] == family
+    assert generated["family"] == observed["family"] == make_family(family).name
+    assert observed["family"] == family.replace("exp:", "exp_class:")
     cells = [k for k in ex.RECORD_FIELDS if k not in ex.ID_FIELDS and k != "wall_time"]
     assert {k: observed[k] for k in cells} == {k: generated[k] for k in cells}
     if family.startswith("const"):

@@ -203,8 +203,9 @@ def _with_isolated(view, mid):
 
 def test_bfs_distances_match_plain_bfs():
     # levels run bottom-up exactly where their arcs exceed a quarter of the
-    # unvisited vertices' arcs; the t = 1e5 hub graphs take that branch on
-    # their wide levels, and the isolated vertices must stay out of it
+    # arcs of the searched vertices not reached yet; the t = 1e5 hub graphs
+    # take that branch on their wide levels, and the isolated vertices must
+    # stay out of it
     levels = []
     real = ob._bottom_up_level
 
@@ -217,35 +218,78 @@ def test_bfs_distances_match_plain_bfs():
         want = np.array(plain_bfs(view, src))
         levels.clear()
         dist = ob.bfs_distances(view, src)
-        assert dist.dtype == np.int64 and dist.tolist() == want.tolist()
-        deg = view.degrees()
+        assert dist.dtype == gr._id_dtype(view.n) and dist.tolist() == want.tolist()
+        searched = view.degrees() >= 2  # with src, the vertices searched
+        searched[src] = True
+        deg = np.where(searched, view.degrees(), 0)
         expect = []
-        for d in range(int(want.max()) + 1):
+        for d in range(int(want[searched].max()) + 1):
             level = int(deg[want == d].sum())
             left = int(deg[(want > d) | (want < 0)].sum())
             if level and 4 * level > left:
                 expect.append(d)
         assert [d for d, _ in levels] == expect
-        return sum(k for _, k in levels)
+        return sum(k for _, k in levels), int(searched.sum())
 
-    bottom_up = 0
+    bottom_up = searched = 0
     with mock.patch.object(ob, "_bottom_up_level", spy):
         for desc, t in [("const:0.5", 2000), ("log:1", 3000), ("rv:0.5", 3000), ("ba", 1000),
                         ("const:0.5", 10**5), ("log:1", 10**5)]:
             view = ob.simple_view(gr.evolve(es.make_family(desc), t, 8))
             hub = int(np.argmax(view.degrees()))
             for src in (0, hub, view.n - 1):
-                settled = check(view, src)
+                settled, size = check(view, src)
                 if t == 10**5:
                     bottom_up += settled
+                    searched += size
             if t <= 3000:
                 gapped = _with_isolated(view, view.n // 2)
                 hub = int(np.argmax(gapped.degrees()))
                 for src in (0, 1, hub, view.n // 2 + 1, view.n + 2):
                     check(gapped, src)
         check(_two_edges(), 0)
-    assert bottom_up > 10**5  # most of both graphs' vertices, over six searches
+    # most of both graphs' searched vertices, over six searches
+    assert bottom_up > searched / 2
     assert ob.bfs_distances(_two_edges(), 0).tolist() == [0, 1, -1, -1]
+
+
+def test_leaves_take_their_distance_after_the_search():
+    # a leaf is never searched: it reads its neighbour's distance + 1, or
+    # -1 when that neighbour was not reached (the other edge of two)
+    star, path = ob.simple_view(forced_star(9)), ob.simple_view(forced_path(6))
+    cases = [(star, 0), (star, 4), (path, 0), (path, 2), (path, 5), (_two_edges(), 0), (_two_edges(), 3)]
+    for view in (_with_isolated(star, 4), _with_isolated(path, 3)):
+        cases += [(view, src) for src in range(view.n)]
+    for desc in ("const:0.5", "rv:0.5"):
+        view = ob.simple_view(gr.evolve(es.make_family(desc), 10**5, 3))
+        leaf, stem = view.leaves
+        assert view.leaves is view.leaves  # cached on the view
+        assert leaf.dtype == stem.dtype == view.indices.dtype
+        assert leaf.tolist() == np.flatnonzero(view.degrees() == 1).tolist()
+        assert stem.tolist() == [int(view.neighbors(v)[0]) for v in leaf]
+        cases += [(view, int(leaf[0])), (view, int(leaf[-1])), (view, int(stem[0]))]
+    for view, src in cases:
+        dist = ob.bfs_distances(view, src)
+        assert dist.dtype == gr._id_dtype(view.n) == np.int32
+        assert dist.tolist() == plain_bfs(view, src), (view.n, src)
+    assert ob.bfs_distances(_two_edges(), 3).tolist() == [-1, -1, 1, 0]
+
+
+# breadth-first searches per diameter_bounds, pinned so that a change to
+# the search cannot move observables.bfs_calls unseen
+PROBES = [("const:0.5", 1, 2), ("const:0.5", 4, 4), ("log:1", 1, 2), ("log:1", 4, 4),
+          ("rv:0.1", 1, 8), ("rv:0.1", 4, 6)]
+
+
+def test_diameter_probe_counts_are_pinned():
+    calls = []
+    real = ob.bfs_distances
+    for desc, seed, want in PROBES:
+        view = ob.simple_view(gr.evolve(es.make_family(desc), 10**5, seed))
+        calls.clear()
+        with mock.patch.object(ob, "bfs_distances", lambda v, s: calls.append(s) or real(v, s)):
+            lo, hi = ob.diameter_bounds(view)
+        assert lo == hi and len(calls) == want, (desc, seed)
 
 
 def test_tallies():
