@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-paths", action="store_true", help="skip chain/path measurement")
             p.add_argument("--clique-exact", action="store_true", help="also run exact clique search")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), help="record format (default csv)")
+        p.add_argument("--format", choices=experiments.FORMATS, help="record format (default csv)")
 
     p_gen = sub.add_parser("generate", help="run the direct process and measure")
     common(p_gen)
@@ -130,7 +130,7 @@ def _merged(args: argparse.Namespace, key: str, cast, default=None):
         raise UsageError(f"config {key}={raw!r}: not a valid {cast.__name__}") from None
 
 
-def _spec_from_args(args: argparse.Namespace, coupled: bool) -> experiments.ExperimentSpec:
+def _spec_from_args(args: argparse.Namespace) -> experiments.ExperimentSpec:
     cfg = getattr(args, "_config", {})
     families = args.family or (cfg.get("family", "").split() or None)
     if not families:
@@ -146,7 +146,7 @@ def _spec_from_args(args: argparse.Namespace, coupled: bool) -> experiments.Expe
         horizons=_parse_int_list("t", str(horizons_raw)),
         reps=_merged(args, "reps", int, 1),
         seed=seed,
-        coupled=coupled,
+        coupled=args.command == "couple",
         diameter=not _merged(args, "no_diameter", bool, False),
         clique=not _merged(args, "no_clique", bool, False),
         paths=not _merged(args, "no_paths", bool, False),
@@ -154,6 +154,7 @@ def _spec_from_args(args: argparse.Namespace, coupled: bool) -> experiments.Expe
         out=_merged(args, "out", str),
         fmt=_merged(args, "format", str, "csv"),
         jobs=_merged(args, "jobs", int, 1),
+        dump_dir=_merged(args, "dump_graphs", str),
     )
     try:
         spec.validate()
@@ -175,13 +176,18 @@ def _emit(rows: list[dict], spec: experiments.ExperimentSpec) -> int:
     return 1 if failed else 0
 
 
-def _cmd_generate(args) -> int:
-    spec = _spec_from_args(args, coupled=False)
-    spec.dump_dir = _merged(args, "dump_graphs", str)
+def _cmd_run(args) -> int:
+    """``generate`` or ``couple``: the spec's ``coupled`` tells them apart,
+    and only ``generate`` has ``--dump-graphs``."""
+    spec = _spec_from_args(args)
     return _emit(experiments.run(spec), spec)
 
 
 def _cmd_observe(args) -> int:
+    out = _merged(args, "out", str)
+    fmt = _merged(args, "format", str, "json")
+    if fmt not in experiments.FORMATS:  # a config value, which skips the flag's choices
+        raise UsageError(f"format must be csv or json, got {fmt!r}")
     try:
         with open(args.graph) as fh:
             g = load_graph(fh)
@@ -191,8 +197,6 @@ def _cmd_observe(args) -> int:
         raise UsageError(f"{args.graph}: {exc}") from None
     ids = experiments.record_ids("observe", g.family or "-", g.t, 0, g.seed)
     record = experiments.record(ids, g, g.family)
-    out = _merged(args, "out", str)
-    fmt = _merged(args, "format", str, "json")
     if out:
         experiments.write_records([record], out, fmt)
         print(f"wrote 1 record to {out}")
@@ -200,11 +204,6 @@ def _cmd_observe(args) -> int:
         json.dump(record, sys.stdout, indent=1)
         print()
     return 0
-
-
-def _cmd_couple(args) -> int:
-    spec = _spec_from_args(args, coupled=True)
-    return _emit(experiments.run(spec), spec)
 
 
 def _cmd_verify(args) -> int:
@@ -234,13 +233,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "generate": _cmd_generate,
+        "generate": _cmd_run,
         "observe": _cmd_observe,
-        "couple": _cmd_couple,
+        "couple": _cmd_run,
         "verify": _cmd_verify,
     }
     try:
-        args._config = _read_config(args.config) if getattr(args, "config", None) else {}
+        cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(cfg) - set(vars(args)) - {"command", "config", "graph"})
+        if unknown:
+            raise UsageError(f"config {args.config}: no {args.command} option named {', '.join(unknown)}")
+        args._config = cfg
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

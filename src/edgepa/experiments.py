@@ -29,6 +29,7 @@ from .edgestep import make_family
 from .graphs import MultiGraph, dump_graph, evolve
 
 SCHEMA_VERSION = 4
+FORMATS = ("csv", "json")
 
 ID_FIELDS = ["schema", "spec_hash", "family", "t", "rep", "rep_seed"]
 # the overlay columns are the theory bound set's fields, in order
@@ -78,6 +79,8 @@ class ExperimentSpec:
             raise ValueError("horizons must be strictly increasing")
         if self.horizons[0] < 1:
             raise ValueError(f"horizons must be >= 1, got {self.horizons[0]}")
+        if self.clique_exact and not self.clique:
+            raise ValueError("clique_exact needs clique")
         if self.coupled and len(self.families) < 2:
             raise ValueError("a coupled run needs at least two families")
         funcs = [make_family(d) for d in self.families]
@@ -90,7 +93,7 @@ class ExperimentSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.fmt not in ("csv", "json"):
+        if self.fmt not in FORMATS:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -221,7 +224,10 @@ def run(spec: ExperimentSpec) -> list[dict]:
 
 
 def write_records(rows: list[dict], path: str, fmt: str = "csv") -> None:
-    """Persist records atomically (write temp file, then rename into place)."""
+    """Persist records atomically (write temp file, then rename into place)
+    as ``fmt``, one of ``FORMATS``."""
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -154,32 +154,6 @@ def _slots(gen: np.random.Generator, lo: int, k: int, dtype) -> np.ndarray:
     return slots.reshape(k, 2)
 
 
-def _draw_slots(gen: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two slot columns of steps ``s = 2..t``: the values of one
-    ``gen.random((t - 1, 2))`` call, converted by :func:`_slots` chunk by chunk."""
-    slots = np.empty((t - 1, 2), dtype=_id_dtype(t))
-    chunk = _es.STEP_CHUNK
-    for lo in range(0, t - 1, chunk):
-        k = min(chunk, t - 1 - lo)
-        slots[lo : lo + k] = _slots(gen, lo, k, slots.dtype)
-    return slots[:, 0], slots[:, 1]
-
-
-def _presample(f: EdgeStepFunction, t: int, seed: int):
-    """Coins and slot indices for steps 2..t, in the documented stream layout.
-
-    The coins compare the values of one ``gen.random(t - 1)`` call with
-    ``f``, drawn chunk by chunk (the same stream values).  Only the
-    reference ``_evolve_sequential`` reads the draws whole; ``evolve``
-    takes the same values block by block.
-    """
-    gen = _rng.stream(seed, _rng.COINS)
-    z = np.empty(t - 1, dtype=bool)
-    for lo, fs in f.eval_chunks(2, t):
-        np.less(gen.random(len(fs)), fs, out=z[lo : lo + len(fs)])
-    return (z, *_draw_slots(_rng.stream(seed, _rng.SLOTS), t))
-
-
 class _BlockResolver:
     """The kernel of :func:`resolve_backward_links`, for blocks of up to
     ``width`` entries, with its scratch allocated once.
@@ -297,10 +271,11 @@ def evolve(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
 
     One pass over blocks of ``STEP_CHUNK`` steps: each block draws its
     coins and slots (the next values of the two streams, so the draws are
-    those of ``_presample``), stores each slot as a link to the earlier
-    slot it copies or as a terminal holding a new vertex id, and resolves
-    its ``2 * STEP_CHUNK`` slots, ``STEP_CHUNK`` at a time, while they are
-    in cache.  The newest vertex id carries from block to block.
+    those that ``_evolve_sequential`` reads whole), stores each slot as a
+    link to the earlier slot it copies or as a terminal holding a new
+    vertex id, and resolves its ``2 * STEP_CHUNK`` slots, ``STEP_CHUNK``
+    at a time, while they are in cache.  The newest vertex id carries from
+    block to block.
     """
     if t < 1:
         raise ValueError(f"horizon must be >= 1, got {t}")
@@ -333,20 +308,30 @@ def evolve(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
 
 
 def _evolve_sequential(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
-    """Reference generator: same presampled draws, naive per-step resolution."""
-    z, slot_a, slot_b = _presample(f, t, seed)
-    e = np.zeros(2 * t, dtype=_id_dtype(t))
-    e[0] = e[1] = 1
-    vid = 1
-    for i in range(t - 1):
-        lo = 2 * (i + 1)
-        if z[i]:
+    """Reference generator: the sequential definition, one step at a time,
+    over the documented stream layout read whole.
+
+    Step ``s = 2..t`` takes entry ``s - 2`` of one ``COINS`` call
+    ``random(t - 1)`` as its coin (a vertex-step when below ``f(s)``), and
+    row ``s - 2`` of one ``SLOTS`` call ``random((t - 1, 2))`` as its two
+    slots, each scaled by ``2(s - 1)``, truncated and clamped to
+    ``2(s - 1) - 1``.  It shares no draw code with ``evolve``, whose blocks
+    must give the same graph.
+    """
+    s = np.arange(2, t + 1)
+    z = _rng.stream(seed, _rng.COINS).random(t - 1) < f.eval_array(s)
+    width = 2 * (s[:, None] - 1)
+    x = _rng.stream(seed, _rng.SLOTS).random((t - 1, 2)) * width
+    slot_a, slot_b = np.minimum(x.astype(np.int64), width - 1).T
+    e = np.ones(2 * t, dtype=_id_dtype(t))
+    ends, vid = memoryview(e), 1  # Python ints in and out: no numpy scalar is made
+    for i, coin, a, b in zip(range(2, 2 * t, 2), memoryview(z), memoryview(slot_a), memoryview(slot_b)):
+        ends[i] = ends[a]
+        if coin:
             vid += 1
-            e[lo] = e[slot_a[i]]
-            e[lo + 1] = vid
+            ends[i + 1] = vid
         else:
-            e[lo] = e[slot_a[i]]
-            e[lo + 1] = e[slot_b[i]]
+            ends[i + 1] = ends[b]
     return _finish(seed, f.name, np.concatenate([[True], z]), e)
 
 

@@ -309,27 +309,21 @@ def test_resolve_backward_links_rejects_forward_links(ones):
         gr.resolve_backward_links(ptr, w)
 
 
-def _assert_presample_layout(t):
-    # one coin per step, then one (t-1, 2) block of slot uniforms scaled to 2(s-1)
+def _assert_matches_reference(t):
+    # evolve's blocks against the reference, which reads both streams whole
+    # and ignores STEP_CHUNK
     f, seed = es.make_family("log:1"), 21
-    s = np.arange(2, t + 1)
-    z = _rng.stream(seed, _rng.COINS).random(t - 1) < f.eval_array(s)
-    raw = _rng.stream(seed, _rng.SLOTS).random((t - 1, 2))
-    width = 2 * (s - 1)
-    slots = np.minimum((raw * width[:, None]).astype(np.int64), (width - 1)[:, None])
-    got_z, got_a, got_b = gr._presample(f, t, seed)
-    assert np.array_equal(got_z, z)
-    assert np.array_equal(got_a, slots[:, 0]) and np.array_equal(got_b, slots[:, 1])
+    assert_same_graph(gr.evolve(f, t, seed), gr._evolve_sequential(f, t, seed))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
-def test_presample_keeps_the_stream_layout(chunk):
+def test_evolve_blocks_match_the_reference(chunk):
     with mock.patch.object(es, "STEP_CHUNK", chunk):
-        _assert_presample_layout(300)
+        _assert_matches_reference(300)
 
 
-def test_presample_keeps_the_stream_layout_across_the_shipped_seam():
-    _assert_presample_layout(es.STEP_CHUNK + 100)
+def test_evolve_matches_the_reference_across_the_shipped_seam():
+    _assert_matches_reference(es.STEP_CHUNK + 100)
 
 
 def _digest(*arrays) -> str:

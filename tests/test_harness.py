@@ -63,6 +63,8 @@ def test_spec_validation():
         _spec(coupled=True).validate()
     with pytest.raises(ValueError, match="seed must be >= 0"):
         _spec(seed=-1).validate()
+    with pytest.raises(ValueError, match="clique_exact needs clique"):
+        _spec(clique=False, clique_exact=True).validate()
     _spec(families=["tab:1,0.5"], horizons=[1, 3]).validate()
     _spec(seed=0).validate()
 
@@ -335,6 +337,12 @@ def test_write_records_removes_its_temp_file_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_records_rejects_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="format must be csv or json, got 'xml'"):
+        ex.write_records([], str(tmp_path / "rows.xml"), fmt="xml")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_json_output(tmp_path):
     out = tmp_path / "rows.json"
     ex.run(_spec(out=str(out), fmt="json"))
@@ -436,6 +444,18 @@ def test_cli_usage_errors(tmp_path, capsys):
     cfg.write_text("family=const:0.5\nt=100\nseed=1\nclique_exact=ture\n")
     assert main(["generate", "--config", str(cfg)]) == 2
     assert "clique_exact='ture'" in capsys.readouterr().err
+    # a config key that names no option of the subcommand is rejected, by name
+    run = "family=const:0.5 ba\nt=100\nseed=1\n"
+    for command, text, key in [("generate", run + "exact_clique = 1", "exact_clique"),
+                               ("generate", run + "refine_budget = 0", "refine_budget"),
+                               ("couple", run + "dump_graphs = d", "dump_graphs"),
+                               ("verify", "suite = coupling\nseeds = 4", "seeds")]:
+        cfg.write_text(text + "\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.endswith(f": no {command} option named {key}\n")
+    # an exact clique without the clique measurement would be dropped unseen
+    assert main(["generate", "--family", "ba", "--t", "30", "--seed", "1", "--no-clique", "--clique-exact"]) == 2
+    assert "clique_exact needs clique" in capsys.readouterr().err
     # a truncated dump is a usage error with the loader's message, and so
     # is a dump whose header names no known family
     buf = io.StringIO()
@@ -465,6 +485,19 @@ def test_cli_usage_errors(tmp_path, capsys):
     dump.write_text(f"2 2 - -\n1 1 1 1\n2 {2**32 + 1} 2 1\n")
     assert main(["observe", str(dump)]) == 2
     assert "endpoint ids out of range" in capsys.readouterr().err
+
+
+def test_observe_rejects_a_config_format_before_writing(tmp_path, monkeypatch, capsys):
+    # config values skip the --format choices; observe checks them itself,
+    # before it measures or writes anything
+    dump, out, cfg = tmp_path / "g.graph", tmp_path / "obs.xml", tmp_path / "obs.cfg"
+    with open(dump, "w") as fh:
+        dump_graph(evolve(make_family("ba"), 20, 1), fh)
+    cfg.write_text(f"format = xml\nout = {out}\n")
+    monkeypatch.setattr(ex.observables, "measure_graph", None)  # never reached
+    assert main(["observe", str(dump), "--config", str(cfg)]) == 2
+    assert "format must be csv or json, got 'xml'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.graph", "obs.cfg"]
 
 
 def test_cli_rejects_bad_horizons(capsys):
