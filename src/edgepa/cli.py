@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -130,6 +131,14 @@ def _merged(args: argparse.Namespace, key: str, cast, default=None):
         raise UsageError(f"config {key}={raw!r}: not a valid {cast.__name__}") from None
 
 
+def _out_path(args: argparse.Namespace) -> str | None:
+    """``out``, checked before anything is measured: a directory is no file."""
+    out = _merged(args, "out", str)
+    if out and os.path.isdir(out):
+        raise UsageError(f"out must be a file path, got the directory {out!r}")
+    return out
+
+
 def _spec_from_args(args: argparse.Namespace) -> experiments.ExperimentSpec:
     cfg = getattr(args, "_config", {})
     families = args.family or (cfg.get("family", "").split() or None)
@@ -151,7 +160,7 @@ def _spec_from_args(args: argparse.Namespace) -> experiments.ExperimentSpec:
         clique=not _merged(args, "no_clique", bool, False),
         paths=not _merged(args, "no_paths", bool, False),
         clique_exact=_merged(args, "clique_exact", bool, False),
-        out=_merged(args, "out", str),
+        out=_out_path(args),
         fmt=_merged(args, "format", str, "csv"),
         jobs=_merged(args, "jobs", int, 1),
         dump_dir=_merged(args, "dump_graphs", str),
@@ -184,7 +193,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_observe(args) -> int:
-    out = _merged(args, "out", str)
+    out = _out_path(args)
     fmt = _merged(args, "format", str, "json")
     if fmt not in experiments.FORMATS:  # a config value, which skips the flag's choices
         raise UsageError(f"format must be csv or json, got {fmt!r}")
@@ -240,15 +249,13 @@ def main(argv=None) -> int:
     }
     try:
         cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(cfg) - set(vars(args)) - {"command", "config", "graph"})
+        # command, config and observe's dump path are arguments, but no config sets them
+        unknown = sorted(set(cfg) - (set(vars(args)) - {"command", "config", "graph"}))
         if unknown:
             raise UsageError(f"config {args.config}: no {args.command} option named {', '.join(unknown)}")
         args._config = cfg
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import edgestep as _es
 from .graphs import MultiGraph, _id_dtype, keep_where, resolve_backward_links
 from .theory import t13
 
@@ -72,10 +73,6 @@ def simple_view(g: MultiGraph) -> SimpleView:
     return _view_from_pairs(g.n_vertices, a[off_loop] - 1, b[off_loop] - 1)
 
 
-# sorted arc keys read per piece while the rows are counted
-_ROW_PIECE = 1 << 16
-
-
 def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
     """Simple view on vertices ``0 .. n-1`` with the edges ``a[i] -- b[i]``,
     ``a != b``, repeats dropped.
@@ -86,7 +83,7 @@ def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
     the keys pass ``2**31``).  One in-place sort of them, with repeats
     dropped, lists the CSR rows in order (numpy's ``np.unique`` hashes,
     which is far slower here).  The rows are counted from the keys' high
-    fields one piece of ``_ROW_PIECE`` sorted keys at a time: a piece
+    fields one piece of ``STEP_CHUNK`` sorted keys at a time: a piece
     spans a short run of rows, and no row array as long as the keys is
     made.  The columns are the low fields.  ``a`` and ``b`` are released
     once the keys are built, so a caller that passes temporaries does not
@@ -108,8 +105,9 @@ def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
         keys = keys[first]
         del first
     indptr = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, keys.size, _ROW_PIECE):
-        rows = keys[lo : lo + _ROW_PIECE] >> s
+    piece = _es.STEP_CHUNK
+    for lo in range(0, keys.size, piece):
+        rows = keys[lo : lo + piece] >> s
         top = int(rows[0])
         rows -= top
         counts = np.bincount(rows)

@@ -17,7 +17,6 @@ The regrouped sum is term-for-term the per-slot sum.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,14 +25,14 @@ import numpy as np
 
 from .coupling import DoublyLabeledTree, collapse
 from .edgestep import EdgeStepFunction
-from .graphs import evolve_batch
+from .graphs import _finish, canonical_key, evolve_batch
 
 MAX_ENUM_T = 6
 
 
 @dataclass
 class GraphLaw:
-    """Map from canonical graph to exact probability."""
+    """Map from ``canonical_key`` bytes to exact probability."""
 
     t: int
     probs: dict
@@ -69,8 +68,8 @@ def enumerate_direct_law(f: EdgeStepFunction, t: int) -> GraphLaw:
     """Exact law of the directly evolved graph at horizon ``t <= 6``.
 
     Depth-first over the coin of each step, the target of a vertex-step,
-    and the endpoint pair of an edge-step; vertices are labeled by birth
-    time, so outcomes accumulate by canonical form.
+    and the endpoint pair of an edge-step; each vertex is named by its id,
+    as ``evolve`` names it, and outcomes accumulate by ``canonical_key``.
     """
     if not 1 <= t <= MAX_ENUM_T:
         raise ValueError(f"direct enumeration supports 1 <= t <= {MAX_ENUM_T}, got {t}")
@@ -78,7 +77,8 @@ def enumerate_direct_law(f: EdgeStepFunction, t: int) -> GraphLaw:
 
     def recurse(s: int, endpoints: list, z: list, weight: Fraction) -> None:
         if s > t:
-            key = _canon_lists(z, endpoints)
+            g = _finish(None, "", np.array(z), np.array(endpoints, dtype=np.int64))
+            key = canonical_key(g)
             probs[key] = probs.get(key, Fraction(0)) + weight
             return
         width = 2 * (s - 1)
@@ -87,7 +87,7 @@ def enumerate_direct_law(f: EdgeStepFunction, t: int) -> GraphLaw:
             for u, cnt in _slot_weights(endpoints):
                 recurse(
                     s + 1,
-                    endpoints + [u, s],
+                    endpoints + [u, z.count(True) + 1],  # the next vertex id
                     z + [True],
                     weight * p_vertex * Fraction(cnt, width),
                 )
@@ -101,18 +101,8 @@ def enumerate_direct_law(f: EdgeStepFunction, t: int) -> GraphLaw:
                         weight * p_edge * Fraction(c1 * c2, width * width),
                     )
 
-    recurse(2, [1, 1], [], Fraction(1))
+    recurse(2, [1, 1], [True], Fraction(1))
     return GraphLaw(t=t, probs=probs)
-
-
-def _canon_lists(z: list, endpoints: list) -> tuple:
-    """Key of a run whose endpoints are named by birth time: the coins of
-    steps 2..t and the sorted edge pairs.  Both laws key by it."""
-    pairs = sorted(
-        (min(endpoints[2 * i], endpoints[2 * i + 1]), max(endpoints[2 * i], endpoints[2 * i + 1]))
-        for i in range(len(endpoints) // 2)
-    )
-    return (tuple(z), tuple(pairs))
 
 
 def enumerate_collapse_law(f: EdgeStepFunction, t: int) -> GraphLaw:
@@ -135,8 +125,7 @@ def enumerate_collapse_law(f: EdgeStepFunction, t: int) -> GraphLaw:
             u=np.array([0.0, 0.0] + [0.0 if k else 1.0 for k in keep]),
             seed=0,
         )
-        g = collapse(tree, f)
-        key = _canon_lists(g.step_type[1:].tolist(), g.birth_time[g.endpoints - 1].tolist())
+        key = canonical_key(collapse(tree, f))
         probs[key] = probs.get(key, Fraction(0)) + weight
 
     def recurse_labels(w: list, keep: list, j: int, ell: list, weight: Fraction) -> None:
@@ -176,46 +165,18 @@ def enumerate_collapse_law(f: EdgeStepFunction, t: int) -> GraphLaw:
 
 
 def sample_direct_law(f: EdgeStepFunction, t: int, reps: int, seed: int) -> dict:
-    """Canonical-graph counts from ``reps`` generated trajectories.
+    """``canonical_key`` counts of ``reps`` replicates of ``evolve_batch``.
 
-    Vectorized over replicates; keys match the enumeration laws so the
-    counts can be tested against exact probabilities outcome by outcome.
+    Replicates with equal coins and endpoint ids are one graph, so each
+    distinct raw row is keyed once; several rows may share a key.
     """
     if not 1 <= t <= MAX_ENUM_T:
         raise ValueError(f"sampling by canonical form supports t <= {MAX_ENUM_T}, got {t}")
     batch = evolve_batch(f, t, reps, seed)
-    z = batch.z
-    endpoints = batch.endpoints.astype(np.int64)
-
-    # birth time of each vertex id, per replicate
-    times = np.zeros((reps, t + 2), dtype=np.int64)
-    times[:, 1] = 1
-    ids = 1 + np.cumsum(z, axis=1)
-    for s in range(2, t + 1):
-        mask = z[:, s - 2]
-        times[mask, ids[mask, s - 2]] = s
-    bt = np.take_along_axis(times, endpoints, axis=1)
-
-    pairs = bt.reshape(reps, t, 2)
-    lo = pairs.min(axis=2)
-    hi = pairs.max(axis=2)
-    packed = np.sort(lo * (t + 2) + hi, axis=1)
-    rows = np.concatenate([z.astype(np.int64), packed], axis=1)
-    # one key per replicate in mixed radix, most significant column first
-    # (base 2 per coin, (t + 2)**2 per pair), so keys sort as rows do
-    bases = [2] * (t - 1) + [(t + 2) ** 2] * t
-    assert math.prod(bases) <= 2**63  # 2**41 at t = MAX_ENUM_T = 6
-    key = np.zeros(reps, dtype=np.int64)
-    for col, base in zip(rows.T, bases):
-        key *= base
-        key += col
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
-
-    out: dict = {}
-    for row, cnt in zip(rows[first], counts):
-        zt = tuple(bool(x) for x in row[: t - 1])
-        pk = row[t - 1 :]
-        edges = tuple((int(p // (t + 2)), int(p % (t + 2))) for p in pk)
-        out[(zt, edges)] = int(cnt)
-    return out
-
+    # one row of uint8 coins and endpoint ids per replicate (t <= 6)
+    raw = np.ascontiguousarray(np.concatenate([batch.z, batch.endpoints], axis=1))
+    _, first, counts = np.unique(raw.view(f"V{raw.shape[1]}"), return_index=True, return_counts=True)
+    out: Counter = Counter()
+    for r, cnt in zip(first.tolist(), counts.tolist()):
+        out[canonical_key(batch.extract(r))] += cnt
+    return dict(out)

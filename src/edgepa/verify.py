@@ -7,6 +7,7 @@ the rows that ``experiments`` writes.  Suites group related criteria::
 
     oracle       C1  exact law equality of the direct process and the collapse
                  C2  generator frequencies vs the exact law
+                 C19 generator frequencies vs the exact law under a varying f
     process      C3  one-step degree increment law
                  C4  expected-degree product vs simulated mean
                  C5  vertex count vs its prefix-sum mean
@@ -129,11 +130,11 @@ def c01_oracle_law_equality(seed: int = DEFAULT_SEED) -> Verdict:
     )
 
 
-@criterion("C2", "generator-vs-oracle", "oracle")
-def c02_generator_vs_oracle(seed: int = DEFAULT_SEED) -> Verdict:
-    f, t, reps = constant(0.5), 4, 10**6
+def _generator_vs_law(f, t: int, reps: int, seed: int) -> Verdict:
+    """``reps`` sampled graphs against the exact law: an outcome outside its
+    support fails, and every outcome's count lies within 4 sigma."""
     law = oracle.enumerate_direct_law(f, t)
-    counts = oracle.sample_direct_law(f, t, reps, _rng.child_seed(seed, 2))
+    counts = oracle.sample_direct_law(f, t, reps, seed)
     foreign = set(counts) - set(law.probs)
     if foreign:
         return (
@@ -151,6 +152,18 @@ def c02_generator_vs_oracle(seed: int = DEFAULT_SEED) -> Verdict:
         f"worst outcome z={worst:.2f} over {law.support_size()} outcomes",
         "every canonical-graph frequency within 4 sigma",
     )
+
+
+@criterion("C2", "generator-vs-oracle", "oracle")
+def c02_generator_vs_oracle(seed: int = DEFAULT_SEED) -> Verdict:
+    return _generator_vs_law(constant(0.5), 4, 10**6, _rng.child_seed(seed, 2))
+
+
+@criterion("C19", "generator-vs-oracle-varying-f", "oracle")
+def c19_generator_vs_oracle_varying_f(seed: int = DEFAULT_SEED) -> Verdict:
+    # log:1 differs at every step 2..5, so a coin that reads f at the wrong
+    # step changes the law, which no constant f can show
+    return _generator_vs_law(log_class(1.0), 5, 10**6, _rng.child_seed(seed, 19))
 
 
 # -- C3 / C4 / C5: direct process ----------------------------------------------

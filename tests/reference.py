@@ -1,12 +1,15 @@
-"""Reference semantics that the tests compare the package against.
+"""Reference code that lives beside the tests.
 
+The tests compare the package against ``isolated_chains``, which walks
+each chain in Python, and against ``plain_bfs`` and
+``all_pairs_diameter``, which measure distances by a FIFO queue over
+Python lists, with no code shared with ``observables.bfs_distances``.
 The one-step process (``new_initial``, ``sample_preferential``,
 ``evolve_step``) states the generator's definition one draw at a time;
-``isolated_chains`` walks each chain in Python; ``plain_bfs`` and
-``all_pairs_diameter`` measure distances by a FIFO queue over Python
-lists, with no code shared with ``observables.bfs_distances``;
-``dumps_graph`` and ``dump_law`` render a graph and a law as text.  None
-of them is on a measurement path, so they live beside the tests.
+only its own tests use it, and ``new_initial`` also serves as a
+one-vertex graph.  ``dumps_graph`` and ``dump_law`` render a graph and a
+law as text, and ``decode_key`` reads a law's key back as coins and edge
+pairs.  None of them is on a measurement path.
 """
 
 from __future__ import annotations
@@ -132,10 +135,20 @@ def dumps_graph(g: MultiGraph) -> str:
     return buf.getvalue()
 
 
+def decode_key(key: bytes) -> tuple:
+    """``(z, pairs)`` of a ``canonical_key``: the coins of steps 2..t and the
+    sorted (older, younger) birth-time pairs."""
+    t = int.from_bytes(key[:8], "little")
+    z = tuple(bool(b) for b in key[9 : 8 + t])
+    packed = np.frombuffer(key[8 + t :], dtype=np.int64).tolist()
+    return z, tuple(divmod(p, t + 2) for p in packed)
+
+
 def dump_law(law: GraphLaw, fh) -> None:
-    """Write ``probability <tab> canonical-edge-list`` lines, sorted by key."""
-    for key in sorted(law.probs):
-        z, edges = key
+    """Write ``probability <tab> canonical-edge-list`` lines, sorted by
+    decoded key."""
+    for key in sorted(law.probs, key=decode_key):
+        z, edges = decode_key(key)
         zs = "".join("1" if b else "0" for b in z)
         es = " ".join(f"({a},{b})" for a, b in edges)
         fh.write(f"{float(law.probs[key])!r}\tz={zs} {es}\n")

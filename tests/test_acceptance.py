@@ -9,7 +9,7 @@ with no edit to this file.  Run ``pytest -s tests/test_acceptance.py`` to
 see the lines stream, or ``edgepa verify --suite all`` for the same
 checks outside pytest.
 
-All sixteen criteria pass.  C8 checks the pure-tree diameter against
+All seventeen criteria pass.  C8 checks the pure-tree diameter against
 ``(1/gamma*) log t`` with ``gamma* e^(1 + gamma*) = 1``: the paper's
 ``O(log t)`` bound leaves its constant open, and for ``f == 1`` Pittel's
 height asymptotics ``H_t ~ log t / (2 gamma*)`` together with

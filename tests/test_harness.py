@@ -449,7 +449,12 @@ def test_cli_usage_errors(tmp_path, capsys):
     for command, text, key in [("generate", run + "exact_clique = 1", "exact_clique"),
                                ("generate", run + "refine_budget = 0", "refine_budget"),
                                ("couple", run + "dump_graphs = d", "dump_graphs"),
-                               ("verify", "suite = coupling\nseeds = 4", "seeds")]:
+                               ("verify", "suite = coupling\nseeds = 4", "seeds"),
+                               # nor are the subcommand, the config and the dump path
+                               ("generate", run + "graph = nothing.graph", "graph"),
+                               ("generate", run + "command = verify", "command"),
+                               ("generate", run + "config = other.cfg", "config"),
+                               ("verify", "suite = coupling\ngraph = x", "graph")]:
         cfg.write_text(text + "\n")
         assert main([command, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.endswith(f": no {command} option named {key}\n")
@@ -498,6 +503,25 @@ def test_observe_rejects_a_config_format_before_writing(tmp_path, monkeypatch, c
     assert main(["observe", str(dump), "--config", str(cfg)]) == 2
     assert "format must be csv or json, got 'xml'" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.graph", "obs.cfg"]
+
+
+def test_cli_rejects_a_directory_path(tmp_path, monkeypatch, capsys):
+    # a directory where a file is read or written is a usage error, and
+    # an output directory is found before anything is measured
+    monkeypatch.setattr(ex, "_run_task", None)  # never reached
+    monkeypatch.setattr(ex.observables, "measure_graph", None)
+    for command in ("generate", "couple"):
+        argv = [command, "--family", "const:0.5", "--family", "ba", "--t", "50", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert f"out must be a file path, got the directory {str(tmp_path)!r}" in capsys.readouterr().err
+    assert main(["observe", str(tmp_path)]) == 2
+    assert f"Is a directory: {str(tmp_path)!r}" in capsys.readouterr().err
+    dump = tmp_path / "g.graph"
+    with open(dump, "w") as fh:
+        dump_graph(evolve(make_family("ba"), 20, 1), fh)
+    assert main(["observe", str(dump), "--out", str(tmp_path)]) == 2
+    assert f"out must be a file path, got the directory {str(tmp_path)!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.graph"]
 
 
 def test_cli_rejects_bad_horizons(capsys):
@@ -639,9 +663,11 @@ def test_cli_verify_json(capsys, monkeypatch):
 def test_criteria_registry():
     suites = {name: fns for name, fns in verify.SUITES.items() if name != "all"}
     cids = [fn.cid for fns in suites.values() for fn in fns]
-    # each criterion is in exactly one suite, and C1 .. C16 are all there
-    assert sorted(cids, key=lambda cid: int(cid[1:])) == [f"C{i}" for i in range(1, 17)]
-    assert [fn.cid for fn in verify.SUITES["all"]] == [f"C{i}" for i in range(1, 17)]
+    # each criterion is in exactly one suite, and C1 .. C16 and C19 are all
+    # there (C17 and C18 are kept for the diameter laws)
+    want = [f"C{i}" for i in [*range(1, 17), 19]]
+    assert sorted(cids, key=lambda cid: int(cid[1:])) == want
+    assert [fn.cid for fn in verify.SUITES["all"]] == want
     assert {fn for fns in suites.values() for fn in fns} == set(verify.SUITES["all"])
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert set(re.findall(r"edgepa verify --suite (\w+)", readme)) == set(verify.SUITES)

@@ -105,6 +105,21 @@ def test_view_from_pairs_where_the_column_field_changes_width(n):
     assert view.indices.tolist() == [v for r in rows for v in sorted(r)]
 
 
+@pytest.mark.parametrize("piece", [1, 7, 2**20])
+def test_view_rows_match_across_piece_seams(piece):
+    # the rows are counted STEP_CHUNK sorted arc keys at a time, so a small
+    # piece splits rows between pieces; the counts must add up regardless
+    for desc in ("const:0.5", "log:1", "ba"):
+        g = gr.evolve(es.make_family(desc), 3000, 8)
+        want = ob.simple_view(g)  # one piece
+        with mock.patch.object(es, "STEP_CHUNK", piece):
+            got = ob.simple_view(g)
+        assert got.indptr.tolist() == want.indptr.tolist()
+        assert got.indices.tolist() == want.indices.tolist()
+        _, indptr, indices = _reference_view(g)
+        assert got.indptr.tolist() == indptr.tolist() and got.indices.tolist() == indices
+
+
 # Peak numpy allocations over the bytes of the result, measured at t = 2e5
 # (evolve 2.76, simple_view 2.96) and pinned 25 % higher.
 EVOLVE_PEAK_RATIO = 3.45
