@@ -30,6 +30,7 @@ from .graphs import (
     _BlockResolver,
     _finish,
     _id_dtype,
+    _points_back,
     _slots,
     canonical_key,
     keep_where,
@@ -57,13 +58,16 @@ class DoublyLabeledTree:
         return len(self.w) - 1
 
     def validate(self) -> None:
-        t = self.t
-        js = np.arange(2, t + 1, dtype=self.w.dtype)
-        if t >= 2 and (np.any(self.w[2:] < 1) or np.any(self.w[2:] >= js)):
+        """Raise ValueError on a target that is not an older vertex, or on a
+        mark outside [0, 1] (NaN included, which ``collapse`` would drop
+        under every f).  Checked in that order, ``STEP_CHUNK`` targets at a
+        time; the marks by their minimum and maximum, which are NaN if any
+        mark is."""
+        if not _points_back(self.w, 2, 0):
             raise ValueError("attachment targets must be strictly older vertices")
-        if t >= 2 and (np.any(self.ell[2:] < 1) or np.any(self.ell[2:] >= js)):
+        if not _points_back(self.ell, 2, 0):
             raise ValueError("ghost targets must be strictly older vertices")
-        if np.any((self.u < 0) | (self.u > 1)):
+        if not (self.u.min() >= 0 and self.u.max() <= 1):
             raise ValueError("uniform marks must lie in [0, 1]")
 
 
@@ -149,6 +153,7 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
         kernel.resolve(rr, j, link, rank)
         endpoints[j - 1 : j - 1 + k, 0] = rr.take(tree.w[j : j + k], mode="wrap")
         endpoints[j - 1 : j - 1 + k, 1] = rr[j : j + k]
+    del rr, kernel  # spent: freed before _finish allocates births and parents
     return _finish(tree.seed, f.name, keep[1:], endpoints.reshape(-1))
 
 

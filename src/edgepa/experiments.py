@@ -19,7 +19,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -212,6 +211,9 @@ def run(spec: ExperimentSpec) -> list[dict]:
     families = [None] if spec.coupled else spec.families
     tasks = [(spec_dict, spec_hash, family, rep) for family in families for rep in range(spec.reps)]
     if spec.jobs > 1:
+        # imported here: it is most of this module's import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             chunks = list(pool.map(_run_task, tasks))
     else:

@@ -88,8 +88,14 @@ class MultiGraph:
         )
 
     def validate(self) -> None:
-        """Raise ValueError if the stored arrays are mutually inconsistent."""
-        t, n = self.t, self.n_vertices
+        """Raise ValueError if the stored arrays are mutually inconsistent.
+
+        The checks run one after another, each over all of its arrays, so
+        of two faults the earlier check's is reported.  Each reads its
+        arrays whole by a reduction or ``STEP_CHUNK`` entries at a time,
+        so the scratch is a few blocks, whatever ``t``.
+        """
+        t, n, chunk = self.t, self.n_vertices, _es.STEP_CHUNK
         if len(self.endpoints) != 2 * t:
             raise ValueError("endpoint array must have length 2t")
         if t >= 1 and not bool(self.step_type[0]):
@@ -98,16 +104,34 @@ class MultiGraph:
             raise ValueError("vertex count does not match the step types")
         if self.endpoints.min() < 1 or self.endpoints.max() > n:
             raise ValueError("endpoint ids out of range")
-        if self.birth_time[0] != 1 or np.any(np.diff(self.birth_time) <= 0):
+        born = self.birth_time
+        if born[0] != 1 or any(  # blocks of chunk + 1 births, overlapping by one
+            np.any(np.diff(born[lo : lo + chunk + 1]) <= 0) for lo in range(0, n - 1, chunk)
+        ):
             raise ValueError("birth times must start at 1 and strictly increase")
         if self.parent[0] != 0:
             raise ValueError("the root has no parent")
-        ids = np.arange(1, n + 1, dtype=self.endpoints.dtype)
-        if n > 1 and (np.any(self.parent[1:] < 1) or np.any(self.parent[1:] >= ids[1:])):
+        if not _points_back(self.parent, 1, 1):  # vertex i + 1's parent is below i + 1
             raise ValueError("parents must be strictly older vertices")
-        # slot 2s - 1 of each vertex-step s >= 2, in birth order
-        if np.any(self.endpoints[3::2][self.step_type[1:]] != ids[1:]):
-            raise ValueError("vertex-step slots must hold the new vertex id")
+        # slot 2s - 1 of each vertex-step s >= 2 holds the next new id
+        second, z = self.endpoints[3::2], self.step_type[1:]
+        newest = 1
+        for lo in range(0, t - 1, chunk):
+            new = second[lo : lo + chunk][z[lo : lo + chunk]]
+            if np.any(new != np.arange(newest + 1, newest + 1 + len(new))):
+                raise ValueError("vertex-step slots must hold the new vertex id")
+            newest += len(new)
+
+
+def _points_back(a: np.ndarray, lo: int, shift: int) -> bool:
+    """Whether ``1 <= a[i] < i + shift`` for every ``i >= lo``: each entry
+    names an id below its own.  Read ``STEP_CHUNK`` entries at a time."""
+    chunk = _es.STEP_CHUNK
+    for i in range(lo, len(a), chunk):
+        block = a[i : i + chunk]
+        if block.min() < 1 or np.any(block >= np.arange(i + shift, i + shift + len(block))):
+            return False
+    return True
 
 
 # -- full-trajectory generation -------------------------------------------
@@ -499,7 +523,7 @@ def load_graph(fh) -> MultiGraph:
         raise ValueError(f"graph dump line {len(coins) + 2}: expected 's u v z' {claim}")
     if len(coins) > t:
         raise ValueError(f"graph dump line {t + 2}: expected the end {claim}")
-    endpoints = np.array(ends, dtype=np.int64)
+    endpoints = np.frombuffer(ends, dtype=np.int64)  # the parsed ids, uncopied
     step_type = np.array(coins, dtype=bool)
 
     if not step_type[0]:

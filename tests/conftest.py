@@ -37,6 +37,20 @@ def assert_same_graph(a: MultiGraph, b: MultiGraph) -> None:
     assert (a.t, a.n_vertices, a.family, a.seed) == (b.t, b.n_vertices, b.family, b.seed)
 
 
+def assert_equal_arrays(got, want, dtype=None, note="") -> None:
+    """``got`` has ``want``'s shape and values, and ``dtype`` if one is given.
+
+    A mismatch reports its first index only: pytest's diff of two long
+    lists runs for minutes under ``-v``."""
+    got, want = np.asarray(got), np.asarray(want)
+    if dtype is not None:
+        assert got.dtype == dtype, f"dtype {got.dtype}, not {np.dtype(dtype)} {note}"
+    assert got.shape == want.shape, f"shape {got.shape}, not {want.shape} {note}"
+    if not np.array_equal(got, want):
+        at = tuple(int(i) for i in np.argwhere(got != want)[0])
+        raise AssertionError(f"first mismatch at {at}: {got[at]} != {want[at]} {note}")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -13,7 +14,7 @@ from edgepa import graphs as gr
 from edgepa.graphs import canonical_key
 from edgepa.observables import diameter_bounds, simple_view
 
-from conftest import assert_same_graph
+from conftest import assert_equal_arrays, assert_same_graph
 
 
 def test_grow_tree_tiny():
@@ -112,7 +113,8 @@ def test_grow_tree_matches_per_vertex_reference(t):
         tree = cp.grow_tree(t, seed)
         w, ell = _tree_by_loop(t, seed)
         assert tree.w.dtype == tree.ell.dtype == gr._id_dtype(t)
-        assert tree.w.tolist() == w[: t + 1] and tree.ell.tolist() == ell[: t + 1]
+        assert_equal_arrays(tree.w, w[: t + 1])
+        assert_equal_arrays(tree.ell, ell[: t + 1])
         assert np.array_equal(tree.u[1:], _rng.stream(seed, _rng.TREE_ULABELS).random(t))
 
 
@@ -142,9 +144,9 @@ def test_collapse_matches_per_vertex_reference(fam):
         g = cp.collapse(tree, f)
         ends, born, parent = _collapse_by_loop(tree, f)
         assert g.endpoints.dtype == g.birth_time.dtype == g.parent.dtype == gr._id_dtype(t)
-        assert g.endpoints.tolist() == ends
-        assert g.birth_time.tolist() == born
-        assert g.parent.tolist() == parent
+        assert_equal_arrays(g.endpoints, ends)
+        assert_equal_arrays(g.birth_time, born)
+        assert_equal_arrays(g.parent, parent)
         g.validate()
 
 
@@ -255,3 +257,54 @@ def test_tree_validate_rejects_bad_ghosts_and_marks():
         tree([0, 0, 0, 1], [0.0, 0.5, 1.0, 0.2]).validate()
     with pytest.raises(ValueError, match="uniform marks must lie in"):
         tree([0, 0, 1, 1], [0.0, 0.5, 1.5, 0.2]).validate()
+    with pytest.raises(ValueError, match="uniform marks must lie in"):
+        tree([0, 0, 1, 1], [0.0, 0.5, np.nan, 0.2]).validate()
+
+
+# DoublyLabeledTree.validate's checks in order, and a fault for each: the
+# value it writes at vertex j
+_TREE_FAULTS = [
+    ("w", lambda j: j, "attachment targets must be strictly older"),
+    ("ell", lambda j: 0, "ghost targets must be strictly older"),
+    ("u", lambda j: 1.5, "uniform marks must lie in"),
+    ("u", lambda j: np.nan, "uniform marks must lie in"),
+]
+
+
+@functools.cache
+def _tree_for(chunk):
+    """A tree with more than 2 * chunk + 2 vertices."""
+    return cp.grow_tree(60 if chunk < 64 else 3 * chunk + 10, 5)
+
+
+def _faulted_trees(chunk, faults):
+    """Copies of ``_tree_for(chunk)`` with the faults placed at vertex
+    2 * chunk + 2 (the seam of two blocks, which start at vertex 2), then
+    at the last vertex."""
+    tree = _tree_for(chunk)
+    for j in (2 * chunk + 2, tree.t):
+        parts = {name: getattr(tree, name).copy() for name in ("w", "ell", "u")}
+        for i in faults:
+            name, value, _ = _TREE_FAULTS[i]
+            parts[name][j] = value(j)
+        yield cp.DoublyLabeledTree(seed=0, **parts)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, es.STEP_CHUNK])
+@pytest.mark.parametrize("fault", range(len(_TREE_FAULTS)))
+def test_tree_validate_rejects_each_fault_past_the_first_block(chunk, fault):
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
+        _tree_for(chunk).validate()
+        for tree in _faulted_trees(chunk, [fault]):
+            with pytest.raises(ValueError, match=_TREE_FAULTS[fault][2]):
+                tree.validate()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, es.STEP_CHUNK])
+def test_tree_validate_reports_the_earlier_of_two_faults(chunk):
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
+        for later in range(1, len(_TREE_FAULTS)):
+            for earlier in range(later):
+                for tree in _faulted_trees(chunk, [later, earlier]):
+                    with pytest.raises(ValueError, match=_TREE_FAULTS[earlier][2]):
+                        tree.validate()

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import math
@@ -525,6 +526,81 @@ def test_validate_rejects_inconsistent_arrays(field, index, value, message):
         arrays[field][index] = value
     with pytest.raises(ValueError, match=message):
         gr.MultiGraph(**arrays).validate()
+
+
+# validate's checks in order, and a fault for each placed at vertex v, or
+# at step s, where v was born (slots 2s - 2 and 2s - 1).  The faults at
+# step 1 and at the root have one place only.
+_CHECKS = [
+    "length 2t",
+    "step 1 must be the seed vertex",
+    "vertex count does not match",
+    "endpoint ids out of range",
+    "birth times must start at 1",
+    "the root has no parent",
+    "parents must be strictly older",
+    "vertex-step slots must hold the new vertex id",
+]
+
+
+def _break(a, check, v, s):
+    if check == 0:
+        a["endpoints"] = np.delete(a["endpoints"], 2 * s - 1)
+    elif check == 1:
+        a["step_type"][0] = False
+    elif check == 2:
+        edge = np.flatnonzero(~a["step_type"])  # the edge-step nearest to s becomes a vertex-step
+        a["step_type"][edge[np.argmin(np.abs(edge - s))]] = True
+    elif check == 3:
+        a["endpoints"][2 * s - 2] = len(a["birth_time"]) + 1
+    elif check == 4:
+        a["birth_time"][v] = a["birth_time"][v - 1]
+    elif check == 5:
+        a["parent"][0] = 1
+    elif check == 6:
+        a["parent"][v] = v + 1  # its own id
+    else:
+        a["endpoints"][2 * s - 1] = v  # the previous vertex's id
+
+
+@functools.cache
+def _graph_for(chunk):
+    """A const:0.5 graph with more than 2 * chunk + 1 vertices that ends
+    on a vertex-step, so that its last vertex holds its last slot."""
+    g = gr.evolve(es.constant(0.5), 80 if chunk < 64 else 5 * chunk, 12)
+    return g.prefix(int(g.birth_time[-1]))
+
+
+def _faulted(chunk, faults):
+    """Copies of ``_graph_for(chunk)`` with the faults placed at vertex
+    2 * chunk (the seam of two blocks), then at the last vertex."""
+    g = _graph_for(chunk)
+    for v in (2 * chunk, g.n_vertices - 1):
+        s = int(g.birth_time[v])
+        arrays = {k: getattr(g, k).copy() for k in ("endpoints", "step_type", "birth_time", "parent")}
+        for check in faults:
+            _break(arrays, check, v, s)
+        yield gr.MultiGraph(**arrays)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, es.STEP_CHUNK])
+@pytest.mark.parametrize("check", range(len(_CHECKS)))
+def test_validate_rejects_each_fault_past_the_first_block(chunk, check):
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
+        _graph_for(chunk).validate()
+        for g in _faulted(chunk, [check]):
+            with pytest.raises(ValueError, match=_CHECKS[check]):
+                g.validate()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, es.STEP_CHUNK])
+def test_validate_reports_the_earlier_of_two_faults(chunk):
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
+        for later in range(1, len(_CHECKS)):
+            for earlier in range(later):
+                for g in _faulted(chunk, [later, earlier]):  # the deleted slot of check 0 goes last
+                    with pytest.raises(ValueError, match=_CHECKS[earlier]):
+                        g.validate()
 
 
 def test_load_rejects_corrupt_dump():

@@ -707,3 +707,7 @@ def test_bench_memory_script_runs_one_record_per_family(tmp_path, monkeypatch):
         assert r["generate_s"] >= 0 and r["measure_s"] >= 0 and r["numpy"] == np.__version__
         assert r["malloc_mmap_threshold"] == bench.MALLOC_MMAP_THRESHOLD
     assert runs[0]["n_vertices"] == evolve(make_family("const:0.5"), 1000, 11).n_vertices
+    (coupled,) = json.loads(out.read_text())["coupled"]
+    assert coupled["checkout"] == "after" and coupled["t"] == 1000 and coupled["n_vertices"] == 1000
+    assert list(coupled["maxrss_mb_after"]) == ["grow_tree", "collapse", "graph_validate", "tree_validate"]
+    assert coupled["malloc_mmap_threshold"] == bench.MALLOC_MMAP_THRESHOLD

@@ -17,7 +17,7 @@ from edgepa.verify import (
     floyd_warshall_diameter,
 )
 
-from conftest import forced_path, forced_star
+from conftest import assert_equal_arrays, forced_path, forced_star
 from reference import all_pairs_diameter, isolated_chains, new_initial, plain_bfs
 
 
@@ -70,8 +70,8 @@ def test_simple_view_matches_reference():
         assert view.indptr.dtype == np.int64 and view.indices.dtype == np.int32
         assert list(zip(*(arcs.tolist() for arcs in _forward_arcs(view)))) == pairs
         assert view.n_edges == len(pairs)
-        assert view.indptr.tolist() == indptr.tolist()
-        assert view.indices.tolist() == indices
+        assert_equal_arrays(view.indptr, indptr)
+        assert_equal_arrays(view.indices, indices)
     assert loops > 0 and parallel > 0
 
 
@@ -83,8 +83,8 @@ def test_simple_view_rows_past_the_int32_arc_keys(desc, t):
     assert g.endpoints.dtype == np.int32 and g.n_vertices > 46341
     _, indptr, indices = _reference_view(g)  # Python ints, which cannot wrap
     view = ob.simple_view(g)
-    assert view.indptr.tolist() == indptr.tolist()
-    assert view.indices.tolist() == indices
+    assert_equal_arrays(view.indptr, indptr)
+    assert_equal_arrays(view.indices, indices)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 2**16, 2**16 + 1])
@@ -101,8 +101,8 @@ def test_view_from_pairs_where_the_column_field_changes_width(n):
         rows[y].add(x)
     view = ob._view_from_pairs(n, a.astype(np.int32), b.astype(np.int32))
     assert view.indptr.dtype == np.int64 and view.indices.dtype == np.int32
-    assert view.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
-    assert view.indices.tolist() == [v for r in rows for v in sorted(r)]
+    assert_equal_arrays(view.indptr, np.cumsum([0] + [len(r) for r in rows]))
+    assert_equal_arrays(view.indices, [v for r in rows for v in sorted(r)])
 
 
 @pytest.mark.parametrize("piece", [1, 7, 2**20])
@@ -114,10 +114,11 @@ def test_view_rows_match_across_piece_seams(piece):
         want = ob.simple_view(g)  # one piece
         with mock.patch.object(es, "STEP_CHUNK", piece):
             got = ob.simple_view(g)
-        assert got.indptr.tolist() == want.indptr.tolist()
-        assert got.indices.tolist() == want.indices.tolist()
+        assert_equal_arrays(got.indptr, want.indptr)
+        assert_equal_arrays(got.indices, want.indices)
         _, indptr, indices = _reference_view(g)
-        assert got.indptr.tolist() == indptr.tolist() and got.indices.tolist() == indices
+        assert_equal_arrays(got.indptr, indptr)
+        assert_equal_arrays(got.indices, indices)
 
 
 # Peak numpy allocations over the bytes of the result, measured at t = 2e5
@@ -168,6 +169,21 @@ def test_grow_tree_and_collapse_peak_memory():
     assert collapse_peak <= COLLAPSE_PEAK_RATIO * graph_bytes
 
 
+def test_collapse_frees_its_ranks_before_the_births():
+    # the rank of every vertex (int32, t + 1 of them) is spent once the
+    # edges are remapped; kept alive into _finish, it set collapse's peak
+    tree = coupling.grow_tree(10**6, 5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = coupling.collapse(tree, es.ba())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    graph_bytes = sum(a.nbytes for a in (g.endpoints, g.step_type, g.birth_time, g.parent))
+    assert peak < graph_bytes + (tree.t + 1) * g.endpoints.itemsize
+
+
 # Scratch of a generator: its peak numpy allocations less the bytes of its
 # result.  Each block is drawn, linked and resolved in one pass, so the
 # scratch does not grow with t; full-array passes grew it by about 12
@@ -196,6 +212,28 @@ def test_generator_scratch_does_not_grow_with_t():
     for name, (make, parts) in generators.items():
         growth = _scratch_bytes(lambda: make(large), parts) - _scratch_bytes(lambda: make(small), parts)
         assert growth <= SCRATCH_GROWTH_PER_STEP * (large - small), name
+
+
+def _validate_scratch_bytes(checked) -> int:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        checked.validate()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_validate_scratch_does_not_grow_with_t():
+    # whole-array checks grew it by 9 bytes per step on the collapsed ba
+    # graph and 6 on the tree between these horizons
+    coupling.collapse(coupling.grow_tree(1000, 0), es.ba()).validate()  # first-call allocations stay out
+    scratch = {}
+    for t in (400_000, 1_600_000):
+        tree = coupling.grow_tree(t, 5)
+        scratch[t] = [_validate_scratch_bytes(x) for x in (coupling.collapse(tree, es.ba()), tree)]
+    for name, small, large in zip(("MultiGraph", "DoublyLabeledTree"), scratch[400_000], scratch[1_600_000]):
+        assert large - small <= SCRATCH_GROWTH_PER_STEP * 1_200_000, name
 
 
 def _two_edges():
@@ -233,7 +271,7 @@ def test_bfs_distances_match_plain_bfs():
         want = np.array(plain_bfs(view, src))
         levels.clear()
         dist = ob.bfs_distances(view, src)
-        assert dist.dtype == gr._id_dtype(view.n) and dist.tolist() == want.tolist()
+        assert_equal_arrays(dist, want, dtype=gr._id_dtype(view.n))
         searched = view.degrees() >= 2  # with src, the vertices searched
         searched[src] = True
         deg = np.where(searched, view.degrees(), 0)
@@ -280,13 +318,13 @@ def test_leaves_take_their_distance_after_the_search():
         leaf, stem = view.leaves
         assert view.leaves is view.leaves  # cached on the view
         assert leaf.dtype == stem.dtype == view.indices.dtype
-        assert leaf.tolist() == np.flatnonzero(view.degrees() == 1).tolist()
-        assert stem.tolist() == [int(view.neighbors(v)[0]) for v in leaf]
+        assert_equal_arrays(leaf, np.flatnonzero(view.degrees() == 1))
+        assert_equal_arrays(stem, [int(view.neighbors(v)[0]) for v in leaf])
         cases += [(view, int(leaf[0])), (view, int(leaf[-1])), (view, int(stem[0]))]
     for view, src in cases:
         dist = ob.bfs_distances(view, src)
         assert dist.dtype == gr._id_dtype(view.n) == np.int32
-        assert dist.tolist() == plain_bfs(view, src), (view.n, src)
+        assert_equal_arrays(dist, plain_bfs(view, src), note=(view.n, src))
     assert ob.bfs_distances(_two_edges(), 3).tolist() == [-1, -1, 1, 0]
 
 
