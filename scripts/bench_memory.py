@@ -41,7 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("const:0.5", "ba", "log:1")
 T = 10**7
 SEED = 11
-REPS = 2
+REPS = 5
 MALLOC_MMAP_THRESHOLD = 131072  # bytes; glibc's starting value
 
 # The set-up and version stamp of every child process.

@@ -28,9 +28,7 @@ from .edgestep import EdgeStepFunction
 from .graphs import (
     MultiGraph,
     _BlockResolver,
-    _finish,
     _id_dtype,
-    _points_back,
     _slots,
     canonical_key,
     keep_where,
@@ -63,12 +61,23 @@ class DoublyLabeledTree:
         under every f).  Checked in that order, ``STEP_CHUNK`` targets at a
         time; the marks by their minimum and maximum, which are NaN if any
         mark is."""
-        if not _points_back(self.w, 2, 0):
+        if not _points_back(self.w):
             raise ValueError("attachment targets must be strictly older vertices")
-        if not _points_back(self.ell, 2, 0):
+        if not _points_back(self.ell):
             raise ValueError("ghost targets must be strictly older vertices")
         if not (self.u.min() >= 0 and self.u.max() <= 1):
             raise ValueError("uniform marks must lie in [0, 1]")
+
+
+def _points_back(a: np.ndarray) -> bool:
+    """Whether ``1 <= a[j] < j`` for every ``j >= 2``: each vertex names an
+    older one.  Read ``STEP_CHUNK`` entries at a time."""
+    chunk = _es.STEP_CHUNK
+    for j in range(2, len(a), chunk):
+        block = a[j : j + chunk]
+        if block.min() < 1 or np.any(block >= np.arange(j, j + len(block))):
+            return False
+    return True
 
 
 def grow_tree(t: int, seed: int) -> DoublyLabeledTree:
@@ -125,8 +134,8 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
     representative's survivor rank in index order -- the same answer a
     path-compressed union-find keyed by birth index would give.  Each tree
     edge ``{w(j), j}`` is remapped to the representatives of its
-    endpoints, both resolved since ``w(j) < j``; birth times and step
-    types carry over so every observable applies to the result.  The
+    endpoints, both resolved since ``w(j) < j``; step types carry over,
+    so the births follow and every observable applies to the result.  The
     marks are compared, linked, resolved and remapped ``STEP_CHUNK``
     vertices at a time, in one pass.
     """
@@ -153,8 +162,7 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
         kernel.resolve(rr, j, link, rank)
         endpoints[j - 1 : j - 1 + k, 0] = rr.take(tree.w[j : j + k], mode="wrap")
         endpoints[j - 1 : j - 1 + k, 1] = rr[j : j + k]
-    del rr, kernel  # spent: freed before _finish allocates births and parents
-    return _finish(tree.seed, f.name, keep[1:], endpoints.reshape(-1))
+    return MultiGraph(endpoints=endpoints.reshape(-1), step_type=keep[1:], family=f.name, seed=tree.seed)
 
 
 def tv_upper_bound(f: EdgeStepFunction, h: EdgeStepFunction, horizon: int) -> float:

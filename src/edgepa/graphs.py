@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,20 +38,20 @@ from .edgestep import EdgeStepFunction
 
 @dataclass
 class MultiGraph:
-    """Growth history of one run: endpoints, step types, births, parents.
+    """Growth history of one run: the endpoints and step types the
+    generator draws.
 
     Vertex ids are birth-order indices starting at 1; ``birth_time[i]`` is
     the step at which vertex ``i + 1`` appeared (the root has birth time 1)
     and ``parent[i]`` is the target of its first connection (0 for the
-    root).  ``endpoints``, ``birth_time`` and ``parent`` share one integer
-    type, ``_id_dtype(t)``: int32 while ``2t < 2**31``, else int64.
-    Instances are treated as immutable once built.
+    root).  Both are derived from the stored arrays when first read, in
+    the endpoints' integer type, ``_id_dtype(t)`` for generated graphs:
+    int32 while ``2t < 2**31``, else int64.  Instances are treated as
+    immutable once built.
     """
 
     endpoints: np.ndarray
     step_type: np.ndarray
-    birth_time: np.ndarray
-    parent: np.ndarray
     family: str = ""
     seed: Optional[int] = None
 
@@ -58,9 +59,46 @@ class MultiGraph:
     def t(self) -> int:
         return len(self.step_type)
 
-    @property
+    @cached_property
     def n_vertices(self) -> int:
-        return len(self.birth_time)
+        return int(np.count_nonzero(self.step_type))
+
+    @cached_property
+    def birth_time(self) -> np.ndarray:
+        return self._derive_births_and_parents()[0]
+
+    @cached_property
+    def parent(self) -> np.ndarray:
+        return self._derive_births_and_parents()[1]
+
+    def _derive_births_and_parents(self) -> tuple[np.ndarray, np.ndarray]:
+        """Birth times and parents, cached together: each vertex-step ``s``
+        gives the next id birth time ``s`` and the parent in its slot
+        ``2s - 2``.  The vertex-steps are found ``STEP_CHUNK`` steps at a
+        time, so no index array spans the run."""
+        birth_time = np.empty(self.n_vertices, dtype=self.endpoints.dtype)
+        parent = np.empty(self.n_vertices, dtype=self.endpoints.dtype)
+        birth_time[0], parent[0] = 1, 0
+        z, first = self.step_type[1:], self.endpoints[2::2]  # steps 2..t, slot 2s - 2 of each
+        k, chunk = 1, _es.STEP_CHUNK
+        for lo in range(0, len(z), chunk):
+            at = np.flatnonzero(z[lo : lo + chunk])
+            birth_time[k : k + len(at)] = at + (lo + 2)
+            first[lo : lo + chunk].take(at, out=parent[k : k + len(at)])
+            k += len(at)
+        self.__dict__.update(birth_time=birth_time, parent=parent)
+        return birth_time, parent
+
+    def _vertex_step_slots(self, slot: int):
+        """For each block of ``STEP_CHUNK`` steps from step 2 on: the ids in
+        slot ``2s - 2 + slot`` of its vertex-steps ``s``, and the new ids
+        those steps create."""
+        z, ends, chunk = self.step_type[1:], self.endpoints[2 + slot :: 2], _es.STEP_CHUNK
+        newest = 1
+        for lo in range(0, len(z), chunk):
+            got = ends[lo : lo + chunk][z[lo : lo + chunk]]
+            yield got, np.arange(newest + 1, newest + 1 + len(got))
+            newest += len(got)
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex (loops count twice), indexed by id - 1, as
@@ -71,18 +109,15 @@ class MultiGraph:
         return out[1:]
 
     def prefix(self, t: int) -> MultiGraph:
-        """The same trajectory at time ``t <= self.t``: the first ``t`` edges
-        and the vertices born by then, as views of this graph's arrays."""
+        """The same trajectory at time ``t <= self.t``: views of this graph's
+        first ``t`` steps and ``2t`` endpoints."""
         if t == self.t:
             return self
         if not 1 <= t < self.t:
             raise ValueError(f"prefix time must lie in [1, {self.t}], got {t}")
-        n = int(np.searchsorted(self.birth_time, t, side="right"))
         return MultiGraph(
             endpoints=self.endpoints[: 2 * t],
             step_type=self.step_type[:t],
-            birth_time=self.birth_time[:n],
-            parent=self.parent[:n],
             family=self.family,
             seed=self.seed,
         )
@@ -92,46 +127,22 @@ class MultiGraph:
 
         The checks run one after another, each over all of its arrays, so
         of two faults the earlier check's is reported.  Each reads its
-        arrays whole by a reduction or ``STEP_CHUNK`` entries at a time,
-        so the scratch is a few blocks, whatever ``t``.
+        arrays by a reduction or ``STEP_CHUNK`` steps at a time, so the
+        scratch is a few blocks, whatever ``t``.  The derived births and
+        parents are neither read nor cached.
         """
-        t, n, chunk = self.t, self.n_vertices, _es.STEP_CHUNK
-        if len(self.endpoints) != 2 * t:
+        if len(self.endpoints) != 2 * self.t:
             raise ValueError("endpoint array must have length 2t")
-        if t >= 1 and not bool(self.step_type[0]):
+        if self.t >= 1 and not bool(self.step_type[0]):
             raise ValueError("step 1 must be the seed vertex")
-        if n != 1 + int(np.count_nonzero(self.step_type[1:])):
-            raise ValueError("vertex count does not match the step types")
-        if self.endpoints.min() < 1 or self.endpoints.max() > n:
+        if self.endpoints.min() < 1 or self.endpoints.max() > self.n_vertices:
             raise ValueError("endpoint ids out of range")
-        born = self.birth_time
-        if born[0] != 1 or any(  # blocks of chunk + 1 births, overlapping by one
-            np.any(np.diff(born[lo : lo + chunk + 1]) <= 0) for lo in range(0, n - 1, chunk)
-        ):
-            raise ValueError("birth times must start at 1 and strictly increase")
-        if self.parent[0] != 0:
-            raise ValueError("the root has no parent")
-        if not _points_back(self.parent, 1, 1):  # vertex i + 1's parent is below i + 1
+        # slot 2s - 2 of each vertex-step s >= 2 holds its parent, slot
+        # 2s - 1 the new id
+        if any(np.any(first >= new) for first, new in self._vertex_step_slots(0)):
             raise ValueError("parents must be strictly older vertices")
-        # slot 2s - 1 of each vertex-step s >= 2 holds the next new id
-        second, z = self.endpoints[3::2], self.step_type[1:]
-        newest = 1
-        for lo in range(0, t - 1, chunk):
-            new = second[lo : lo + chunk][z[lo : lo + chunk]]
-            if np.any(new != np.arange(newest + 1, newest + 1 + len(new))):
-                raise ValueError("vertex-step slots must hold the new vertex id")
-            newest += len(new)
-
-
-def _points_back(a: np.ndarray, lo: int, shift: int) -> bool:
-    """Whether ``1 <= a[i] < i + shift`` for every ``i >= lo``: each entry
-    names an id below its own.  Read ``STEP_CHUNK`` entries at a time."""
-    chunk = _es.STEP_CHUNK
-    for i in range(lo, len(a), chunk):
-        block = a[i : i + chunk]
-        if block.min() < 1 or np.any(block >= np.arange(i + shift, i + shift + len(block))):
-            return False
-    return True
+        if any(np.any(second != new) for second, new in self._vertex_step_slots(1)):
+            raise ValueError("vertex-step slots must hold the new vertex id")
 
 
 # -- full-trajectory generation -------------------------------------------
@@ -262,34 +273,6 @@ def resolve_backward_links(ptr: np.ndarray, w) -> np.ndarray:
     return out
 
 
-def _finish(seed, family, step_type, endpoints) -> MultiGraph:
-    """The graph of ``step_type`` (step 1 a vertex-step) and ``endpoints``,
-    both kept uncopied; its birth times and parents take the endpoints'
-    type.  The vertex-steps are found ``STEP_CHUNK`` steps at a time, so
-    no index array spans the run."""
-    n = int(np.count_nonzero(step_type))
-    birth_time = np.empty(n, dtype=endpoints.dtype)
-    parent = np.empty(n, dtype=endpoints.dtype)
-    birth_time[0], parent[0] = 1, 0
-    z = step_type[1:]  # steps 2..t
-    first = endpoints[2::2]  # slot 2s - 2 of step s >= 2
-    k = 1
-    chunk = _es.STEP_CHUNK
-    for lo in range(0, len(z), chunk):
-        at = np.flatnonzero(z[lo : lo + chunk])
-        birth_time[k : k + len(at)] = at + (lo + 2)
-        first[lo : lo + chunk].take(at, out=parent[k : k + len(at)])
-        k += len(at)
-    return MultiGraph(
-        endpoints=endpoints,
-        step_type=step_type,
-        birth_time=birth_time,
-        parent=parent,
-        family=family,
-        seed=seed,
-    )
-
-
 def evolve(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
     """Generate the graph at horizon ``t``; deterministic given ``(f, t, seed)``.
 
@@ -328,7 +311,7 @@ def evolve(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
         link, val = link.reshape(-1), val.reshape(-1)
         for a in range(0, 2 * k, chunk):
             kernel.resolve(endpoints, at + a, link[a : a + chunk], val[a : a + chunk])
-    return _finish(seed, f.name, step_type, endpoints)
+    return MultiGraph(endpoints=endpoints, step_type=step_type, family=f.name, seed=seed)
 
 
 def _evolve_sequential(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
@@ -356,7 +339,7 @@ def _evolve_sequential(f: EdgeStepFunction, t: int, seed: int) -> MultiGraph:
             ends[i + 1] = vid
         else:
             ends[i + 1] = ends[b]
-    return _finish(seed, f.name, np.concatenate([[True], z]), e)
+    return MultiGraph(endpoints=e, step_type=np.concatenate([[True], z]), family=f.name, seed=seed)
 
 
 @dataclass
@@ -390,8 +373,12 @@ class BatchRun:
 
     def extract(self, r: int, family: str = "") -> MultiGraph:
         """Replicate ``r`` as a graph with contiguous ``_id_dtype(t)`` ids of its own."""
-        step_type = np.concatenate([[True], self.z[r]])
-        return _finish(self.seed, family, step_type, self.endpoints[r].astype(_id_dtype(self.t)))
+        return MultiGraph(
+            endpoints=self.endpoints[r].astype(_id_dtype(self.t)),
+            step_type=np.concatenate([[True], self.z[r]]),
+            family=family,
+            seed=self.seed,
+        )
 
 
 def evolve_batch(
@@ -528,8 +515,8 @@ def load_graph(fh) -> MultiGraph:
 
     if not step_type[0]:
         raise ValueError("graph dump line 2: step 1 must be the seed vertex")
-    g = _finish(seed, family, step_type, endpoints)
+    g = MultiGraph(endpoints=endpoints, step_type=step_type, family=family, seed=seed)
     if g.n_vertices != n:
         raise ValueError(f"graph dump header claims {n} vertices, lines imply {g.n_vertices}")
     g.validate()  # on the int64 ids, so an out-of-range id is reported, never wrapped
-    return _finish(seed, family, step_type, endpoints.astype(_id_dtype(t)))
+    return MultiGraph(endpoints=endpoints.astype(_id_dtype(t)), step_type=step_type, family=family, seed=seed)

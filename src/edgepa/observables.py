@@ -344,10 +344,12 @@ def clique_greedy(view: SimpleView, degrees: np.ndarray) -> int:
 
     def greedy(members: list[int], alive: np.ndarray) -> list[int]:
         while alive.size:
-            members.append(int(alive[0]))
-            adjacent[view.neighbors(members[-1])] = True
+            # dropped before the filter, so a row listing its own vertex cannot keep it
+            v, alive = int(alive[0]), alive[1:]
+            members.append(v)
+            adjacent[view.neighbors(v)] = True
             alive = alive[adjacent[alive]]
-            adjacent[view.neighbors(members[-1])] = False
+            adjacent[view.neighbors(v)] = False
         return members
 
     hub = int(np.argmax(degrees))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coupling import DoublyLabeledTree, collapse
 from .edgestep import EdgeStepFunction
-from .graphs import _finish, canonical_key, evolve_batch
+from .graphs import MultiGraph, canonical_key, evolve_batch
 
 MAX_ENUM_T = 6
 
@@ -77,7 +77,7 @@ def enumerate_direct_law(f: EdgeStepFunction, t: int) -> GraphLaw:
 
     def recurse(s: int, endpoints: list, z: list, weight: Fraction) -> None:
         if s > t:
-            g = _finish(None, "", np.array(z), np.array(endpoints, dtype=np.int64))
+            g = MultiGraph(endpoints=np.array(endpoints, dtype=np.int64), step_type=np.array(z))
             key = canonical_key(g)
             probs[key] = probs.get(key, Fraction(0)) + weight
             return

@@ -171,12 +171,7 @@ def c19_generator_vs_oracle_varying_f(seed: int = DEFAULT_SEED) -> Verdict:
 
 def _frozen_state() -> MultiGraph:
     # t = 4 history whose vertex 2 has degree exactly 2
-    return MultiGraph(
-        endpoints=np.array([1, 1, 1, 2, 2, 3, 1, 4]),
-        step_type=np.array([True, True, True, True]),
-        birth_time=np.array([1, 2, 3, 4]),
-        parent=np.array([0, 1, 2, 1]),
-    )
+    return MultiGraph(endpoints=np.array([1, 1, 1, 2, 2, 3, 1, 4]), step_type=np.array([True, True, True, True]))
 
 
 @criterion("C3", "increment-law", "process")
@@ -509,17 +504,10 @@ def c14_observable_oracles(seed: int = DEFAULT_SEED) -> Verdict:
             clique_bad += 1
 
     # isolated-chain fixtures: forced line, two pendant chains, edge-only history
-    line = MultiGraph(
-        endpoints=np.array([1, 1, 1, 2, 2, 3]),
-        step_type=np.array([True, True, True]),
-        birth_time=np.array([1, 2, 3]),
-        parent=np.array([0, 1, 2]),
-    )
+    line = MultiGraph(endpoints=np.array([1, 1, 1, 2, 2, 3]), step_type=np.array([True, True, True]))
     two = MultiGraph(
         endpoints=np.array([1, 1, 1, 2, 2, 3, 3, 4, 1, 5, 5, 6, 6, 7, 7, 8]),
         step_type=np.ones(8, dtype=bool),
-        birth_time=np.arange(1, 9),
-        parent=np.array([0, 1, 2, 3, 1, 5, 6, 7]),
     )
     loops = evolve(constant(0.0), 50, _rng.child_seed(seed, 140))
     fixtures_ok = (

@@ -12,8 +12,6 @@ def forced_path(n: int) -> MultiGraph:
     return MultiGraph(
         endpoints=np.array(e, dtype=np.int64),
         step_type=np.ones(n, dtype=bool),
-        birth_time=np.arange(1, n + 1, dtype=np.int64),
-        parent=np.concatenate([[0], np.arange(1, n)]).astype(np.int64),
     )
 
 
@@ -25,8 +23,6 @@ def forced_star(n: int) -> MultiGraph:
     return MultiGraph(
         endpoints=np.array(e, dtype=np.int64),
         step_type=np.ones(n, dtype=bool),
-        birth_time=np.arange(1, n + 1, dtype=np.int64),
-        parent=np.concatenate([[0], np.ones(n - 1, dtype=np.int64)]),
     )
 
 

@@ -31,8 +31,6 @@ def new_initial() -> MultiGraph:
     return MultiGraph(
         endpoints=np.array([1, 1], dtype=np.int64),
         step_type=np.array([True]),
-        birth_time=np.array([1], dtype=np.int64),
-        parent=np.array([0], dtype=np.int64),
     )
 
 
@@ -45,31 +43,28 @@ def evolve_step(g: MultiGraph, coin: str, gen: np.random.Generator) -> MultiGrap
     """Apply one vertex- or edge-step to ``g`` and return the grown graph.
 
     Both edge-step endpoints are drawn on the pre-step graph, so each sees
-    the same degree normalization.
+    the same degree normalization.  The step keeps its own birth and
+    parent lists, ``g``'s with a vertex-step's new vertex appended, and
+    checks the grown graph's derived ones against them.
     """
+    births, parents = g.birth_time.tolist(), g.parent.tolist()
     if coin == VERTEX:
         u = sample_preferential(g, gen)
-        vid = g.n_vertices + 1
-        return MultiGraph(
-            endpoints=np.append(g.endpoints, [u, vid]),
-            step_type=np.append(g.step_type, True),
-            birth_time=np.append(g.birth_time, g.t + 1),
-            parent=np.append(g.parent, u),
-            family=g.family,
-            seed=g.seed,
-        )
-    if coin == EDGE:
-        u1 = sample_preferential(g, gen)
-        u2 = sample_preferential(g, gen)
-        return MultiGraph(
-            endpoints=np.append(g.endpoints, [u1, u2]),
-            step_type=np.append(g.step_type, False),
-            birth_time=g.birth_time,
-            parent=g.parent,
-            family=g.family,
-            seed=g.seed,
-        )
-    raise ValueError(f"coin must be {VERTEX!r} or {EDGE!r}, got {coin!r}")
+        births.append(g.t + 1)
+        parents.append(u)
+        new = [u, g.n_vertices + 1]
+    elif coin == EDGE:
+        new = [sample_preferential(g, gen), sample_preferential(g, gen)]
+    else:
+        raise ValueError(f"coin must be {VERTEX!r} or {EDGE!r}, got {coin!r}")
+    grown = MultiGraph(
+        endpoints=np.append(g.endpoints, new),
+        step_type=np.append(g.step_type, coin == VERTEX),
+        family=g.family,
+        seed=g.seed,
+    )
+    assert grown.birth_time.tolist() == births and grown.parent.tolist() == parents
+    return grown
 
 
 def isolated_chains(g: MultiGraph) -> list[list[int]]:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import io
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -14,9 +15,10 @@ from edgepa import coupling as cp
 from edgepa import edgestep as es
 from edgepa import graphs as gr
 from edgepa import rng as _rng
+from edgepa import observables as ob
 from edgepa.observables import bfs_distances, simple_view
 
-from conftest import assert_same_graph
+from conftest import assert_equal_arrays, assert_same_graph
 from reference import EDGE, VERTEX, dumps_graph, evolve_step, new_initial, sample_preferential
 from test_edgestep import FAMILIES, case_id
 
@@ -25,6 +27,7 @@ def test_new_initial():
     g = new_initial()
     assert g.t == 1 and g.n_vertices == 1
     assert list(g.endpoints) == [1, 1]
+    assert list(g.birth_time) == [1] and list(g.parent) == [0]
     assert g.degrees().sum() == 2
     g.validate()
 
@@ -138,6 +141,8 @@ def test_prefix_is_the_shorter_horizons_graph(horizon, data, seed, fam, chunk):
     prefix = full.prefix(t)
     prefix.validate()
     assert_same_graph(prefix, gr.evolve(f, t, seed))
+    for name in ("birth_time", "parent"):
+        assert_equal_arrays(getattr(prefix, name), getattr(full, name)[: prefix.n_vertices], full.endpoints.dtype)
     assert full.prefix(horizon) is full
 
 
@@ -464,9 +469,9 @@ def _assert_mask_selected(g):
         assert got.dtype == g.endpoints.dtype and np.array_equal(got, want), name
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("chunk", [1, 7, es.STEP_CHUNK])
 @pytest.mark.parametrize("fam", ["ba", "const:0", "const:0.5"])  # every step, none past 1, half
-def test_finish_selects_vertex_steps_across_chunk_seams(chunk, fam):
+def test_births_and_parents_select_vertex_steps_across_chunk_seams(chunk, fam):
     f, t, seed = es.make_family(fam), 150, 9
     tree = cp.grow_tree(t, seed)
     g = gr.evolve(f, t, seed)
@@ -477,12 +482,26 @@ def test_finish_selects_vertex_steps_across_chunk_seams(chunk, fam):
             gr.evolve_batch(f, t, 3, seed).extract(2, fam),
             gr.load_graph(io.StringIO(dumps_graph(g))),
         ]
+        for h in graphs:
+            h.validate()
+            _assert_mask_selected(h)  # derived here, STEP_CHUNK steps at a time
     assert_same_graph(graphs[0], g)
-    for h in graphs:
-        if fam != "const:0.5":
-            assert h.n_vertices == (t if fam == "ba" else 1)
-        _assert_mask_selected(h)
-        h.validate()
+    if fam != "const:0.5":
+        assert all(h.n_vertices == (t if fam == "ba" else 1) for h in graphs)
+
+
+def test_births_and_parents_are_derived_only_when_read():
+    # nothing on the generator, check or view path reads them; once read,
+    # both are cached together
+    f, t = es.make_family("const:0.5"), 3000
+    for g in (gr.evolve(f, t, 4), cp.collapse(cp.grow_tree(t, 4), f)):
+        g.validate()
+        view = simple_view(g)
+        ob.diameter_bounds(view)
+        ob.clique_exact(view)
+        assert "birth_time" not in g.__dict__ and "parent" not in g.__dict__
+        parent = g.parent
+        assert g.__dict__["parent"] is parent and g.__dict__["birth_time"] is g.birth_time
 
 
 def test_dump_round_trip_bit_exact():
@@ -499,8 +518,6 @@ def test_dump_round_trip_bit_exact():
 _VALID_ARRAYS = dict(
     endpoints=[1, 1, 1, 2, 2, 1, 2, 3],
     step_type=[True, True, False, True],
-    birth_time=[1, 2, 4],
-    parent=[0, 1, 2],
 )
 
 
@@ -509,11 +526,9 @@ _VALID_ARRAYS = dict(
     [
         ("endpoints", slice(6, None), None, "length 2t"),
         ("step_type", 0, False, "step 1 must be the seed vertex"),
-        ("step_type", 2, True, "vertex count does not match"),
+        ("step_type", 2, True, "vertex-step slots must hold the new vertex id"),  # an edge-step read as a vertex-step
         ("endpoints", 4, 5, "endpoint ids out of range"),
-        ("birth_time", 2, 2, "birth times must start at 1"),
-        ("parent", 0, 1, "the root has no parent"),
-        ("parent", 2, 3, "parents must be strictly older"),
+        ("endpoints", 6, 3, "parents must be strictly older"),  # step 4's parent is its own new vertex
         ("endpoints", 7, 2, "vertex-step slots must hold the new vertex id"),
     ],
 )
@@ -528,39 +543,43 @@ def test_validate_rejects_inconsistent_arrays(field, index, value, message):
         gr.MultiGraph(**arrays).validate()
 
 
-# validate's checks in order, and a fault for each placed at vertex v, or
-# at step s, where v was born (slots 2s - 2 and 2s - 1).  The faults at
-# step 1 and at the root have one place only.
+# validate's checks in order
 _CHECKS = [
     "length 2t",
     "step 1 must be the seed vertex",
-    "vertex count does not match",
     "endpoint ids out of range",
-    "birth times must start at 1",
-    "the root has no parent",
     "parents must be strictly older",
     "vertex-step slots must hold the new vertex id",
 ]
 
 
-def _break(a, check, v, s):
-    if check == 0:
+# Faults, each caught by the check of its index into _CHECKS.  Each is
+# placed at step s, where a vertex was born (slots 2s - 2 and 2s - 1), and
+# reads the ids off the arrays as they stand, so it stays the same fault
+# after another has been placed.  The step-1 fault has one place only.
+_FAULT_CHECK = [0, 1, 2, 2, 3, 3, 4, 4]
+
+
+def _break(a, fault, s):
+    n = int(np.count_nonzero(a["step_type"]))
+    new = int(np.count_nonzero(a["step_type"][:s]))  # the id step s creates
+    if fault == 0:
         a["endpoints"] = np.delete(a["endpoints"], 2 * s - 1)
-    elif check == 1:
+    elif fault == 1:
         a["step_type"][0] = False
-    elif check == 2:
+    elif fault == 2:
+        a["endpoints"][2 * s - 2] = n + 1
+    elif fault == 3:
+        a["endpoints"][2 * s - 2] = 0
+    elif fault == 4:
+        a["endpoints"][2 * s - 2] = new  # its parent is the new vertex
+    elif fault == 5:
+        a["endpoints"][2 * s - 2] = min(new + 1, n)  # a younger vertex, where there is one
+    elif fault == 6:
+        a["endpoints"][2 * s - 1] = new - 1  # the previous vertex's id
+    else:
         edge = np.flatnonzero(~a["step_type"])  # the edge-step nearest to s becomes a vertex-step
         a["step_type"][edge[np.argmin(np.abs(edge - s))]] = True
-    elif check == 3:
-        a["endpoints"][2 * s - 2] = len(a["birth_time"]) + 1
-    elif check == 4:
-        a["birth_time"][v] = a["birth_time"][v - 1]
-    elif check == 5:
-        a["parent"][0] = 1
-    elif check == 6:
-        a["parent"][v] = v + 1  # its own id
-    else:
-        a["endpoints"][2 * s - 1] = v  # the previous vertex's id
 
 
 @functools.cache
@@ -572,34 +591,33 @@ def _graph_for(chunk):
 
 
 def _faulted(chunk, faults):
-    """Copies of ``_graph_for(chunk)`` with the faults placed at vertex
-    2 * chunk (the seam of two blocks), then at the last vertex."""
+    """Copies of ``_graph_for(chunk)`` with the faults placed at the birth
+    of vertex 2 * chunk + 1 (the seam of two blocks), then of the last."""
     g = _graph_for(chunk)
     for v in (2 * chunk, g.n_vertices - 1):
-        s = int(g.birth_time[v])
-        arrays = {k: getattr(g, k).copy() for k in ("endpoints", "step_type", "birth_time", "parent")}
-        for check in faults:
-            _break(arrays, check, v, s)
+        arrays = {"endpoints": g.endpoints.copy(), "step_type": g.step_type.copy()}
+        for fault in faults:
+            _break(arrays, fault, int(g.birth_time[v]))
         yield gr.MultiGraph(**arrays)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, es.STEP_CHUNK])
-@pytest.mark.parametrize("check", range(len(_CHECKS)))
-def test_validate_rejects_each_fault_past_the_first_block(chunk, check):
+@pytest.mark.parametrize("fault", range(len(_FAULT_CHECK)))
+def test_validate_rejects_each_fault_past_the_first_block(chunk, fault):
     with mock.patch.object(es, "STEP_CHUNK", chunk):
         _graph_for(chunk).validate()
-        for g in _faulted(chunk, [check]):
-            with pytest.raises(ValueError, match=_CHECKS[check]):
+        for g in _faulted(chunk, [fault]):
+            with pytest.raises(ValueError, match=_CHECKS[_FAULT_CHECK[fault]]):
                 g.validate()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, es.STEP_CHUNK])
 def test_validate_reports_the_earlier_of_two_faults(chunk):
     with mock.patch.object(es, "STEP_CHUNK", chunk):
-        for later in range(1, len(_CHECKS)):
-            for earlier in range(later):
-                for g in _faulted(chunk, [later, earlier]):  # the deleted slot of check 0 goes last
-                    with pytest.raises(ValueError, match=_CHECKS[earlier]):
+        for earlier, later in itertools.combinations(range(len(_FAULT_CHECK)), 2):
+            if _FAULT_CHECK[earlier] < _FAULT_CHECK[later]:
+                for g in _faulted(chunk, [later, earlier]):  # the deleted slot of fault 0 goes last
+                    with pytest.raises(ValueError, match=_CHECKS[_FAULT_CHECK[earlier]]):
                         g.validate()
 
 
@@ -649,12 +667,7 @@ def test_every_graph_holds_its_ids_in_the_id_dtype(f):
         assert h.endpoints.dtype == h.birth_time.dtype == h.parent.dtype == gr._id_dtype(h.t), name
         h.validate()
         wide = gr.MultiGraph(
-            endpoints=h.endpoints.astype(np.int64),
-            step_type=h.step_type,
-            birth_time=h.birth_time.astype(np.int64),
-            parent=h.parent.astype(np.int64),
-            family=h.family,
-            seed=h.seed,
+            endpoints=h.endpoints.astype(np.int64), step_type=h.step_type, family=h.family, seed=h.seed
         )
         assert dumps_graph(h) == dumps_graph(wide), name
         assert gr.canonical_key(h) == gr.canonical_key(wide), name
