@@ -431,15 +431,16 @@ class _SearchBudget(Exception):
 # A core of k vertices takes k bitmasks of k bits; above this size (32 MB)
 # it is not searched.
 _MAX_CORE = 1 << 14
+_NODE_BUDGET = 500_000
 
 
-def clique_exact(view: SimpleView, node_budget: int = 500_000) -> tuple[int, str, int]:
+def clique_exact(view: SimpleView) -> tuple[int, str, int]:
     """Maximum clique size of the whole graph, its status and the number
     of search nodes.
 
     Returns ``(omega, "exact", nodes)``, or ``(size, "lower_bound",
     nodes)`` with the largest clique found when the search needed more
-    than ``node_budget`` nodes or the core has more than ``_MAX_CORE``
+    than ``_NODE_BUDGET`` nodes or the core has more than ``_MAX_CORE``
     vertices (left unsearched).  A verified greedy clique of size ``q`` is
     the first bound.  Each member of a larger clique has ``q`` neighbours
     inside it, so only the ``q``-core is searched (Eppstein, Löffler &
@@ -463,7 +464,7 @@ def clique_exact(view: SimpleView, node_budget: int = 500_000) -> tuple[int, str
 
     def expand(size: int, cand: int) -> None:
         nonlocal best, nodes
-        if nodes == node_budget:
+        if nodes == _NODE_BUDGET:
             raise _SearchBudget
         nodes += 1
         coloured = []  # (colour, vertex), colours ascending

@@ -3,11 +3,12 @@ and for the tree-collapse construction.
 
 Two independent enumerations produce the full distribution over canonical
 graphs at a small horizon: :func:`enumerate_direct_law` walks the direct
-process step by step, while :func:`enumerate_collapse_law` enumerates
-doubly-labeled trees with ghost labels and survival indicators and pushes
-each one through the production ``collapse``.  Both accumulate exact
-rationals, so agreement of the two laws is checked against a 1e-10 bound
-with no numerical slack to hide behind.
+process step by step, while :func:`enumerate_collapse_law` walks the
+doubly-labeled tree vertex by vertex in birth order, as ``grow_tree``
+draws it (attachment, then survival, then the ghost of a collapsed
+vertex), and pushes each tree through the production ``collapse``.  Both
+accumulate exact rationals, so agreement of the two laws is checked
+against a 1e-10 bound with no numerical slack to hide behind.
 
 Branches with a common endpoint value are grouped: a degree-proportional
 draw over ``2(s-1)`` slots is enumerated as one branch per distinct slot
@@ -46,22 +47,14 @@ class GraphLaw:
 
 def law_distance(a: GraphLaw, b: GraphLaw) -> float:
     """Total variation distance ``(1/2) sum |a - b|`` over the key union."""
-    keys = set(a.probs) | set(b.probs)
-    acc = Fraction(0)
     zero = Fraction(0)
-    for k in keys:
-        acc += abs(a.probs.get(k, zero) - b.probs.get(k, zero))
-    return float(acc) / 2.0
+    keys = a.probs.keys() | b.probs.keys()
+    return float(sum(abs(a.probs.get(k, zero) - b.probs.get(k, zero)) for k in keys)) / 2.0
 
 
 def _slot_weights(endpoints: list) -> list[tuple[int, int]]:
     """Distinct endpoint values with their slot counts (degree-proportional)."""
     return sorted(Counter(endpoints).items())
-
-
-def _coin_weights(f: EdgeStepFunction, s: int) -> tuple[Fraction, Fraction]:
-    p = Fraction(f.eval(s))
-    return p, 1 - p
 
 
 def enumerate_direct_law(f: EdgeStepFunction, t: int) -> GraphLaw:
@@ -82,7 +75,8 @@ def enumerate_direct_law(f: EdgeStepFunction, t: int) -> GraphLaw:
             probs[key] = probs.get(key, Fraction(0)) + weight
             return
         width = 2 * (s - 1)
-        p_vertex, p_edge = _coin_weights(f, s)
+        p_vertex = Fraction(f.eval(s))
+        p_edge = 1 - p_vertex
         if p_vertex:
             for u, cnt in _slot_weights(endpoints):
                 recurse(
@@ -108,59 +102,43 @@ def enumerate_direct_law(f: EdgeStepFunction, t: int) -> GraphLaw:
 def enumerate_collapse_law(f: EdgeStepFunction, t: int) -> GraphLaw:
     """Exact law of the collapsed tree at horizon ``t <= 6``.
 
-    Enumerates every tree attachment vector, every survival pattern, and
-    the ghost label of every collapsed vertex, then applies the production
-    collapse map.  Ghost labels of surviving vertices never influence the
-    result, so they are summed out exactly rather than branched over.
+    One recursion over vertices ``j = 2..t`` in birth order: vertex ``j``
+    attaches over the ``2(j-1)`` slots of the pre-step tree, then survives
+    with probability ``f(j)`` (mark 0, ghost fixed at 1) or collapses
+    (mark 1, ghost drawn over those same slots).  A survivor's ghost never
+    influences the result, so it is summed out exactly rather than
+    branched over.  Each finished tree goes through the production
+    collapse map.
     """
     if not 1 <= t <= MAX_ENUM_T:
         raise ValueError(f"collapse enumeration supports 1 <= t <= {MAX_ENUM_T}, got {t}")
     probs: dict = {}
-    p_keep = [None, None] + [_coin_weights(f, j)[0] for j in range(2, t + 1)]
 
-    def finish(w: list, keep: list, ell: list, weight: Fraction) -> None:
-        tree = DoublyLabeledTree(
-            w=np.array([0, 0] + w, dtype=np.int64),
-            ell=np.array([0, 0] + ell, dtype=np.int64),
-            u=np.array([0.0, 0.0] + [0.0 if k else 1.0 for k in keep]),
-            seed=0,
-        )
-        key = canonical_key(collapse(tree, f))
-        probs[key] = probs.get(key, Fraction(0)) + weight
-
-    def recurse_labels(w: list, keep: list, j: int, ell: list, weight: Fraction) -> None:
+    # endpoints lists the tree's slots [1, 1, w(2), 2, w(3), 3, ...]
+    def recurse(j: int, endpoints: list, ell: list, u: list, weight: Fraction) -> None:
         if j > t:
-            finish(w, keep, ell, weight)
-            return
-        if keep[j - 2]:
-            recurse_labels(w, keep, j + 1, ell + [1], weight)
+            tree = DoublyLabeledTree(
+                w=np.array([0, 0] + endpoints[2::2], dtype=np.int64),
+                ell=np.array([0, 0] + ell, dtype=np.int64),
+                u=np.array([0.0, 0.0] + u),
+                seed=0,
+            )
+            key = canonical_key(collapse(tree, f))
+            probs[key] = probs.get(key, Fraction(0)) + weight
             return
         width = 2 * (j - 1)
-        slots = [1, 1]
-        for i, wi in enumerate(w):
-            slots += [wi, i + 2]
-        for u, cnt in _slot_weights(slots[:width]):
-            recurse_labels(w, keep, j + 1, ell + [u], weight * Fraction(cnt, width))
+        p_keep = Fraction(f.eval(j))
+        slots = _slot_weights(endpoints)
+        for w, cw in slots:
+            grown, attached = endpoints + [w, j], weight * Fraction(cw, width)
+            if p_keep:
+                recurse(j + 1, grown, ell + [1], u + [0.0], attached * p_keep)
+            if 1 - p_keep:
+                collapsed = attached * (1 - p_keep)
+                for g, cg in slots:
+                    recurse(j + 1, grown, ell + [g], u + [1.0], collapsed * Fraction(cg, width))
 
-    def recurse_keep(w: list, j: int, keep: list, weight: Fraction) -> None:
-        if j > t:
-            recurse_labels(w, keep, 2, [], weight)
-            return
-        pk = p_keep[j]
-        if pk:
-            recurse_keep(w, j + 1, keep + [True], weight * pk)
-        if 1 - pk:
-            recurse_keep(w, j + 1, keep + [False], weight * (1 - pk))
-
-    def recurse_tree(j: int, w: list, endpoints: list, weight: Fraction) -> None:
-        if j > t:
-            recurse_keep(w, 2, [], weight)
-            return
-        width = 2 * (j - 1)
-        for u, cnt in _slot_weights(endpoints):
-            recurse_tree(j + 1, w + [u], endpoints + [u, j], weight * Fraction(cnt, width))
-
-    recurse_tree(2, [], [1, 1], Fraction(1))
+    recurse(2, [1, 1], [], [], Fraction(1))
     return GraphLaw(t=t, probs=probs)
 
 

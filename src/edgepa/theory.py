@@ -39,10 +39,9 @@ def transition_probs(d, t, fnext):
         raise ValueError(f"fnext must lie in [0, 1], got {fnext}")
     x = d / (2 * t)
     xc = 1 - x
-    p0 = fnext * xc + (1 - fnext) * xc * xc
-    p1 = fnext * x + 2 * (1 - fnext) * x * xc
-    p2 = (1 - fnext) * x * x
-    return (p0, p1, p2)
+    g = 1 - fnext
+    gxc = g * xc
+    return (xc * (fnext + gxc), x * (fnext + 2 * gxc), g * x * x)
 
 
 def expected_degree(f: EdgeStepFunction, t0: int, t: int) -> float:
@@ -123,9 +122,9 @@ def vertex_path_mean_ub(f: EdgeStepFunction, t0: int, t: int, k: int) -> float:
         raise ValueError(f"need k >= 3, got {k}")
     if not 2 <= t0 < t:
         raise ValueError(f"need 2 <= t0 < t, got t0={t0}, t={t}")
+    ladder = f.weighted_tail_sum(t0, t)
     js = np.arange(t0, t + 1, dtype=np.int64)
     fv = f.eval_array(js)
-    ladder = float(np.sum(fv / (js - 1.0)))
     # pair sum: for each s1, the later f-mass is total - cumsum(f)[s1]
     later_mass = float(np.sum(fv)) - np.cumsum(fv)
     pair_sum = float(np.sum(fv / (js + 1.0) * later_mass))

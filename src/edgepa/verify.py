@@ -108,6 +108,12 @@ def _records(families: list[str], horizons: list[int], reps: int, seed: int, **t
     return rows
 
 
+def _replicates(measure, f, t: int, reps: int, seed: int) -> np.ndarray:
+    """``measure`` of ``reps`` evolved graphs as floats; replicate ``r`` is
+    evolved from ``child_seed(seed, r)``."""
+    return np.array([measure(evolve(f, t, _rng.child_seed(seed, r))) for r in range(reps)], dtype=float)
+
+
 # -- C1 / C2: oracle ----------------------------------------------------------
 
 
@@ -197,15 +203,13 @@ def c03_increment_law(seed: int = DEFAULT_SEED) -> Verdict:
     empirical_ok = worst <= 3.0 and base == 2
 
     # exact unit-mass identity on a rational grid
-    exact_ok = True
-    ts = np.unique(np.linspace(1, 1000, 100).astype(int))
     fr = [Fraction(k, 10) for k in range(11)]
-    for t in ts:
-        ds = np.unique(np.linspace(1, 2 * int(t), 100).astype(int))
-        for d in ds:
-            for fv in fr:
-                if sum(theory.transition_probs(Fraction(int(d)), int(t), fv)) != 1:
-                    exact_ok = False
+    exact_ok = all(
+        sum(theory.transition_probs(Fraction(int(d)), int(t), fv)) == 1
+        for t in np.unique(np.linspace(1, 1000, 100).astype(int))
+        for d in np.unique(np.linspace(1, 2 * int(t), 100).astype(int))
+        for fv in fr
+    )
     return (
         empirical_ok and exact_ok,
         f"freqs {tuple(round(float(x), 5) for x in freqs)}, worst z={worst:.2f}, grid exact={exact_ok}",
@@ -233,10 +237,7 @@ def c04_expected_degree(seed: int = DEFAULT_SEED) -> Verdict:
 @criterion("C5", "vertex-count", "process")
 def c05_vertex_count(seed: int = DEFAULT_SEED) -> Verdict:
     f, t, reps = constant(0.5), 10**5, 200
-    base = _rng.child_seed(seed, 5)
-    counts = np.array(
-        [evolve(f, t, _rng.child_seed(base, r)).n_vertices for r in range(reps)], dtype=float
-    )
+    counts = _replicates(lambda g: g.n_vertices, f, t, reps, _rng.child_seed(seed, 5))
     want = f.partial_sum(t)
     sigma = math.sqrt((t - 1) * 0.25 / reps)
     z = abs(counts.mean() - want) / sigma
@@ -399,13 +400,8 @@ def c15_oscillating_regime(seed: int = DEFAULT_SEED) -> Verdict:
 @criterion("C12", "isolated-path-moment", "paths")
 def c12_isolated_path_moment(seed: int = DEFAULT_SEED) -> Verdict:
     f, t, l, xi, reps = constant(0.5), 2000, 2, 0.5, 10**3
-    base = _rng.child_seed(seed, 12)
-    counts = np.array(
-        [
-            ob.count_isolated_in_window(evolve(f, t, _rng.child_seed(base, r)), l, xi)
-            for r in range(reps)
-        ],
-        dtype=float,
+    counts = _replicates(
+        lambda g: ob.count_isolated_in_window(g, l, xi), f, t, reps, _rng.child_seed(seed, 12)
     )
     lb = theory.isolated_path_mean_lb(f, t, l, xi)
     sem = counts.std(ddof=1) / math.sqrt(reps)
@@ -421,13 +417,8 @@ def c12_isolated_path_moment(seed: int = DEFAULT_SEED) -> Verdict:
 def c13_vertex_path_moment(seed: int = DEFAULT_SEED) -> Verdict:
     f, t, k, reps = constant(0.3), 10**4, 4, 10**3
     t0 = theory.t13(t)
-    base = _rng.child_seed(seed, 13)
-    counts = np.array(
-        [
-            ob.count_vertex_paths(evolve(f, t, _rng.child_seed(base, r)), t0, k)
-            for r in range(reps)
-        ],
-        dtype=float,
+    counts = _replicates(
+        lambda g: ob.count_vertex_paths(g, t0, k), f, t, reps, _rng.child_seed(seed, 13)
     )
     ub = theory.vertex_path_mean_ub(f, t0, t, k)
     sem = counts.std(ddof=1) / math.sqrt(reps)

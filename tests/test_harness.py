@@ -711,3 +711,27 @@ def test_bench_memory_script_runs_one_record_per_family(tmp_path, monkeypatch):
     assert coupled["checkout"] == "after" and coupled["t"] == 1000 and coupled["n_vertices"] == 1000
     assert list(coupled["maxrss_mb_after"]) == ["grow_tree", "collapse", "graph_validate", "tree_validate"]
     assert coupled["malloc_mmap_threshold"] == bench.MALLOC_MMAP_THRESHOLD
+
+
+def test_same_verdicts_script_names_each_changed_cid(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "same_verdicts.py"
+    spec = importlib.util.spec_from_file_location("same_verdicts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def verdict(cid, **fields):
+        return {"cid": cid, "name": "n", "passed": True, "measured": "m", "expected": "e", "seconds": 1.0, **fields}
+
+    def compare(before, after):
+        paths = [tmp_path / "before.json", tmp_path / "after.json"]
+        for p, rows in zip(paths, (before, after)):
+            p.write_text(json.dumps(rows))
+        code = script.main([str(p) for p in paths])
+        return code, [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+
+    before = [verdict("C1"), verdict("C2"), verdict("C16", measured="t=1e6 in 0.06s")]
+    # seconds, and C16's timings, are not compared
+    same = [verdict("C1", seconds=9.0), before[1], verdict("C16", measured="t=1e6 in 0.09s")]
+    assert compare(before, same) == (0, ["3 verdicts identical"])
+    after = [verdict("C1", passed=False), verdict("C2", expected="x"), verdict("C16", expected="x"), verdict("C3")]
+    assert compare(before, after) == (1, ["C1", "C2", "C16", "C3"])

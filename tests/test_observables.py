@@ -533,7 +533,8 @@ def test_clique_exact_statuses(monkeypatch):
     omega, status, nodes = ob.clique_exact(view)
     greedy = ob.clique_greedy(view, g.degrees())
     assert status == "exact" and nodes > 1 and omega > greedy
-    size, status, spent = ob.clique_exact(view, node_budget=1)
+    monkeypatch.setattr(ob, "_NODE_BUDGET", 1)
+    size, status, spent = ob.clique_exact(view)
     assert status == "lower_bound" and spent == 1
     assert greedy <= size <= omega
     # a core too large for its bitmasks is left unsearched and flagged

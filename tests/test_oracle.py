@@ -45,6 +45,12 @@ def test_collapse_law_equals_direct_law(f, t):
     assert orc.law_distance(direct, collapsed) < 1e-10
 
 
+def test_collapse_law_equals_direct_law_log_at_t5():
+    # log:1 differs at every step, so survival read one step late shows at
+    # t = 5 as it does at t = 3 and 4
+    test_collapse_law_equals_direct_law(es.log_class(1.0), 5)
+
+
 def test_law_distance_extremes():
     a = orc.GraphLaw(2, {"x": Fraction(1)})
     assert orc.law_distance(a, a) == 0.0
