@@ -43,8 +43,6 @@ from .observables import (
     degree_histogram,
     diameter_bounds,
     isolated_paths,
-    max_degree,
-    max_vertex_path,
     measure_graph,
     simple_view,
 )

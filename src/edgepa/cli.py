@@ -9,10 +9,11 @@ Subcommands::
 
 Both ``generate`` and ``couple`` build each replicate's graph once, at the
 largest horizon, and measure every horizon on a prefix of it.  Flags
-mirror config-file keys (flat ``key=value`` lines, ``#`` comments); flags
-override the file.  Exit status: 0 on success, 1 when a verify criterion
-fails or a generate/couple record holds an error, 2 on usage errors
-(including specs that fail validation).
+mirror config-file keys (flat ``key=value`` lines, ``#`` comments): a
+config file sets its subcommand's defaults, so argparse types every
+value and flags override the file.  Exit status: 0 on success, 1 when a
+verify criterion fails or a generate/couple record holds an error, 2 on
+usage errors (including specs that fail validation).
 """
 
 from __future__ import annotations
@@ -66,11 +67,13 @@ def _parse_int_list(key: str, text: str) -> list[int]:
     return [_parse_int(key, token) for token in text.replace(",", " ").split()]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and each subcommand's own parser, whose defaults a
+    config file sets."""
     parser = argparse.ArgumentParser(prog="edgepa", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, families=True):
+    def common(p, fmt="csv", families=True):
         p.add_argument("--config", help="flat key=value config file; flags override it")
         if families:
             p.add_argument(
@@ -80,22 +83,23 @@ def _build_parser() -> argparse.ArgumentParser:
                 "repeat for a grid",
             )
             p.add_argument("--t", help="comma-separated horizons, e.g. 1000,10000")
-            p.add_argument("--reps", type=int, help="replicates, one trajectory each (default 1)")
+            p.add_argument("--reps", type=int, default=1, help="replicates, one trajectory each (default 1)")
             p.add_argument("--seed", type=int, help="run seed (required: no silent nondeterminism)")
-            p.add_argument("--jobs", type=int, help="parallel workers (default 1)")
+            p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
             p.add_argument("--no-diameter", action="store_true", help="skip diameter measurement")
             p.add_argument("--no-clique", action="store_true", help="skip clique measurement")
             p.add_argument("--no-paths", action="store_true", help="skip chain/path measurement")
             p.add_argument("--clique-exact", action="store_true", help="also run exact clique search")
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=experiments.FORMATS, help="record format (default csv)")
+        p.add_argument("--format", choices=experiments.FORMATS, default=fmt,
+                       help=f"record format (default {fmt})")
 
     p_gen = sub.add_parser("generate", help="run the direct process and measure")
     common(p_gen)
     p_gen.add_argument("--dump-graphs", metavar="DIR", help="also dump each generated graph")
 
     p_obs = sub.add_parser("observe", help="measure a dumped graph file")
-    common(p_obs, families=False)
+    common(p_obs, fmt="json", families=False)
     p_obs.add_argument("graph", help="path to a graph dump")
 
     p_cpl = sub.add_parser("couple", help="collapse shared trees under two or more families")
@@ -107,63 +111,44 @@ def _build_parser() -> argparse.ArgumentParser:
         "--suite",
         help=f"one of: {', '.join(sorted(verify.SUITES))}",
     )
-    p_ver.add_argument("--seed", type=int, help=f"suite seed (default {verify.DEFAULT_SEED})")
+    p_ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED,
+                       help=f"suite seed (default {verify.DEFAULT_SEED})")
     p_ver.add_argument("--json", action="store_true", help="print the results as one JSON array")
-    return parser
+    return parser, {"generate": p_gen, "observe": p_obs, "couple": p_cpl, "verify": p_ver}
 
 
 _CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
 
 
-def _merged(args: argparse.Namespace, key: str, cast, default=None):
-    """Flag value if given, else config value, else default."""
-    val = getattr(args, key, None)
-    if val is not None and val is not False:  # 0 is a value, not an absent flag
-        return val
-    cfg = getattr(args, "_config", {})
-    if key not in cfg:
-        return default
-    raw = cfg[key]
-    try:
-        return _CONFIG_BOOLS[raw.lower()] if cast is bool else cast(raw)
-    except (KeyError, ValueError):
-        raise UsageError(f"config {key}={raw!r}: not a valid {cast.__name__}") from None
-
-
 def _out_path(args: argparse.Namespace) -> str | None:
     """``out``, checked before anything is measured: a directory is no file."""
-    out = _merged(args, "out", str)
-    if out and os.path.isdir(out):
-        raise UsageError(f"out must be a file path, got the directory {out!r}")
-    return out
+    if args.out and os.path.isdir(args.out):
+        raise UsageError(f"out must be a file path, got the directory {args.out!r}")
+    return args.out
 
 
 def _spec_from_args(args: argparse.Namespace) -> experiments.ExperimentSpec:
-    cfg = getattr(args, "_config", {})
-    families = args.family or (cfg.get("family", "").split() or None)
-    if not families:
+    if not args.family:
         raise UsageError("at least one --family is required")
-    horizons_raw = _merged(args, "t", str)
-    if not horizons_raw:
+    if not args.t:
         raise UsageError("--t is required")
-    seed = _merged(args, "seed", int)
-    if seed is None:
+    if args.seed is None:
         raise UsageError("--seed is required")
     spec = experiments.ExperimentSpec(
-        families=list(families),
-        horizons=_parse_int_list("t", str(horizons_raw)),
-        reps=_merged(args, "reps", int, 1),
-        seed=seed,
+        families=args.family,
+        horizons=_parse_int_list("t", args.t),
+        reps=args.reps,
+        seed=args.seed,
         coupled=args.command == "couple",
-        diameter=not _merged(args, "no_diameter", bool, False),
-        clique=not _merged(args, "no_clique", bool, False),
-        paths=not _merged(args, "no_paths", bool, False),
-        clique_exact=_merged(args, "clique_exact", bool, False),
+        diameter=not args.no_diameter,
+        clique=not args.no_clique,
+        paths=not args.no_paths,
+        clique_exact=args.clique_exact,
         out=_out_path(args),
-        fmt=_merged(args, "format", str, "csv"),
-        jobs=_merged(args, "jobs", int, 1),
-        dump_dir=_merged(args, "dump_graphs", str),
+        fmt=args.format,
+        jobs=args.jobs,
+        dump_dir=getattr(args, "dump_graphs", None),  # couple has no --dump-graphs
     )
     try:
         spec.validate()
@@ -194,9 +179,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_observe(args) -> int:
     out = _out_path(args)
-    fmt = _merged(args, "format", str, "json")
-    if fmt not in experiments.FORMATS:  # a config value, which skips the flag's choices
-        raise UsageError(f"format must be csv or json, got {fmt!r}")
+    if args.format not in experiments.FORMATS:  # a config value, which skips the flag's choices
+        raise UsageError(f"format must be csv or json, got {args.format!r}")
     try:
         with open(args.graph) as fh:
             g = load_graph(fh)
@@ -207,7 +191,7 @@ def _cmd_observe(args) -> int:
     ids = experiments.record_ids("observe", g.family or "-", g.t, 0, g.seed)
     record = experiments.record(ids, g, g.family)
     if out:
-        experiments.write_records([record], out, fmt)
+        experiments.write_records([record], out, args.format)
         print(f"wrote 1 record to {out}")
     else:
         json.dump(record, sys.stdout, indent=1)
@@ -216,19 +200,17 @@ def _cmd_observe(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    suite = _merged(args, "suite", str)
-    if not suite:
+    if not args.suite:
         raise UsageError("--suite is required")
-    seed = _merged(args, "seed", int, verify.DEFAULT_SEED)
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     try:
-        verify.suite_criteria(suite)
+        verify.suite_criteria(args.suite)
     except ValueError as exc:  # an unknown name; a criterion's own ValueError is a failure
         raise UsageError(str(exc)) from None
-    results = verify.run_suite(suite, seed)
+    results = verify.run_suite(args.suite, args.seed)
     failed = [r for r in results if not r.passed]
-    if _merged(args, "json", bool, False):
+    if args.json:
         json.dump([asdict(r) for r in results], sys.stdout, indent=1)
         print()
     else:
@@ -239,7 +221,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
         "generate": _cmd_run,
@@ -248,12 +230,22 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-        # command, config and observe's dump path are arguments, but no config sets them
-        unknown = sorted(set(cfg) - (set(vars(args)) - {"command", "config", "graph"}))
-        if unknown:
-            raise UsageError(f"config {args.config}: no {args.command} option named {', '.join(unknown)}")
-        args._config = cfg
+        if args.config:
+            cfg = _read_config(args.config)
+            # command, config and observe's dump path are arguments, but no config sets them
+            unknown = sorted(set(cfg) - (set(vars(args)) - {"command", "config", "graph"}))
+            if unknown:
+                raise UsageError(f"config {args.config}: no {args.command} option named {', '.join(unknown)}")
+            for key, raw in cfg.items():
+                if isinstance(getattr(args, key), bool):  # a switch, whose default argparse never casts
+                    if raw.lower() not in _CONFIG_BOOLS:
+                        raise UsageError(f"config {key}={raw!r}: not a valid bool")
+                    cfg[key] = _CONFIG_BOOLS[raw.lower()]
+            if "family" in cfg:  # --family appends to its default, so given flags replace the file's list
+                cfg["family"] = None if args.family else cfg["family"].split()
+            # string defaults go through each option's type, as flags do
+            commands[args.command].set_defaults(**cfg)
+            args = parser.parse_args(argv)
         return handlers[args.command](args)
     except (UsageError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

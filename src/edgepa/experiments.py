@@ -63,7 +63,7 @@ class ExperimentSpec:
     clique: bool = True
     paths: bool = True
     clique_exact: bool = False
-    refine_budget: int = 256
+    refine_budget: int = observables.REFINE_BUDGET
     out: Optional[str] = None
     fmt: str = "csv"
     jobs: int = 1

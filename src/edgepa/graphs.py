@@ -79,26 +79,25 @@ class MultiGraph:
         birth_time = np.empty(self.n_vertices, dtype=self.endpoints.dtype)
         parent = np.empty(self.n_vertices, dtype=self.endpoints.dtype)
         birth_time[0], parent[0] = 1, 0
-        z, first = self.step_type[1:], self.endpoints[2::2]  # steps 2..t, slot 2s - 2 of each
-        k, chunk = 1, _es.STEP_CHUNK
-        for lo in range(0, len(z), chunk):
-            at = np.flatnonzero(z[lo : lo + chunk])
-            birth_time[k : k + len(at)] = at + (lo + 2)
-            first[lo : lo + chunk].take(at, out=parent[k : k + len(at)])
-            k += len(at)
+        for first, new, steps in self._vertex_step_slots(0):
+            born = slice(new[0] - 1, new[-1])
+            birth_time[born] = steps
+            parent[born] = first
         self.__dict__.update(birth_time=birth_time, parent=parent)
         return birth_time, parent
 
     def _vertex_step_slots(self, slot: int):
-        """For each block of ``STEP_CHUNK`` steps from step 2 on: the ids in
-        slot ``2s - 2 + slot`` of its vertex-steps ``s``, and the new ids
-        those steps create."""
+        """For each block of ``STEP_CHUNK`` steps from step 2 on that holds a
+        vertex-step: the ids in slot ``2s - 2 + slot`` of its vertex-steps
+        ``s``, the new ids those steps create, and the steps ``s``."""
         z, ends, chunk = self.step_type[1:], self.endpoints[2 + slot :: 2], _es.STEP_CHUNK
         newest = 1
         for lo in range(0, len(z), chunk):
-            got = ends[lo : lo + chunk][z[lo : lo + chunk]]
-            yield got, np.arange(newest + 1, newest + 1 + len(got))
-            newest += len(got)
+            at = np.flatnonzero(z[lo : lo + chunk])
+            if len(at):
+                got = ends[lo : lo + chunk].take(at)
+                yield got, np.arange(newest + 1, newest + 1 + len(at)), at + (lo + 2)
+                newest += len(at)
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex (loops count twice), indexed by id - 1, as
@@ -139,9 +138,9 @@ class MultiGraph:
             raise ValueError("endpoint ids out of range")
         # slot 2s - 2 of each vertex-step s >= 2 holds its parent, slot
         # 2s - 1 the new id
-        if any(np.any(first >= new) for first, new in self._vertex_step_slots(0)):
+        if any(np.any(first >= new) for first, new, _ in self._vertex_step_slots(0)):
             raise ValueError("parents must be strictly older vertices")
-        if any(np.any(second != new) for second, new in self._vertex_step_slots(1)):
+        if any(np.any(second != new) for second, new, _ in self._vertex_step_slots(1)):
             raise ValueError("vertex-step slots must hold the new vertex id")
 
 
@@ -233,9 +232,9 @@ class _BlockResolver:
         k = len(inner)
         if not k:
             return
-        tgt = r.take(inner).astype(np.intp)
-        self.pos[inner] = np.arange(1, k + 1)
-        jump = np.zeros(k + 1, dtype=np.intp)  # the number of each link's target, 0 at a root
+        tgt = r.take(inner)
+        self.pos[inner] = np.arange(1, k + 1, dtype=r.dtype)
+        jump = np.zeros(k + 1, dtype=r.dtype)  # the number of each link's target, 0 at a root
         jump[1:] = self.pos[tgt]
         self.pos[inner] = 0
         total = np.zeros(k + 1, dtype=block.dtype)

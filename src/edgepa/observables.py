@@ -121,10 +121,6 @@ def _view_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> SimpleView:
 # -- tallies -----------------------------------------------------------------
 
 
-def max_degree(degrees: np.ndarray) -> int:
-    return int(degrees.max())
-
-
 def degree_histogram(degrees: np.ndarray) -> dict[int, int]:
     counts = np.bincount(degrees)
     present = np.flatnonzero(counts)
@@ -267,7 +263,12 @@ def _tree_diameter(parent: np.ndarray) -> int:
     return int(resolve_backward_links(parent, w).max())
 
 
-def diameter_bounds(view: SimpleView, refine_budget: int = 256) -> tuple[int, int]:
+#: Fringe searches that :func:`diameter_bounds` runs before it settles for
+#: a bracket.
+REFINE_BUDGET = 256
+
+
+def diameter_bounds(view: SimpleView, refine_budget: int = REFINE_BUDGET) -> tuple[int, int]:
     """Certified diameter bracket ``(lb, ub)``, with ``lb == ub`` unless the
     budget of fringe searches ran out.
 
@@ -557,11 +558,6 @@ def vertex_path_depths(g: MultiGraph, t0: int) -> np.ndarray:
     return depth
 
 
-def max_vertex_path(g: MultiGraph, t0: int) -> int:
-    """Maximal first-connection chain length among vertices born at >= ``t0``."""
-    return int(vertex_path_depths(g, t0).max())
-
-
 def count_vertex_paths(g: MultiGraph, t0: int, k: int) -> int:
     """Number of chains of length exactly ``k`` (one per vertex of depth >= k)."""
     if k < 1:
@@ -624,7 +620,7 @@ def measure_graph(
     diameter: bool = True,
     clique: bool = True,
     paths: bool = True,
-    refine_budget: int = 256,
+    refine_budget: int = REFINE_BUDGET,
     want_clique_exact: bool = False,
 ) -> ObservableReport:
     """Measure the toggled observables of one graph into a report."""
@@ -635,7 +631,7 @@ def measure_graph(
     degrees = g.degrees()  # made after the diameter search, whose peak it would raise
     report = ObservableReport(
         n_vertices=g.n_vertices,
-        max_degree=max_degree(degrees),
+        max_degree=int(degrees.max()),
         degree_histogram=degree_histogram(degrees),
         simple_edges=view.n_edges,
         diameter_lower=lo,
@@ -653,7 +649,7 @@ def measure_graph(
         report.isolated_path_count = sum(chains.values())
         report.isolated_path_max = max(chains, default=0)
         report.vertex_path_t0 = t13(g.t)
-        report.max_vertex_path = max_vertex_path(g, report.vertex_path_t0)
+        report.max_vertex_path = int(vertex_path_depths(g, report.vertex_path_t0).max())
     report.check()
     return report
 

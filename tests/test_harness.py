@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -436,11 +437,14 @@ def test_cli_usage_errors(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just-a-line\n")
     assert main(["generate", "--config", str(cfg)]) == 2
-    # a config value that fails its cast names the key and the value
+    # a config value is the option's default, so argparse rejects a bad
+    # number as it rejects the flag's
     cfg.write_text("family=const:0.5\nt=100\nseed=1\nreps=abc\n")
     capsys.readouterr()
-    assert main(["generate", "--config", str(cfg)]) == 2
-    assert "reps='abc'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "argument --reps: invalid int value: 'abc'" in capsys.readouterr().err
     cfg.write_text("family=const:0.5\nt=100\nseed=1\nclique_exact=ture\n")
     assert main(["generate", "--config", str(cfg)]) == 2
     assert "clique_exact='ture'" in capsys.readouterr().err
@@ -603,6 +607,16 @@ def test_cli_config_and_override(tmp_path):
     assert row["diameter_method"] == "exact"
 
 
+def test_cli_family_flags_replace_the_config_families(tmp_path):
+    # --family appends to its default, so the file's list must not become it
+    out, cfg = tmp_path / "r.csv", tmp_path / "run.cfg"
+    cfg.write_text(f"family=const:0.5 ba\nt=40\nseed=3\nout={out}\nno_paths=yes\n")
+    assert main(["generate", "--config", str(cfg)]) == 0
+    assert sorted(r["family"] for r in ex.read_records(str(out))) == ["ba", "const:0.5"]
+    assert main(["generate", "--config", str(cfg), "--family", "log:1", "--family", "rv:0.5"]) == 0
+    assert sorted(r["family"] for r in ex.read_records(str(out))) == ["log:1", "rv:0.5"]
+
+
 def test_cli_zero_is_a_given_value(tmp_path, monkeypatch):
     out = tmp_path / "r.csv"
     assert main(["generate", "--family", "const:0.5", "--t", "50", "--seed", "0", "--out", str(out)]) == 0
@@ -628,8 +642,30 @@ def test_cli_rejects_a_negative_seed(capsys):
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
-def test_cli_verify_exit_codes():
+def _stub_criterion(cid: str, passed: bool):
+    """A criterion that runs nothing: its verdict is fixed, and its
+    measured text names the seed it was given."""
+    def run(seed):
+        return verify.CriterionResult(cid, "stub", passed, f"seed {seed}", "a stub", 1.5)
+    return run
+
+
+def test_cli_verify_exit_codes(capsys, monkeypatch):
+    passing, failing = _stub_criterion("C1", True), _stub_criterion("C2", False)
+    monkeypatch.setitem(verify.SUITES, "observables", [passing])
     assert main(["verify", "--suite", "observables"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"[PASS] C1 stub: measured seed {verify.DEFAULT_SEED}; expected a stub (1.5s)",
+        "1/1 criteria passed",
+    ]
+    monkeypatch.setitem(verify.SUITES, "observables", [passing, failing])
+    assert main(["verify", "--suite", "observables", "--seed", "5"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] C1 stub: measured seed 5; expected a stub (1.5s)",
+        "[FAIL] C2 stub: measured seed 5; expected a stub (1.5s)",
+        "1/2 criteria passed",
+    ]
+    assert main(["verify", "--suite", "bogus"]) == 2
 
 
 def test_cli_verify_rejects_a_negative_seed(capsys):
@@ -648,16 +684,16 @@ def test_cli_verify_criterion_value_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_cli_verify_json(capsys, monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "observables", [_stub_criterion("C14", True)])
     assert main(["verify", "--suite", "observables", "--json"]) == 0
     results = json.loads(capsys.readouterr().out)
     assert [r["cid"] for r in results] == ["C14"]
     assert results[0]["passed"] is True
     assert set(results[0]) == {"cid", "name", "passed", "measured", "expected", "seconds"}
     assert main(["verify", "--suite", "bogus", "--json"]) == 2
-    failing = ex.observables.clique_exact
-    monkeypatch.setattr(ex.observables, "clique_exact", lambda view: (failing(view)[0] + 1, "exact", 0))
+    monkeypatch.setitem(verify.SUITES, "observables", [_stub_criterion("C14", True), _stub_criterion("C15", False)])
     assert main(["verify", "--suite", "observables", "--json"]) == 1
-    assert json.loads(capsys.readouterr().out)[0]["passed"] is False
+    assert [r["passed"] for r in json.loads(capsys.readouterr().out)] == [True, False]
 
 
 def test_criteria_registry():
@@ -735,3 +771,36 @@ def test_same_verdicts_script_names_each_changed_cid(tmp_path, capsys):
     assert compare(before, same) == (0, ["3 verdicts identical"])
     after = [verdict("C1", passed=False), verdict("C2", expected="x"), verdict("C16", expected="x"), verdict("C3")]
     assert compare(before, after) == (1, ["C1", "C2", "C16", "C3"])
+
+
+def test_same_records_script_names_each_changed_cell(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "same_records.py"
+    spec = importlib.util.spec_from_file_location("same_records", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def row(family, t, **cells):
+        return {"family": family, "t": t, "rep": 0, "max_degree": 5, "error": "", "wall_time": 0.5, **cells}
+
+    def compare(before, after, fmt):
+        paths = [tmp_path / f"before.{fmt}", tmp_path / f"after.{fmt}"]
+        for p, rows in zip(paths, (before, after)):
+            if fmt == "json":
+                p.write_text(json.dumps(rows))
+                continue
+            with open(p, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        code = script.main([str(p) for p in paths])
+        return code, [line.partition(": ")[0] for line in capsys.readouterr().out.splitlines()]
+
+    before = [row("ba", 10), row("ba", 20), row("const:0.5", 10)]
+    for fmt in ("csv", "json"):
+        # wall_time is not compared
+        same = [row("ba", 10, wall_time=9.0), row("ba", 20), row("const:0.5", 10)]
+        assert compare(before, same, fmt) == (0, ["3 records identical"])
+        after = [row("ba", 10, max_degree=6), row("const:0.5", 10, error="boom"), row("log:1", 10)]
+        assert compare(before, after, fmt) == (1, [
+            "ba t=10 rep=0 max_degree", "ba t=20 rep=0", "const:0.5 t=10 rep=0 error", "log:1 t=10 rep=0",
+        ])
