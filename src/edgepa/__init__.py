@@ -14,17 +14,7 @@ from .coupling import (
     grow_tree,
     tv_upper_bound,
 )
-from .edgestep import (
-    EdgeStepFunction,
-    ba,
-    constant,
-    exp_class,
-    log_class,
-    make_family,
-    oscillating,
-    rv_power,
-    tabulated,
-)
+from .edgestep import EdgeStepFunction, make_family
 from .graphs import (
     MultiGraph,
     canonical_key,
@@ -39,7 +29,6 @@ from .observables import (
     clique_exact,
     clique_greedy,
     count_isolated_in_window,
-    count_vertex_paths,
     degree_histogram,
     diameter_bounds,
     isolated_paths,
@@ -60,7 +49,6 @@ from .theory import (
     isolated_path_mean_lb,
     transition_probs,
     vertex_path_mean_ub,
-    vertex_path_prob_ub,
 )
 
 __version__ = "0.2.0"

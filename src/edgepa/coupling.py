@@ -162,6 +162,7 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
         kernel.resolve(rr, j, link, rank)
         endpoints[j - 1 : j - 1 + k, 0] = rr.take(tree.w[j : j + k], mode="wrap")
         endpoints[j - 1 : j - 1 + k, 1] = rr[j : j + k]
+        del link, rank  # freed before the next block's f values are made
     return MultiGraph(endpoints=endpoints.reshape(-1), step_type=keep[1:], family=f.name, seed=tree.seed)
 
 

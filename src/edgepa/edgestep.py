@@ -19,7 +19,7 @@ workers; ``F(t) = 1 + sum_{s=2..t} f(s)`` is summed afresh on every call.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -189,38 +189,6 @@ _FAMILIES = {
                                  test=lambda v: v.ndim == 1 and v.size > 0 and ((v >= 0) & (v <= 1)).all()),),
                          _tabulated),
 }
-
-
-# -- constructors ---------------------------------------------------------
-
-
-def constant(p: float) -> EdgeStepFunction:
-    return EdgeStepFunction("constant", {"p": p})
-
-
-def ba() -> EdgeStepFunction:
-    """The all-vertex-steps schedule ``f == 1`` (pure preferential tree)."""
-    return EdgeStepFunction("ba", {})
-
-
-def rv_power(gamma: float, scale: float = 1.0) -> EdgeStepFunction:
-    return EdgeStepFunction("rv_power", {"gamma": gamma, "scale": scale})
-
-
-def log_class(alpha: float) -> EdgeStepFunction:
-    return EdgeStepFunction("log_class", {"alpha": alpha})
-
-
-def exp_class(alpha: float) -> EdgeStepFunction:
-    return EdgeStepFunction("exp_class", {"alpha": alpha})
-
-
-def oscillating(base: int) -> EdgeStepFunction:
-    return EdgeStepFunction("oscillating", {"base": base})
-
-
-def tabulated(values: Sequence[float]) -> EdgeStepFunction:
-    return EdgeStepFunction("tabulated", {"values": values})
 
 
 def make_family(descriptor: str) -> EdgeStepFunction:

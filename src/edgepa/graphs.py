@@ -400,9 +400,14 @@ def evolve_batch(
     ``force_coin`` pins the coin of selected steps (e.g. ``{10: True}``
     conditions every replicate on a vertex birth at time 10); the
     remaining coins keep their own draws, so forcing equals conditioning.
+    A forced step outside ``2..t`` has no coin and raises ``ValueError``.
     """
     if t < 1 or reps < 1:
         raise ValueError("need t >= 1 and reps >= 1")
+    force_coin = force_coin or {}
+    outside = sorted(s for s in force_coin if not 2 <= s <= t)
+    if outside:
+        raise ValueError(f"force_coin steps must lie in 2..{t}, got {outside}")
     gen_c = _rng.stream(seed, _rng.COINS)
     gen_s = _rng.stream(seed, _rng.SLOTS)
     fs = f.eval_array(np.arange(2, t + 1, dtype=np.int64))
@@ -422,7 +427,7 @@ def evolve_batch(
         k = min(steps, t - 1 - lo)
         zc = z[lo : lo + k]
         np.less(gen_c.random(out=coins[:k]), fs[lo : lo + k, None], out=zc)
-        for s, coin in (force_coin or {}).items():
+        for s, coin in force_coin.items():
             if lo + 2 <= s < lo + 2 + k:
                 zc[s - lo - 2] = coin
         # step s draws over the 2(s - 1) filled rows

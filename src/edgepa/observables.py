@@ -558,13 +558,6 @@ def vertex_path_depths(g: MultiGraph, t0: int) -> np.ndarray:
     return depth
 
 
-def count_vertex_paths(g: MultiGraph, t0: int, k: int) -> int:
-    """Number of chains of length exactly ``k`` (one per vertex of depth >= k)."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return int(np.count_nonzero(vertex_path_depths(g, t0) >= k))
-
-
 # -- report ---------------------------------------------------------------------
 
 

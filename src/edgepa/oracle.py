@@ -41,9 +41,6 @@ class GraphLaw:
     def total(self) -> Fraction:
         return sum(self.probs.values(), Fraction(0))
 
-    def support_size(self) -> int:
-        return len(self.probs)
-
 
 def law_distance(a: GraphLaw, b: GraphLaw) -> float:
     """Total variation distance ``(1/2) sum |a - b|`` over the key union."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -83,22 +83,6 @@ def isolated_path_mean_lb(f: EdgeStepFunction, t: int, l: int, xi: float) -> flo
         + t * math.log1p(-2.0 * l / (xi * t))
     )
     return math.exp(log_val)
-
-
-def vertex_path_prob_ub(f: EdgeStepFunction, s_vec: Sequence[int]) -> float:
-    """Upper bound on the probability that ``s_vec`` forms a vertex path::
-
-        f(s_1) * (s_k - 1)/(s_1 + 1) * prod_{m=2}^{k} f(s_m) / (2 (s_m - 1))
-    """
-    s = np.asarray(s_vec, dtype=np.int64)
-    if s.size < 2:
-        raise ValueError(f"need at least 2 times, got {s.size}")
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("times must be strictly increasing")
-    fv = f.eval_array(s)
-    out = fv[0] * (s[-1] - 1) / (s[0] + 1)
-    out *= np.prod(fv[1:] / (2.0 * (s[1:] - 1)))
-    return float(out)
 
 
 def t13(t: int) -> int:

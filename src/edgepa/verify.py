@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coupling, experiments, observables as ob, oracle, rng as _rng, theory
-from .edgestep import ba, constant, log_class, oscillating, rv_power, tabulated
+from .edgestep import EdgeStepFunction, make_family
 from .graphs import MultiGraph, evolve, evolve_batch
 
 DEFAULT_SEED = 20250810
@@ -120,7 +120,7 @@ def _replicates(measure, f, t: int, reps: int, seed: int) -> np.ndarray:
 @criterion("C1", "oracle-law-equality", "oracle")
 def c01_oracle_law_equality(seed: int = DEFAULT_SEED) -> Verdict:
     worst = 0.0
-    for f in (constant(0.5), constant(1.0), log_class(1.0)):
+    for f in map(make_family, ("const:0.5", "const:1", "log:1")):
         for t in (2, 3, 4):
             a = oracle.enumerate_direct_law(f, t)
             b = oracle.enumerate_collapse_law(f, t)
@@ -155,21 +155,21 @@ def _generator_vs_law(f, t: int, reps: int, seed: int) -> Verdict:
             worst = max(worst, abs(counts.get(key, 0) - reps * pf) / sd)
     return (
         worst <= 4.0,
-        f"worst outcome z={worst:.2f} over {law.support_size()} outcomes",
+        f"worst outcome z={worst:.2f} over {len(law.probs)} outcomes",
         "every canonical-graph frequency within 4 sigma",
     )
 
 
 @criterion("C2", "generator-vs-oracle", "oracle")
 def c02_generator_vs_oracle(seed: int = DEFAULT_SEED) -> Verdict:
-    return _generator_vs_law(constant(0.5), 4, 10**6, _rng.child_seed(seed, 2))
+    return _generator_vs_law(make_family("const:0.5"), 4, 10**6, _rng.child_seed(seed, 2))
 
 
 @criterion("C19", "generator-vs-oracle-varying-f", "oracle")
 def c19_generator_vs_oracle_varying_f(seed: int = DEFAULT_SEED) -> Verdict:
     # log:1 differs at every step 2..5, so a coin that reads f at the wrong
     # step changes the law, which no constant f can show
-    return _generator_vs_law(log_class(1.0), 5, 10**6, _rng.child_seed(seed, 19))
+    return _generator_vs_law(make_family("log:1"), 5, 10**6, _rng.child_seed(seed, 19))
 
 
 # -- C3 / C4 / C5: direct process ----------------------------------------------
@@ -219,7 +219,7 @@ def c03_increment_law(seed: int = DEFAULT_SEED) -> Verdict:
 
 @criterion("C4", "expected-degree", "process")
 def c04_expected_degree(seed: int = DEFAULT_SEED) -> Verdict:
-    f, t0, t, reps = constant(0.5), 10, 2000, 10**4
+    f, t0, t, reps = make_family("const:0.5"), 10, 2000, 10**4
     batch = evolve_batch(f, t, reps, _rng.child_seed(seed, 4), force_coin={t0: True})
     vid = 1 + batch.z[:, : t0 - 1].sum(axis=1)
     degs = (batch.endpoints == vid[:, None]).sum(axis=1)
@@ -236,7 +236,7 @@ def c04_expected_degree(seed: int = DEFAULT_SEED) -> Verdict:
 
 @criterion("C5", "vertex-count", "process")
 def c05_vertex_count(seed: int = DEFAULT_SEED) -> Verdict:
-    f, t, reps = constant(0.5), 10**5, 200
+    f, t, reps = make_family("const:0.5"), 10**5, 200
     counts = _replicates(lambda g: g.n_vertices, f, t, reps, _rng.child_seed(seed, 5))
     want = f.partial_sum(t)
     sigma = math.sqrt((t - 1) * 0.25 / reps)
@@ -254,10 +254,10 @@ def c05_vertex_count(seed: int = DEFAULT_SEED) -> Verdict:
 @criterion("C6", "tv-coupling", "coupling")
 def c06_tv_coupling(seed: int = DEFAULT_SEED) -> Verdict:
     t, reps = 10**3, 10**4
-    f = constant(0.3)
+    f = make_family("const:0.3")
     values = np.full(t - 1, 0.3)
     values[8:18] += 0.01  # times 10..19
-    h = tabulated(values)
+    h = EdgeStepFunction("tabulated", {"values": values})
     tv = coupling.tv_upper_bound(f, h, t)
     bound = tv + 3.0 * math.sqrt(tv * (1 - tv) / reps)
     frac = coupling.empirical_disagreement(f, h, t, reps, _rng.child_seed(seed, 6))
@@ -332,7 +332,7 @@ def c09_rv_bounded_diameter(seed: int = DEFAULT_SEED) -> Verdict:
 @criterion("C10", "clique-upper-bound", "scaling")
 def c10_clique_upper_bound(seed: int = DEFAULT_SEED) -> Verdict:
     base = _rng.child_seed(seed, 10)
-    families = [constant(0.3), constant(0.7), rv_power(0.5), log_class(1.0), ba(), oscillating(10)]
+    families = [make_family(d) for d in ("const:0.3", "const:0.7", "rv:0.5", "log:1", "ba", "osc:10")]
     rows = [
         experiments.record({}, evolve(f, t, _rng.child_seed(base, 100 * i + 10 * j + r)), f.name,
                            diameter=False, paths=False)
@@ -370,7 +370,7 @@ def c11_clique_growth_slope(seed: int = DEFAULT_SEED) -> Verdict:
 
 @criterion("C15", "oscillating-regime", "scaling")
 def c15_oscillating_regime(seed: int = DEFAULT_SEED) -> Verdict:
-    f = oscillating(30)
+    f = make_family("osc:30")
     t_dense = 30 * 30 - 1      # last step of the edge-only plateau
     t_tree = 30**4             # last step of the following vertex plateau
     threshold = math.log(t_tree) / math.log(math.log(t_tree)) / 4.0
@@ -399,7 +399,7 @@ def c15_oscillating_regime(seed: int = DEFAULT_SEED) -> Verdict:
 
 @criterion("C12", "isolated-path-moment", "paths")
 def c12_isolated_path_moment(seed: int = DEFAULT_SEED) -> Verdict:
-    f, t, l, xi, reps = constant(0.5), 2000, 2, 0.5, 10**3
+    f, t, l, xi, reps = make_family("const:0.5"), 2000, 2, 0.5, 10**3
     counts = _replicates(
         lambda g: ob.count_isolated_in_window(g, l, xi), f, t, reps, _rng.child_seed(seed, 12)
     )
@@ -415,10 +415,11 @@ def c12_isolated_path_moment(seed: int = DEFAULT_SEED) -> Verdict:
 
 @criterion("C13", "vertex-path-moment", "paths")
 def c13_vertex_path_moment(seed: int = DEFAULT_SEED) -> Verdict:
-    f, t, k, reps = constant(0.3), 10**4, 4, 10**3
+    f, t, k, reps = make_family("const:0.3"), 10**4, 4, 10**3
     t0 = theory.t13(t)
     counts = _replicates(
-        lambda g: ob.count_vertex_paths(g, t0, k), f, t, reps, _rng.child_seed(seed, 13)
+        lambda g: np.count_nonzero(ob.vertex_path_depths(g, t0) >= k), f, t, reps,
+        _rng.child_seed(seed, 13),
     )
     ub = theory.vertex_path_mean_ub(f, t0, t, k)
     sem = counts.std(ddof=1) / math.sqrt(reps)
@@ -500,7 +501,7 @@ def c14_observable_oracles(seed: int = DEFAULT_SEED) -> Verdict:
         endpoints=np.array([1, 1, 1, 2, 2, 3, 3, 4, 1, 5, 5, 6, 6, 7, 7, 8]),
         step_type=np.ones(8, dtype=bool),
     )
-    loops = evolve(constant(0.0), 50, _rng.child_seed(seed, 140))
+    loops = evolve(make_family("const:0"), 50, _rng.child_seed(seed, 140))
     fixtures_ok = (
         ob.isolated_paths(line, line.degrees()) == Counter({2: 1})
         and ob.isolated_paths(two, two.degrees()) == Counter({3: 1, 4: 1})
@@ -520,7 +521,7 @@ def c14_observable_oracles(seed: int = DEFAULT_SEED) -> Verdict:
 
 @criterion("C16", "performance", "performance")
 def c16_performance(seed: int = DEFAULT_SEED) -> Verdict:
-    f = constant(0.5)
+    f = make_family("const:0.5")
     evolve(f, 10**4, seed)  # warm-up
     t0 = time.perf_counter()
     evolve(f, 10**6, _rng.child_seed(seed, 16))

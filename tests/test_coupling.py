@@ -44,7 +44,7 @@ def test_grow_tree_third_vertex_label_law():
 
 def test_collapse_identity_under_all_ones():
     tree = cp.grow_tree(200, seed=3)
-    g = cp.collapse(tree, es.ba())
+    g = cp.collapse(tree, es.make_family("ba"))
     assert g.n_vertices == 200
     assert np.array_equal(g.endpoints[2::2], tree.w[2:])
     assert np.array_equal(g.endpoints[3::2], np.arange(2, 201))
@@ -53,7 +53,7 @@ def test_collapse_identity_under_all_ones():
 
 def test_collapse_all_zero_yields_loops():
     tree = cp.grow_tree(40, seed=4)
-    g = cp.collapse(tree, es.constant(0.0))
+    g = cp.collapse(tree, es.make_family("const:0"))
     assert g.n_vertices == 1
     assert g.t == 40
     assert np.all(g.endpoints == 1)
@@ -66,7 +66,7 @@ def test_collapse_hand_trace():
         u=np.array([0.0, 0.0, 0.9, 0.1]),
         seed=0,
     )
-    g = cp.collapse(tree, es.constant(0.5))
+    g = cp.collapse(tree, es.make_family("const:0.5"))
     assert list(g.birth_time) == [1, 3]
     # loop(1), v2's edge becomes a second loop on 1, then the edge {1, v3}
     assert list(g.endpoints) == [1, 1, 1, 1, 1, 2]
@@ -75,15 +75,15 @@ def test_collapse_hand_trace():
 
 def test_coupled_run_shares_randomness():
     tree = cp.grow_tree(150, seed=9)
-    f = es.constant(0.4)
+    f = es.make_family("const:0.4")
     a, b = [cp.collapse(tree, g) for g in (f, f)]
     assert canonical_key(a) == canonical_key(b)
-    tree_graph, loops = [cp.collapse(tree, g) for g in (es.ba(), es.constant(0.0))]
+    tree_graph, loops = [cp.collapse(tree, es.make_family(d)) for d in ("ba", "const:0")]
     assert tree_graph.n_vertices == 150 and loops.n_vertices == 1
 
 
 def test_monotone_observables_samplewise():
-    f, h = es.constant(0.3), es.constant(0.7)
+    f, h = es.make_family("const:0.3"), es.make_family("const:0.7")
     for r in range(200):
         tree = cp.grow_tree(500, seed=_rng.child_seed(1000, r))
         gf, gh = [cp.collapse(tree, g) for g in (f, h)]
@@ -151,31 +151,31 @@ def test_collapse_matches_per_vertex_reference(fam):
 
 
 def test_tv_upper_bound_values():
-    f = es.constant(0.3)
+    f = es.make_family("const:0.3")
     assert cp.tv_upper_bound(f, f, 500) == 0.0
-    assert cp.tv_upper_bound(f, es.constant(0.4), 101) == pytest.approx(10.0)
+    assert cp.tv_upper_bound(f, es.make_family("const:0.4"), 101) == pytest.approx(10.0)
     bumped = np.full(999, 0.3)
     bumped[8:18] += 0.01  # times 10..19
-    assert cp.tv_upper_bound(f, es.tabulated(bumped), 1000) == pytest.approx(0.1)
+    assert cp.tv_upper_bound(f, es.EdgeStepFunction("tabulated", {"values": bumped}), 1000) == pytest.approx(0.1)
 
 
 def test_empirical_disagreement_trivial_cases():
-    f = es.constant(0.3)
+    f = es.make_family("const:0.3")
     assert cp.empirical_disagreement(f, f, 100, reps=50, seed=1) == 0.0
     # functions differing only beyond the horizon never disagree
     base = np.full(499, 0.3)
     late = base.copy()
     late[-100:] = 0.9  # times 401..500
-    f_tab, h_tab = es.tabulated(base), es.tabulated(late)
+    f_tab, h_tab = (es.EdgeStepFunction("tabulated", {"values": v}) for v in (base, late))
     assert cp.empirical_disagreement(f_tab, h_tab, 400, reps=50, seed=2) == 0.0
     assert cp.empirical_disagreement(f_tab, h_tab, 500, reps=50, seed=3) > 0.5
 
 
 def test_empirical_disagreement_respects_l1_bound():
-    f = es.constant(0.3)
+    f = es.make_family("const:0.3")
     bumped = np.full(499, 0.3)
     bumped[8:18] += 0.02
-    h = es.tabulated(bumped)
+    h = es.EdgeStepFunction("tabulated", {"values": bumped})
     reps = 2000
     tv = cp.tv_upper_bound(f, h, 500)
     frac = cp.empirical_disagreement(f, h, 500, reps=reps, seed=4)

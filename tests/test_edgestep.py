@@ -12,16 +12,16 @@ from edgepa import edgestep as es
 from edgepa.cli import main
 
 FAMILIES = [
-    es.constant(0.5),
-    es.constant(0.0),
-    es.ba(),
-    es.rv_power(0.5),
-    es.rv_power(2.0, scale=3.0),
-    es.log_class(1.0),
-    es.log_class(0.3),
-    es.exp_class(0.5),
-    es.oscillating(10),
-    es.tabulated([0.9, 0.5, 0.25, 0.1]),
+    es.make_family("const:0.5"),
+    es.make_family("const:0"),
+    es.make_family("ba"),
+    es.make_family("rv:0.5"),
+    es.make_family("rv:2,scale=3"),
+    es.make_family("log:1"),
+    es.make_family("log:0.3"),
+    es.make_family("exp_class:0.5"),
+    es.make_family("osc:base=10"),
+    es.make_family("tab:0.9,0.5,0.25,0.1"),
 ]
 
 
@@ -31,18 +31,18 @@ def case_id(f):
 
 
 def test_eval_examples():
-    assert es.constant(0.5).eval(7) == 0.5
-    assert es.ba().eval(12345) == 1.0
-    assert es.rv_power(0.5).eval(100) == pytest.approx(0.1)
+    assert es.make_family("const:0.5").eval(7) == 0.5
+    assert es.make_family("ba").eval(12345) == 1.0
+    assert es.make_family("rv:0.5").eval(100) == pytest.approx(0.1)
     # small-t values above 1 are clamped
-    assert es.log_class(1.0).eval(2) == 1.0
-    assert es.log_class(1.0).eval(4) == pytest.approx(1.0 / math.log(4))
-    assert es.exp_class(0.5).eval(3) == pytest.approx(math.exp(-math.log(3) ** 0.5))
+    assert es.make_family("log:1").eval(2) == 1.0
+    assert es.make_family("log:1").eval(4) == pytest.approx(1.0 / math.log(4))
+    assert es.make_family("exp_class:0.5").eval(3) == pytest.approx(math.exp(-math.log(3) ** 0.5))
 
 
 def test_eval_rejects_small_t():
     with pytest.raises(ValueError):
-        es.ba().eval(1)
+        es.make_family("ba").eval(1)
 
 
 @pytest.mark.parametrize("f", FAMILIES, ids=case_id)
@@ -53,16 +53,16 @@ def test_eval_range(f):
 
 
 def test_partial_sum_examples():
-    assert es.constant(0.5).partial_sum(5) == 3.0
+    assert es.make_family("const:0.5").partial_sum(5) == 3.0
     for f in FAMILIES:
         assert f.partial_sum(1) == 1.0
-    f = es.log_class(1.0)
+    f = es.make_family("log:1")
     want = 1.0 + 1.0 + 1.0 / math.log(3) + 1.0 / math.log(4)  # f(2) clamps to 1
     assert f.partial_sum(4) == pytest.approx(want)
 
 
 def test_partial_sum_constant_exact():
-    f = es.constant(0.3)
+    f = es.make_family("const:0.3")
     for t in (1, 2, 17, 1000):
         assert f.partial_sum(t) == 1.0 + (t - 1) * 0.3
 
@@ -87,10 +87,10 @@ def test_partial_sum_ignores_call_history(f):
 
 
 def test_weighted_tail_sum():
-    one = es.constant(1.0)
+    one = es.make_family("const:1")
     assert one.weighted_tail_sum(2, 3) == pytest.approx(1.5)
-    assert es.constant(0.0).weighted_tail_sum(2, 100) == 0.0
-    f = es.rv_power(0.5)
+    assert es.make_family("const:0").weighted_tail_sum(2, 100) == 0.0
+    f = es.make_family("rv:0.5")
     assert f.weighted_tail_sum(2, 2) == pytest.approx(f.eval(2))
     with pytest.raises(ValueError):
         one.weighted_tail_sum(1, 5)
@@ -112,7 +112,7 @@ def test_partial_sum_in_chunks_is_one_cumsum(desc):
 )
 @settings(max_examples=50, deadline=None)
 def test_weighted_tail_sum_splits(a, mid, tail, p):
-    f = es.constant(p)
+    f = es.EdgeStepFunction("constant", {"p": p})
     b = a + mid
     c = b + tail
     whole = f.weighted_tail_sum(a, c)
@@ -121,7 +121,7 @@ def test_weighted_tail_sum_splits(a, mid, tail, p):
 
 
 def test_oscillating_plateaus():
-    f = es.oscillating(10)
+    f = es.make_family("osc:base=10")
     # ones on [1, 10] and [100, 10^4], zeros strictly inside (10, 100)
     assert [f.eval(t) for t in (2, 10, 11, 99, 100, 101, 10**4, 10**4 + 1)] == [
         1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0,
@@ -129,31 +129,34 @@ def test_oscillating_plateaus():
 
 
 def test_make_family_round_trips():
-    assert es.make_family("const:0.3") == es.constant(0.3)
-    assert es.make_family("exp_class:0.5") == es.exp_class(0.5)
-    assert es.make_family("ba") == es.ba()
-    assert es.make_family("rv:0.5,2") == es.rv_power(0.5, 2.0)
-    assert es.make_family("rv:gamma=0.5,scale=2") == es.rv_power(0.5, 2.0)
-    assert es.make_family("osc:base=10") == es.oscillating(10)
-    assert es.make_family("tab:0.5,0.25") == es.tabulated([0.5, 0.25])
-    assert es.make_family("rv:scale=2,0.5") == es.make_family("rv:0.5,2")
+    for descriptor, family, params in [
+        ("const:0.3", "constant", {"p": 0.3}),
+        ("exp_class:0.5", "exp_class", {"alpha": 0.5}),
+        ("ba", "ba", {}),
+        ("rv:0.5,2", "rv_power", {"gamma": 0.5, "scale": 2.0}),
+        ("rv:gamma=0.5,scale=2", "rv_power", {"gamma": 0.5, "scale": 2.0}),
+        ("rv:scale=2,0.5", "rv_power", {"gamma": 0.5, "scale": 2.0}),
+        ("osc:base=10", "oscillating", {"base": 10}),
+        ("tab:0.5,0.25", "tabulated", {"values": [0.5, 0.25]}),
+    ]:
+        assert es.make_family(descriptor) == es.EdgeStepFunction(family, params), descriptor
 
 
 @pytest.mark.parametrize(
     "f,name",
     [
-        (es.constant(0.5), "const:0.5"),
-        (es.constant(0.3), "const:0.3"),
-        (es.rv_power(0.5), "rv:0.5"),
-        (es.rv_power(0.5, 2.0), "rv:0.5,scale=2"),
-        (es.log_class(1.0), "log:1"),
-        (es.exp_class(0.5), "exp_class:0.5"),
-        (es.oscillating(10), "osc:base=10"),
-        (es.ba(), "ba"),
+        (es.EdgeStepFunction("constant", {"p": 0.5}), "const:0.5"),
+        (es.EdgeStepFunction("constant", {"p": 0.3}), "const:0.3"),
+        (es.EdgeStepFunction("rv_power", {"gamma": 0.5}), "rv:0.5"),
+        (es.EdgeStepFunction("rv_power", {"gamma": 0.5, "scale": 2.0}), "rv:0.5,scale=2"),
+        (es.EdgeStepFunction("log_class", {"alpha": 1.0}), "log:1"),
+        (es.EdgeStepFunction("exp_class", {"alpha": 0.5}), "exp_class:0.5"),
+        (es.EdgeStepFunction("oscillating", {"base": 10}), "osc:base=10"),
+        (es.EdgeStepFunction("ba", {}), "ba"),
         # a table is named by its values, and a parameter that %g would
         # round by its shortest exact text
-        (es.tabulated([1.0, 0.5, 0.5]), "tab:1,0.5,0.5"),
-        (es.constant(0.123456789), "const:0.123456789"),
+        (es.EdgeStepFunction("tabulated", {"values": [1.0, 0.5, 0.5]}), "tab:1,0.5,0.5"),
+        (es.EdgeStepFunction("constant", {"p": 0.123456789}), "const:0.123456789"),
     ],
 )
 def test_names_are_canonical_descriptors(f, name):
@@ -161,13 +164,16 @@ def test_names_are_canonical_descriptors(f, name):
 
 
 _PARAMS = {
-    "constant": st.builds(es.constant, st.floats(0.0, 1.0)),
-    "ba": st.just(es.ba()),
-    "rv_power": st.builds(es.rv_power, st.floats(1e-3, 5.0), st.floats(1e-3, 1e3)),
-    "log_class": st.builds(es.log_class, st.floats(1e-3, 5.0)),
-    "exp_class": st.builds(es.exp_class, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-    "oscillating": st.builds(es.oscillating, st.integers(2, 10**9)),
-    "tabulated": st.builds(es.tabulated, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)),
+    family: st.builds(es.EdgeStepFunction, st.just(family), st.fixed_dictionaries(params))
+    for family, params in {
+        "constant": {"p": st.floats(0.0, 1.0)},
+        "ba": {},
+        "rv_power": {"gamma": st.floats(1e-3, 5.0), "scale": st.floats(1e-3, 1e3)},
+        "log_class": {"alpha": st.floats(1e-3, 5.0)},
+        "exp_class": {"alpha": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)},
+        "oscillating": {"base": st.integers(2, 10**9)},
+        "tabulated": {"values": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)},
+    }.items()
 }
 
 
@@ -251,7 +257,7 @@ def test_readme_descriptor_table_matches_the_families():
 
 
 def test_tabulated_domain_is_bounded():
-    f = es.tabulated([0.5, 0.5])
+    f = es.make_family("tab:0.5,0.5")
     assert f.eval(3) == 0.5
     with pytest.raises(ValueError):
         f.eval(4)

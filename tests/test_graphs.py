@@ -51,7 +51,7 @@ def test_sample_preferential_matches_degrees():
 def test_sample_preferential_multinomial_on_fixed_graph():
     # a fixed 10-vertex graph: seed 0 is the smallest seed whose
     # const:0.5 run has 10 vertices at t=18 (searched upward from 0)
-    g = gr.evolve(es.constant(0.5), 18, seed=0)
+    g = gr.evolve(es.make_family("const:0.5"), 18, seed=0)
     assert g.n_vertices == 10
     gen = _rng.stream(5, 0)
     n = 200000
@@ -86,7 +86,7 @@ def test_evolve_step_preserves_handshake():
 
 
 def test_evolve_pure_tree():
-    g = gr.evolve(es.ba(), 1000, seed=5)
+    g = gr.evolve(es.make_family("ba"), 1000, seed=5)
     assert g.n_vertices == 1000
     assert g.t == 1000
     assert simple_view(g).n_edges == 999
@@ -94,21 +94,21 @@ def test_evolve_pure_tree():
 
 
 def test_evolve_no_vertex_steps():
-    g = gr.evolve(es.constant(0.0), 50, seed=5)
+    g = gr.evolve(es.make_family("const:0"), 50, seed=5)
     assert g.n_vertices == 1
     assert np.all(g.endpoints == 1)
 
 
 def test_evolve_vertex_count_band():
     t = 10**5
-    g = gr.evolve(es.constant(0.5), t, seed=99)
-    want = es.constant(0.5).partial_sum(t)
+    g = gr.evolve(es.make_family("const:0.5"), t, seed=99)
+    want = es.make_family("const:0.5").partial_sum(t)
     sigma = math.sqrt((t - 1) * 0.25)
     assert abs(g.n_vertices - want) <= 4 * sigma
 
 
 def test_evolve_deterministic():
-    f = es.rv_power(0.7)
+    f = es.make_family("rv:0.7")
     a = gr.evolve(f, 500, seed=42)
     b = gr.evolve(f, 500, seed=42)
     c = gr.evolve(f, 500, seed=43)
@@ -118,7 +118,7 @@ def test_evolve_deterministic():
 
 def test_evolve_horizon_prefix_consistency():
     # the same seed at a longer horizon extends the same trajectory
-    f = es.constant(0.4)
+    f = es.make_family("const:0.4")
     short = gr.evolve(f, 200, seed=7)
     long = gr.evolve(f, 400, seed=7)
     assert np.array_equal(long.endpoints[:400], short.endpoints)
@@ -147,7 +147,7 @@ def test_prefix_is_the_shorter_horizons_graph(horizon, data, seed, fam, chunk):
 
 
 def test_prefix_rejects_times_outside_the_run():
-    g = gr.evolve(es.constant(0.5), 50, seed=1)
+    g = gr.evolve(es.make_family("const:0.5"), 50, seed=1)
     for t in (0, 51):
         with pytest.raises(ValueError, match="prefix time"):
             g.prefix(t)
@@ -348,9 +348,9 @@ def test_draw_layout_is_pinned():
     # with the new digests.  Together they cover COINS, SLOTS, TREE_SLOTS
     # and TREE_ULABELS.
     assert type(_rng.stream(0).bit_generator) is np.random.PCG64DXSM
-    g = gr.evolve(es.constant(0.5), 1000, 7)
+    g = gr.evolve(es.make_family("const:0.5"), 1000, 7)
     tree = cp.grow_tree(1000, 7)
-    batch = gr.evolve_batch(es.constant(0.5), 50, 3, 7)
+    batch = gr.evolve_batch(es.make_family("const:0.5"), 50, 3, 7)
     assert {
         "evolve": _digest(g.step_type, g.endpoints),
         "grow_tree w, ell": _digest(tree.w, tree.ell),
@@ -366,13 +366,13 @@ def test_draw_layout_is_pinned():
 
 def test_evolve_connected():
     for seed in range(5):
-        g = gr.evolve(es.constant(0.5), 300, seed=seed)
+        g = gr.evolve(es.make_family("const:0.5"), 300, seed=seed)
         dist = bfs_distances(simple_view(g), 0)
         assert dist.min() >= 0  # every vertex reachable
 
 
 def test_evolve_batch_matches_single():
-    f = es.constant(0.3)
+    f = es.make_family("const:0.3")
     batch = gr.evolve_batch(f, 80, reps=1, seed=17)
     single = gr.evolve(f, 80, seed=17)
     assert np.array_equal(batch.extract(0).endpoints, single.endpoints)
@@ -380,7 +380,7 @@ def test_evolve_batch_matches_single():
 
 
 def test_evolve_batch_rows_are_valid_and_distinct():
-    batch = gr.evolve_batch(es.constant(0.5), 60, reps=5, seed=17)
+    batch = gr.evolve_batch(es.make_family("const:0.5"), 60, reps=5, seed=17)
     keys = set()
     for r in range(batch.reps):
         g = batch.extract(r)
@@ -391,9 +391,19 @@ def test_evolve_batch_rows_are_valid_and_distinct():
 
 
 def test_evolve_batch_force_coin():
-    batch = gr.evolve_batch(es.constant(0.1), 30, reps=16, seed=1, force_coin={10: True, 11: False})
+    batch = gr.evolve_batch(es.make_family("const:0.1"), 30, reps=16, seed=1, force_coin={10: True, 11: False})
     assert np.all(batch.z[:, 8])
     assert not np.any(batch.z[:, 9])
+
+
+def test_evolve_batch_rejects_a_forced_step_without_a_coin():
+    # steps 2..t draw a coin; a force outside them would be dropped unseen
+    f = es.make_family("const:0.1")
+    for force in ({1: False}, {0: True}, {11: True}, {5: True, 11: True}):
+        with pytest.raises(ValueError, match=r"force_coin steps must lie in 2\.\.10"):
+            gr.evolve_batch(f, 10, reps=3, seed=1, force_coin=force)
+    batch = gr.evolve_batch(f, 10, reps=3, seed=1, force_coin={2: True, 10: True})
+    assert batch.z[:, 0].all() and batch.z[:, 8].all()
 
 
 def _assert_batch_matches_per_step_loop(f, t, reps, seed, force):
@@ -586,7 +596,7 @@ def _break(a, fault, s):
 def _graph_for(chunk):
     """A const:0.5 graph with more than 2 * chunk + 1 vertices that ends
     on a vertex-step, so that its last vertex holds its last slot."""
-    g = gr.evolve(es.constant(0.5), 80 if chunk < 64 else 5 * chunk, 12)
+    g = gr.evolve(es.make_family("const:0.5"), 80 if chunk < 64 else 5 * chunk, 12)
     return g.prefix(int(g.birth_time[-1]))
 
 
@@ -622,7 +632,7 @@ def test_validate_reports_the_earlier_of_two_faults(chunk):
 
 
 def test_load_rejects_corrupt_dump():
-    g = gr.evolve(es.ba(), 5, seed=1)
+    g = gr.evolve(es.make_family("ba"), 5, seed=1)
     lines = dumps_graph(g).splitlines()
     lines[2], lines[3] = lines[3], lines[2]  # out-of-order edge times
     with pytest.raises(ValueError):
@@ -676,7 +686,7 @@ def test_every_graph_holds_its_ids_in_the_id_dtype(f):
 def test_canonical_key_matches_canonical_form():
     form_of, key_of = {}, {}
     for seed in range(40):
-        g = gr.evolve(es.constant(0.5), 6, seed=seed)
+        g = gr.evolve(es.make_family("const:0.5"), 6, seed=seed)
         key, form = gr.canonical_key(g), _birth_form(g)
         assert form_of.setdefault(key, form) == form
         assert key_of.setdefault(form, key) == key
@@ -684,7 +694,7 @@ def test_canonical_key_matches_canonical_form():
 
 
 def test_canonical_form_uses_birth_times():
-    g = gr.evolve(es.constant(0.5), 5, seed=8)
+    g = gr.evolve(es.make_family("const:0.5"), 5, seed=8)
     z, edges = _birth_form(g)
     assert len(z) == 4 and len(edges) == 5
     flat = [b for pair in edges for b in pair]

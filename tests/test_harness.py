@@ -804,3 +804,41 @@ def test_same_records_script_names_each_changed_cell(tmp_path, capsys):
         assert compare(before, after, fmt) == (1, [
             "ba t=10 rep=0 max_degree", "ba t=20 rep=0", "const:0.5 t=10 rep=0 error", "log:1 t=10 rep=0",
         ])
+
+
+def test_src_lines_script_counts_code_without_comments_or_docstrings(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "src_lines.py"
+    spec = importlib.util.spec_from_file_location("src_lines", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    package = tmp_path / "src" / "edgepa"
+    package.mkdir(parents=True)
+    # the eight code lines are numbered; the rest are blank, comment or docstring lines
+    (package / "mod.py").write_text(
+        '"""Module docstring,\n'
+        'on two lines."""\n'
+        "\n"
+        "# a comment-only line\n"
+        "import math  # and a trailing comment\n"              # 1
+        "\n"
+        "\n"
+        "class Thing:\n"                                        # 2
+        '    """Class docstring."""\n'
+        "\n"
+        "    def area(self, r):\n"                              # 3
+        '        """Function docstring,\n'
+        '        """\n'
+        '        note = """a string that is\n'                  # 4
+        '        not a docstring"""\n'                          # 5
+        "        return (math.pi\n"                             # 6
+        "                # a comment inside a statement\n"
+        "                * r * r)\n"                            # 7
+        "\n"
+        "\n"
+        'def short(): """one-line docstring"""; return 1\n'    # 8
+    )
+    assert script.code_lines((package / "mod.py").read_text()) == 8
+    assert script.main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[2:] == [["mod.py", "21", "8"], ["total", "21", "8"]]
+    assert script.main([str(tmp_path / "nowhere")]) == 2

@@ -17,25 +17,25 @@ def _decoded(law):
 
 
 def test_forced_laws():
-    ba2 = orc.enumerate_direct_law(es.ba(), 2)
+    ba2 = orc.enumerate_direct_law(es.make_family("ba"), 2)
     assert _decoded(ba2) == {((True,), ((1, 1), (1, 2))): Fraction(1)}
-    loops = orc.enumerate_direct_law(es.constant(0.0), 3)
+    loops = orc.enumerate_direct_law(es.make_family("const:0"), 3)
     assert _decoded(loops) == {((False, False), ((1, 1), (1, 1), (1, 1))): Fraction(1)}
-    collapsed = orc.enumerate_collapse_law(es.constant(0.0), 4)
+    collapsed = orc.enumerate_collapse_law(es.make_family("const:0"), 4)
     assert _decoded(collapsed) == {
         ((False, False, False), ((1, 1), (1, 1), (1, 1), (1, 1))): Fraction(1)
     }
 
 
 def test_tree_attachment_split():
-    law = _decoded(orc.enumerate_direct_law(es.ba(), 3))
+    law = _decoded(orc.enumerate_direct_law(es.make_family("ba"), 3))
     key_root = ((True, True), ((1, 1), (1, 2), (1, 3)))
     key_child = ((True, True), ((1, 1), (1, 2), (2, 3)))
     assert law[key_root] == Fraction(3, 4)
     assert law[key_child] == Fraction(1, 4)
 
 
-@pytest.mark.parametrize("f", [es.constant(0.5), es.constant(1.0), es.log_class(1.0)])
+@pytest.mark.parametrize("f", [es.make_family(d) for d in ("const:0.5", "const:1", "log:1")])
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_collapse_law_equals_direct_law(f, t):
     direct = orc.enumerate_direct_law(f, t)
@@ -48,7 +48,7 @@ def test_collapse_law_equals_direct_law(f, t):
 def test_collapse_law_equals_direct_law_log_at_t5():
     # log:1 differs at every step, so survival read one step late shows at
     # t = 5 as it does at t = 3 and 4
-    test_collapse_law_equals_direct_law(es.log_class(1.0), 5)
+    test_collapse_law_equals_direct_law(es.make_family("log:1"), 5)
 
 
 def test_law_distance_extremes():
@@ -60,13 +60,13 @@ def test_law_distance_extremes():
 
 def test_enumeration_caps():
     with pytest.raises(ValueError):
-        orc.enumerate_direct_law(es.ba(), 7)
+        orc.enumerate_direct_law(es.make_family("ba"), 7)
     with pytest.raises(ValueError):
-        orc.enumerate_collapse_law(es.ba(), 0)
+        orc.enumerate_collapse_law(es.make_family("ba"), 0)
 
 
 def test_sampled_frequencies_track_law():
-    f, t, reps = es.constant(0.5), 3, 10**5
+    f, t, reps = es.make_family("const:0.5"), 3, 10**5
     law = orc.enumerate_direct_law(f, t)
     counts = orc.sample_direct_law(f, t, reps, seed=5)
     assert set(counts) <= set(law.probs)
@@ -90,7 +90,7 @@ def test_sampled_counts_match_row_wise_unique(t):
 
 
 def test_dump_law_format():
-    law = orc.enumerate_direct_law(es.ba(), 2)
+    law = orc.enumerate_direct_law(es.make_family("ba"), 2)
     buf = io.StringIO()
     dump_law(law, buf)
     line = buf.getvalue().strip()
