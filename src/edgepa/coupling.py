@@ -73,11 +73,13 @@ def _points_back(a: np.ndarray) -> bool:
     """Whether ``1 <= a[j] < j`` for every ``j >= 2``: each vertex names an
     older one.  Read ``STEP_CHUNK`` entries at a time."""
     chunk = _es.STEP_CHUNK
-    for j in range(2, len(a), chunk):
-        block = a[j : j + chunk]
-        if block.min() < 1 or np.any(block >= np.arange(j, j + len(block))):
-            return False
-    return True
+    return not any(_not_older(a[j : j + chunk], j).size for j in range(2, len(a), chunk))
+
+
+def _not_older(block: np.ndarray, j: int) -> np.ndarray:
+    """The offsets ``i`` at which ``block``, the targets of vertices ``j,
+    j + 1, ...``, does not name an older vertex: not ``1 <= block[i] < j + i``."""
+    return np.flatnonzero((block < 1) | (block >= np.arange(j, j + len(block))))
 
 
 def grow_tree(t: int, seed: int) -> DoublyLabeledTree:
@@ -128,25 +130,33 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
 
     Vertex ``j`` survives iff ``U_j <= f(j)`` (the root always survives);
     a collapsed vertex is merged into the surviving representative reached
-    by following ghost targets through collapsed vertices.  Ghost chains
-    strictly decrease the birth index, so the kernel of
-    :func:`resolve_backward_links` maps every vertex to its
-    representative's survivor rank in index order -- the same answer a
-    path-compressed union-find keyed by birth index would give.  Each tree
-    edge ``{w(j), j}`` is remapped to the representatives of its
-    endpoints, both resolved since ``w(j) < j``; step types carry over,
-    so the births follow and every observable applies to the result.  The
-    marks are compared, linked, resolved and remapped ``STEP_CHUNK``
-    vertices at a time, in one pass.
+    by following ghost targets through collapsed vertices.  Each tree edge
+    ``{w(j), j}`` is remapped to the representatives of its endpoints;
+    step types carry over, so the births follow and every observable
+    applies to the result.  An attachment target that is not an older
+    vertex raises ``ValueError``, as a forward ghost does.
+
+    Two passes, ``STEP_CHUNK`` vertices at a time, both in the endpoint
+    buffer the graph keeps.  The first compares the marks, links and
+    resolves: ghost chains strictly decrease the birth index, so the
+    kernel of :func:`resolve_backward_links` writes every vertex's
+    representative's survivor rank ``rr[j]`` into entry ``j`` of the
+    buffer, in index order -- the same answer a path-compressed union-find
+    keyed by birth index would give.  The second writes the edge of
+    vertex ``j``, ``(rr[w(j)], rr[j])``, into entries ``2j - 2`` and
+    ``2j - 1``, walking the blocks from the top down.  For ``j >= 2`` those
+    entries are at least ``j``, and a block reads only ranks below its
+    own top, so a block that gathers both columns before it writes them
+    overwrites only ranks that no older vertex reads.
     """
     t = tree.t
     dtype = _id_dtype(t)
     keep = np.ones(t + 1, dtype=bool)
-    rr = np.zeros(t + 1, dtype=dtype)  # zeros, as the kernel reads them
+    endpoints = np.zeros(2 * t, dtype=dtype)  # zeros, as the kernel reads them
+    rr = endpoints[: t + 1]  # the ranks, until the edges overwrite them
     rr[1] = 1  # the root's rank
-    endpoints = np.empty((t, 2), dtype=dtype)  # row j - 1 is the edge of vertex j
-    endpoints[0] = 1
-    kernel = _BlockResolver(min(_es.STEP_CHUNK, t), dtype, dtype)
+    chunk = _es.STEP_CHUNK
+    kernel = _BlockResolver(min(chunk, t), dtype, dtype)
     kept = 1  # the newest survivor's rank
     for lo, fs in f.eval_chunks(2, t):
         k, j = len(fs), lo + 2  # vertices in the block, its first
@@ -160,10 +170,21 @@ def collapse(tree: DoublyLabeledTree, f: EdgeStepFunction) -> MultiGraph:
         kept = int(rank[-1])
         rank *= kb  # zero at the links, so each takes its representative's rank
         kernel.resolve(rr, j, link, rank)
-        endpoints[j - 1 : j - 1 + k, 0] = rr.take(tree.w[j : j + k], mode="wrap")
-        endpoints[j - 1 : j - 1 + k, 1] = rr[j : j + k]
         del link, rank  # freed before the next block's f values are made
-    return MultiGraph(endpoints=endpoints.reshape(-1), step_type=keep[1:], family=f.name, seed=tree.seed)
+    edges = endpoints.reshape(t, 2)  # row j - 1 is the edge of vertex j
+    pair = np.empty((min(chunk, t), 2), dtype=dtype)
+    for j in reversed(range(2, t + 1, chunk)):
+        target = tree.w[j : j + chunk]
+        k = len(target)
+        bad = _not_older(target, j)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"attachment at {j + i} points to {target[i]}, not an older vertex")
+        rr.take(target, out=pair[:k, 0], mode="wrap")  # in range, as just checked
+        pair[:k, 1] = rr[j : j + k]
+        edges[j - 1 : j - 1 + k] = pair[:k]  # written only once both columns are read
+    edges[0] = 1
+    return MultiGraph(endpoints=endpoints, step_type=keep[1:], family=f.name, seed=tree.seed)
 
 
 def tv_upper_bound(f: EdgeStepFunction, h: EdgeStepFunction, horizon: int) -> float:

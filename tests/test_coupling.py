@@ -150,6 +150,39 @@ def test_collapse_matches_per_vertex_reference(fam):
         g.validate()
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("fam", ["const:0.3", "log:1", "ba", "const:0"])
+def test_collapse_matches_per_vertex_reference_at_block_seams(fam, chunk):
+    # the ranks are resolved block by block from the bottom, then the edges
+    # written over them block by block from the top; the seams must not show
+    f = es.make_family(fam)
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
+        for t in sorted({1, 2, 3, chunk + 1, 2 * chunk + 1}):
+            for seed in range(3):
+                tree = cp.grow_tree(t, seed)
+                ends, _, parent = _collapse_by_loop(tree, f)
+                g = cp.collapse(tree, f)
+                assert_equal_arrays(g.endpoints, ends)
+                assert_equal_arrays(g.parent, parent)
+
+
+def _with_target(tree, j, target):
+    w = tree.w.copy()
+    w[j] = target
+    return cp.DoublyLabeledTree(w=w, ell=tree.ell, u=tree.u, seed=tree.seed)
+
+
+@pytest.mark.parametrize("j, target", [(6, 10**6), (5, 8), (5, 5), (3, 0), (10, -1)])
+def test_collapse_rejects_an_attachment_that_is_not_older(j, target):
+    # a far target was read modulo the ranks' length, a forward one unchecked
+    tree, f = cp.grow_tree(10, 1), es.make_family("ba")
+    with pytest.raises(ValueError, match=f"attachment at {j} points to {target},"):
+        cp.collapse(_with_target(tree, j, target), f)
+    # the same tree with its own target collapses as before
+    g = cp.collapse(_with_target(tree, j, tree.w[j]), f)
+    assert_equal_arrays(g.endpoints, _collapse_by_loop(tree, f)[0])
+
+
 def test_tv_upper_bound_values():
     f = es.make_family("const:0.3")
     assert cp.tv_upper_bound(f, f, 500) == 0.0
@@ -308,3 +341,11 @@ def test_tree_validate_reports_the_earlier_of_two_faults(chunk):
                 for tree in _faulted_trees(chunk, [later, earlier]):
                     with pytest.raises(ValueError, match=_TREE_FAULTS[earlier][2]):
                         tree.validate()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, es.STEP_CHUNK])
+def test_collapse_rejects_an_attachment_fault_past_the_first_block(chunk):
+    with mock.patch.object(es, "STEP_CHUNK", chunk):
+        for tree in _faulted_trees(chunk, [0]):
+            with pytest.raises(ValueError, match="attachment at .* not an older vertex"):
+                cp.collapse(tree, es.make_family("const:0.5"))

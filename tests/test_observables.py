@@ -152,10 +152,9 @@ def test_evolve_and_simple_view_peak_memory():
 
 
 # Peak numpy allocations over the bytes of the result, measured at t = 2e5
-# (grow_tree 2.16, pinned 25 % higher; collapse 3.26 over the stored arrays,
-# set by the pointer doubling of its first block, pinned 7 % higher, so that
-# its bound in bytes (6.30 MB) stays below the 6.38 MB it allowed while
-# births and parents were stored and counted).
+# (grow_tree 2.16, pinned 25 % higher; collapse 2.72 over the stored arrays,
+# set by the resolver's pointer doubling over the first block's in-block
+# links, pinned at 3.5).
 TREE_PEAK_RATIO = 2.7
 COLLAPSE_PEAK_RATIO = 3.5
 
@@ -177,18 +176,19 @@ def test_grow_tree_and_collapse_peak_memory():
     assert collapse_peak <= COLLAPSE_PEAK_RATIO * _stored_bytes(g)
 
 
-# Bytes per block entry that collapse may hold besides its result and its
-# rank array rr: the resolver's five arrays (17), f's values and their int64
-# steps (16), and the link, rank and gathered-rank blocks (12) make 45; it
-# measured 49 under ba at t = 1e6 (3.21 MB over 65536 entries), rounded up to
-# 64.  Births and parents made inside collapse would add 8 bytes per vertex,
-# 8 MB there, twice the 4.2 MB this allows.
+# Bytes per block entry that collapse may hold besides its result, whose
+# endpoint buffer holds the ranks until the edges overwrite them: the
+# resolver's five arrays (17), f's values and their int64 steps (16), and the
+# link and rank blocks (8) make 41; it measured 41 under ba at t = 1e6
+# (2.69 MB over 65536 entries), rounded up to 64.  Births and parents made
+# inside collapse would add 8 bytes per vertex, 8 MB there, and a rank array
+# beside the result 4 bytes, 4 MB: each more than the 1.5 MB left.
 COLLAPSE_SCRATCH_PER_ENTRY = 64
 
 
 def test_collapse_frees_its_ranks_before_the_births():
-    # collapse makes no births: it holds its result, its ranks and a few
-    # blocks, and births made inside it would break the bound
+    # collapse makes no births and no rank array: it holds its result and a
+    # few blocks, and either array made inside it would break the bound
     tree = coupling.grow_tree(10**6, 5)
     tracemalloc.start()
     try:
@@ -197,8 +197,7 @@ def test_collapse_frees_its_ranks_before_the_births():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    rr = (tree.t + 1) * g.endpoints.itemsize
-    assert peak < _stored_bytes(g) + rr + COLLAPSE_SCRATCH_PER_ENTRY * es.STEP_CHUNK
+    assert peak < _stored_bytes(g) + COLLAPSE_SCRATCH_PER_ENTRY * es.STEP_CHUNK
 
 
 # Scratch of a generator: its peak numpy allocations less the bytes of its
@@ -229,6 +228,22 @@ def test_generator_scratch_does_not_grow_with_t():
     for name, (make, parts) in generators.items():
         growth = _scratch_bytes(lambda: make(large), parts) - _scratch_bytes(lambda: make(small), parts)
         assert growth <= SCRATCH_GROWTH_PER_STEP * (large - small), name
+
+
+# How far collapse's scratch may move between two horizons: it holds its
+# result and O(STEP_CHUNK) blocks, so it measured 3.091 MB at both; a rank
+# array beside the result read 3.891 and 5.491 MB.
+COLLAPSE_SCRATCH_SPREAD = 100_000
+
+
+def test_collapse_scratch_does_not_grow_with_t():
+    f = es.make_family("const:0.3")
+    coupling.collapse(coupling.grow_tree(1000, 0), f)  # first-call allocations stay out of the count
+    trees = [coupling.grow_tree(t, 5) for t in (200_000, 600_000)]
+    small, large = (
+        _scratch_bytes(lambda: coupling.collapse(tree, f), lambda g: (g.endpoints, g.step_type)) for tree in trees
+    )
+    assert abs(large - small) <= COLLAPSE_SCRATCH_SPREAD
 
 
 def _validate_scratch_bytes(checked) -> int:
